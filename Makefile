@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race ci metrics-lint status-smoke takeover-smoke chaos fuzz bench bench-compare bench-gate bench-rejoin bench-serve figures clean
+.PHONY: all build vet test race ci metrics-lint status-smoke takeover-smoke bench-smoke chaos fuzz bench bench-compare bench-rejoin bench-serve figures clean
 
 all: ci
 
@@ -34,8 +34,15 @@ status-smoke:
 takeover-smoke:
 	$(GO) test -race -count=1 -run 'TestWireTakeover' ./cmd/mirrord
 
+# Builds the frozen wall-clock benchmark (bench/, a nested module that
+# `go build ./...` does not reach) against the working tree and runs
+# its quick pass, which correctness-checks all four workloads — so an
+# API break against bench/ fails here, not in the benchmark pipeline.
+bench-smoke:
+	bash bench/run.sh -quick
+
 # Full gate: what CI runs and what every change must keep green.
-ci: build vet race metrics-lint status-smoke takeover-smoke
+ci: build vet race metrics-lint status-smoke takeover-smoke bench-smoke
 
 # Deterministic fault-injection sweep under the race detector: 32
 # seeded runs of each schedule class — "mirror" crash-restarts a
@@ -63,13 +70,6 @@ bench:
 # Repeated runs of the fan-out-sensitive benchmarks, benchstat-ready.
 bench-compare:
 	./scripts/bench_compare.sh
-
-# Statistical wire-format gate: >=5 runs of the legacy vs columnar
-# framing benchmarks, Mann-Whitney-checked by the self-contained
-# cmd/benchgate (no benchstat install needed), plus a 0 allocs/op
-# assertion on the columnar round trip.
-bench-gate:
-	./scripts/bench_compare.sh gate
 
 # Incremental-rejoin gate: the snapshot vs cut-anchored delta rejoin
 # transfer, Mann-Whitney-checked on convergence time plus a >=5x

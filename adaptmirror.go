@@ -107,8 +107,6 @@ const (
 	// TransportDirect wires sites with synchronous calls (fastest;
 	// network cost comes from the cost model).
 	TransportDirect = cluster.TransportDirect
-	// TransportChannels wires sites with in-process event channels.
-	TransportChannels = cluster.TransportChannels
 	// TransportTCP wires sites over loopback TCP with optional
 	// bandwidth/latency shaping.
 	TransportTCP = cluster.TransportTCP

@@ -173,11 +173,9 @@ func BenchmarkAblationCoalesceVsOverwrite(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationTransport compares the three site interconnects.
+// BenchmarkAblationTransport compares the two site interconnects.
 func BenchmarkAblationTransport(b *testing.B) {
-	for _, tr := range []cluster.Transport{
-		cluster.TransportDirect, cluster.TransportChannels, cluster.TransportTCP,
-	} {
+	for _, tr := range []cluster.Transport{cluster.TransportDirect, cluster.TransportTCP} {
 		b.Run(tr.String(), func(b *testing.B) {
 			opts := ablationOpts()
 			opts.Selective = 10
@@ -420,15 +418,15 @@ func BenchmarkFanoutBatch(b *testing.B) {
 
 var benchPayload = make([]byte, 128)
 
-// batchDiscard is an instant native BatchSender sink.
+// batchDiscard is an instant sink for both link classes.
 type batchDiscard struct{}
 
-func (batchDiscard) Submit(*event.Event) error        { return nil }
-func (batchDiscard) SubmitBatch([]*event.Event) error { return nil }
+func (batchDiscard) Submit(*event.Event) error                   { return nil }
+func (batchDiscard) SubmitOwned([]*event.Event, event.Ref) error { return nil }
 
 // BenchmarkCodecBatchWrite compares per-event framing (WriteEvent +
-// Flush per event, the old wire path) against whole-batch framing
-// (one WriteBatch + one Flush).
+// Flush per event, the control-link codec) against whole-batch framing
+// (one columnar WriteBatchFrame + one Flush, the data-link codec).
 func BenchmarkCodecBatchWrite(b *testing.B) {
 	for _, n := range []int{1, 16, 64} {
 		batch := make([]*event.Event, n)
@@ -459,7 +457,7 @@ func BenchmarkCodecBatchWrite(b *testing.B) {
 			b.SetBytes(bytes)
 			w := event.NewWriter(io.Discard)
 			for i := 0; i < b.N; i++ {
-				if err := w.WriteBatch(batch); err != nil {
+				if err := w.WriteBatchFrame(batch); err != nil {
 					b.Fatal(err)
 				}
 				if err := w.Flush(); err != nil {
@@ -486,76 +484,53 @@ func (r *repeatFrames) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// BenchmarkWireFrame round-trips batches through the wire codec —
-// encode into a frame, decode back into events — comparing the legacy
-// per-event codec against the columnar batch frame. One benchmark op
-// is one event, so ns/op and allocs/op read per event; the columnar
-// decode path borrows pooled slabs and must hold 0 allocs/op in
-// steady state (make bench-gate asserts exactly that, and that
-// columnar is not statistically slower than legacy).
+// BenchmarkWireFrame round-trips batches through the data-link wire
+// codec — encode into a columnar frame, decode back into events. One
+// benchmark op is one event, so ns/op and allocs/op read per event; the
+// decode path borrows pooled slabs and must hold 0 allocs/op in steady
+// state (event.TestWireFrameRoundTripZeroAllocs asserts it).
 func BenchmarkWireFrame(b *testing.B) {
-	for _, codec := range []string{"legacy", "columnar"} {
-		for _, n := range []int{16, 64, 256} {
-			b.Run(fmt.Sprintf("%s/n=%d", codec, n), func(b *testing.B) {
-				batch := make([]*event.Event, n)
-				for i := range batch {
-					e := event.NewPosition(event.FlightID(i+1), uint64(i+1), 1, 2, 3, 1024)
-					e.VT = vclock.VC{uint64(i + 1), 0}
-					e.Payload = benchPayload
-					batch[i] = e
+	for _, n := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("columnar/n=%d", n), func(b *testing.B) {
+			batch := make([]*event.Event, n)
+			for i := range batch {
+				e := event.NewPosition(event.FlightID(i+1), uint64(i+1), 1, 2, 3, 1024)
+				e.VT = vclock.VC{uint64(i + 1), 0}
+				e.Payload = benchPayload
+				batch[i] = e
+			}
+			// Encode one frame up front to feed the decoder in a loop.
+			var sink frameBuffer
+			w := event.NewWriter(&sink)
+			err := w.WriteBatchFrame(batch)
+			if err == nil {
+				err = w.Flush()
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := event.NewReader(&repeatFrames{data: sink.buf})
+			enc := event.NewWriter(io.Discard)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(sink.buf)) / int64(n))
+			b.ResetTimer()
+			for done := 0; done < b.N; done += n {
+				if err := enc.WriteBatchFrame(batch); err != nil {
+					b.Fatal(err)
 				}
-				// Encode one frame up front to feed the decoder in a loop.
-				var sink frameBuffer
-				w := event.NewWriter(&sink)
-				var err error
-				if codec == "legacy" {
-					err = w.WriteBatch(batch)
-				} else {
-					err = w.WriteBatchFrame(batch)
+				if err := enc.Flush(); err != nil {
+					b.Fatal(err)
 				}
-				if err == nil {
-					err = w.Flush()
-				}
+				_, bb, err := r.ReadFrame()
 				if err != nil {
 					b.Fatal(err)
 				}
-				r := event.NewReader(&repeatFrames{data: sink.buf})
-				enc := event.NewWriter(io.Discard)
-				b.ReportAllocs()
-				b.SetBytes(int64(len(sink.buf)) / int64(n))
-				b.ResetTimer()
-				for done := 0; done < b.N; done += n {
-					if codec == "legacy" {
-						if err := enc.WriteBatch(batch); err != nil {
-							b.Fatal(err)
-						}
-						if err := enc.Flush(); err != nil {
-							b.Fatal(err)
-						}
-						for i := 0; i < n; i++ {
-							if _, err := r.ReadEvent(); err != nil {
-								b.Fatal(err)
-							}
-						}
-						continue
-					}
-					if err := enc.WriteBatchFrame(batch); err != nil {
-						b.Fatal(err)
-					}
-					if err := enc.Flush(); err != nil {
-						b.Fatal(err)
-					}
-					_, bb, err := r.ReadFrame()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if bb == nil || len(bb.Events) != n {
-						b.Fatalf("decoded %v events, want batch of %d", bb, n)
-					}
-					bb.Release()
+				if bb == nil || len(bb.Events) != n {
+					b.Fatalf("decoded %v events, want batch of %d", bb, n)
 				}
-			})
-		}
+				bb.Release()
+			}
+		})
 	}
 }
 
@@ -670,11 +645,11 @@ func nameInt(prefix string, v int) string {
 	return prefix + "-" + string(buf)
 }
 
-// rejoinSink adapts a function to the core.Sender interface for the
+// rejoinSink adapts a mirror site's ingest to core.DataSender for the
 // rejoin-transfer benchmark below.
-type rejoinSink func(*event.Event) error
+type rejoinSink func([]*event.Event, event.Ref) error
 
-func (f rejoinSink) Submit(e *event.Event) error { return f(e) }
+func (f rejoinSink) SubmitOwned(es []*event.Event, ref event.Ref) error { return f(es, ref) }
 
 // benchRejoinCluster builds the rejoin-transfer fixture: a mirrored
 // cluster carrying many flights of padded state, a committed
@@ -743,10 +718,7 @@ func BenchmarkRejoinTransfer(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fresh := core.NewMirrorSite(core.MirrorSiteConfig{})
-				if _, err := cl.Central.RecoverMirrorSince(rejoinSink(func(e *event.Event) error {
-					fresh.HandleData(e)
-					return nil
-				}), cut); err != nil {
+				if _, err := cl.Central.RecoverMirrorSince(rejoinSink(fresh.HandleOwnedBatch), cut); err != nil {
 					b.Fatal(err)
 				}
 				fresh.Drain()

@@ -393,42 +393,33 @@ func (l *lazyUplink) Addr() string {
 	return l.addr
 }
 
-// Submit implements core.Sender.
+// submit runs one submission on the (re)dialed link, dropping the
+// connection on failure so the next call redials.
+func (l *lazyUplink) submit(do func(*echo.SendLink) error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.ensureLocked(); err != nil {
+		return err
+	}
+	if err := do(l.link); err != nil {
+		l.link.Close()
+		l.link = nil
+		return err
+	}
+	return nil
+}
+
+// Submit implements core.Sender (control links).
 func (l *lazyUplink) Submit(e *event.Event) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.ensureLocked(); err != nil {
-		return err
-	}
-	if err := l.link.Submit(e); err != nil {
-		l.link.Close()
-		l.link = nil
-		return err
-	}
-	return nil
+	return l.submit(func(link *echo.SendLink) error { return link.Submit(e) })
 }
 
-// SubmitBatch implements core.BatchSender: the whole batch rides one
-// framed write on the underlying link.
-func (l *lazyUplink) SubmitBatch(events []*event.Event) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.ensureLocked(); err != nil {
-		return err
-	}
-	if err := l.link.SubmitBatch(events); err != nil {
-		l.link.Close()
-		l.link = nil
-		return err
-	}
-	return nil
-}
-
-// SubmitOwned implements core.OwnedBatchSender: the underlying
-// echo.SendLink only encodes the views into its write buffer, so
-// nothing outlives the call and the caller's slabs stay reusable.
-func (l *lazyUplink) SubmitOwned(events []*event.Event, _ event.Ref) error {
-	return l.SubmitBatch(events)
+// SubmitOwned implements core.DataSender (data links): the whole batch
+// rides one framed write on the underlying echo.SendLink, which only
+// encodes the views into its write buffer, so nothing outlives the call
+// and the caller's slabs stay reusable.
+func (l *lazyUplink) SubmitOwned(events []*event.Event, ref event.Ref) error {
+	return l.submit(func(link *echo.SendLink) error { return link.SubmitOwned(events, ref) })
 }
 
 // dialReconnecting returns a lazyUplink whose first dial has already

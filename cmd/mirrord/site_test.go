@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"adaptmirror/internal/obs"
 	"adaptmirror/internal/oislog"
 	"adaptmirror/internal/thinclient"
+	"adaptmirror/internal/vclock"
 )
 
 // TestFullDeployment brings up a 1-central + 2-mirror deployment over
@@ -152,6 +154,63 @@ func TestLazyUplinkRedials(t *testing.T) {
 		t.Fatalf("redial failed: %v", err)
 	}
 	up.Close()
+}
+
+// countingRef is a refcounting fake event.Ref.
+type countingRef struct{ n atomic.Int64 }
+
+func (r *countingRef) Retain()  { r.n.Add(1) }
+func (r *countingRef) Release() { r.n.Add(-1) }
+
+// TestLazyUplinkDataContract is internal/cluster's
+// TestDataLinkContract for the one data link that lives in this
+// package: batches submitted through a lazyUplink reach a running
+// mirror site in order exactly once, the uplink keeps no reference, and
+// the site's backup trims back to empty.
+func TestLazyUplinkDataContract(t *testing.T) {
+	m, err := startMirror(mirrorOptions{Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", Central: "unused"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	up := &lazyUplink{addr: m.Addr, name: chanData}
+	defer up.Close()
+
+	const batches, per = 3, 16
+	var ref countingRef
+	var last vclock.VC
+	for b := 0; b < batches; b++ {
+		batch := make([]*event.Event, per)
+		for i := range batch {
+			seq := uint64(b*per + i + 1)
+			e := event.NewPosition(event.FlightID(1+seq%4), seq, float64(seq), 2, 3, 64)
+			e.VT = vclock.VC{seq}
+			batch[i], last = e, e.VT
+		}
+		ref.Retain()
+		if err := up.SubmitOwned(batch, &ref); err != nil {
+			t.Fatal(err)
+		}
+		ref.Release()
+		if n := ref.n.Load(); n != 0 {
+			t.Fatalf("uplink holds %d references after batch %d returned", n, b)
+		}
+	}
+	waitUntil(t, 5*time.Second, "the mirror to retain every event", func() bool { return m.Mirror.Backup().Len() >= batches*per })
+	got := m.Mirror.Backup().Snapshot()
+	if m.Mirror.Received() != batches*per || len(got) != batches*per {
+		t.Fatalf("received %d, retained %d, want %d of each: not exactly once", m.Mirror.Received(), len(got), batches*per)
+	}
+	for i, e := range got {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("arrival %d has seq %d: order violated", i, e.Seq)
+		}
+	}
+	waitUntil(t, 5*time.Second, "the replica to apply every event", func() bool { return m.Mirror.Processed() >= batches*per })
+	m.Mirror.Backup().Commit(last)
+	if n := m.Mirror.Backup().Len(); n != 0 {
+		t.Fatalf("backup retains %d events after the commit", n)
+	}
 }
 
 func TestCentralWithAdaptation(t *testing.T) {

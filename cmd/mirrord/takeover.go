@@ -87,6 +87,8 @@ type deadLink struct{}
 
 func (deadLink) Submit(*event.Event) error { return errSelfSlot }
 
+func (deadLink) SubmitOwned([]*event.Event, event.Ref) error { return errSelfSlot }
+
 // promotedCentral is everything a mirror site owns after winning a
 // takeover: the resumed central, its membership, and the downlinks to
 // the surviving mirrors.

@@ -17,17 +17,27 @@ import (
 	"adaptmirror/internal/event"
 )
 
-// cuttableLink drops traffic when severed.
+// cuttableLink drops traffic when severed. A control link sets ctrl, a
+// data link sets data.
 type cuttableLink struct {
 	dead atomic.Bool
-	fn   func(*event.Event) error
+	ctrl func(*event.Event)
+	data func([]*event.Event, event.Ref) error
 }
 
 func (l *cuttableLink) Submit(e *event.Event) error {
 	if l.dead.Load() {
 		return core.ErrUnitClosed
 	}
-	return l.fn(e)
+	l.ctrl(e)
+	return nil
+}
+
+func (l *cuttableLink) SubmitOwned(es []*event.Event, ref event.Ref) error {
+	if l.dead.Load() {
+		return core.ErrUnitClosed
+	}
+	return l.data(es, ref)
 }
 
 func main() {
@@ -39,8 +49,8 @@ func main() {
 	var central *core.Central
 	for i := 0; i < 2; i++ {
 		i := i
-		links[2*i] = &cuttableLink{fn: func(e *event.Event) error { mirrors[i].HandleData(e); return nil }}
-		links[2*i+1] = &cuttableLink{fn: func(e *event.Event) error { mirrors[i].HandleControl(e); return nil }}
+		links[2*i] = &cuttableLink{data: func(es []*event.Event, ref event.Ref) error { return mirrors[i].HandleOwnedBatch(es, ref) }}
+		links[2*i+1] = &cuttableLink{ctrl: func(e *event.Event) { mirrors[i].HandleControl(e) }}
 		coreLinks = append(coreLinks, core.MirrorLink{Data: links[2*i], Ctrl: links[2*i+1]})
 	}
 	central = core.NewCentral(core.CentralConfig{

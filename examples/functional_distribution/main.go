@@ -22,6 +22,11 @@ type senderFunc func(*event.Event) error
 
 func (f senderFunc) Submit(e *event.Event) error { return f(e) }
 
+// dataFunc is a direct-call data link into a mirror site's ingest.
+type dataFunc func([]*event.Event, event.Ref) error
+
+func (f dataFunc) SubmitOwned(es []*event.Event, ref event.Ref) error { return f(es, ref) }
+
 func main() {
 	// Two mirrors: a state replica and a weather-analytics site.
 	replica := core.NewMirrorSite(core.MirrorSiteConfig{
@@ -40,11 +45,11 @@ func main() {
 		Main:    core.MainConfig{EDE: ede.Config{Rules: ede.ExtendedRules()}},
 		Mirrors: []core.MirrorLink{
 			{
-				Data: senderFunc(func(e *event.Event) error { replica.HandleData(e); return nil }),
+				Data: dataFunc(replica.HandleOwnedBatch),
 				Ctrl: senderFunc(func(e *event.Event) error { replica.HandleControl(e); return nil }),
 			},
 			{
-				Data:   senderFunc(func(e *event.Event) error { analytics.HandleData(e); return nil }),
+				Data:   dataFunc(analytics.HandleOwnedBatch),
 				Ctrl:   senderFunc(func(e *event.Event) error { analytics.HandleControl(e); return nil }),
 				Filter: func(e *event.Event) bool { return e.Type == event.TypeWeather },
 			},

@@ -33,9 +33,6 @@ const (
 	// modeled by the cost model, matching the paper's observation
 	// that intra-cluster bandwidth is not the bottleneck).
 	TransportDirect Transport = iota
-	// TransportChannels wires sites with in-process ECho event
-	// channels (asynchronous per-subscriber dispatch).
-	TransportChannels
 	// TransportTCP wires sites with framed events over loopback TCP,
 	// optionally shaped by a simnet profile — the deployment path.
 	TransportTCP
@@ -46,8 +43,6 @@ func (t Transport) String() string {
 	switch t {
 	case TransportDirect:
 		return "direct"
-	case TransportChannels:
-		return "channels"
 	case TransportTCP:
 		return "tcp"
 	default:
@@ -63,12 +58,6 @@ type Config struct {
 	Transport Transport
 	// Shaping applies to TCP links (TransportTCP only).
 	Shaping simnet.Profile
-	// LegacyFrames, when LegacyFrames[i] is true, forces mirror i's
-	// data link onto the per-event legacy framing instead of columnar
-	// batch frames (TransportTCP only) — the mixed-generation interop
-	// configuration, where an upgraded central feeds a not-yet-upgraded
-	// mirror.
-	LegacyFrames []bool
 	// Params are the initial mirroring parameters.
 	Params core.Params
 	// Model is the CPU cost model for every site.
@@ -247,8 +236,6 @@ func New(cfg Config) (*Cluster, error) {
 	switch cfg.Transport {
 	case TransportDirect:
 		links = cl.wireDirect(cfg)
-	case TransportChannels:
-		links = cl.wireChannels(cfg)
 	case TransportTCP:
 		links, err = cl.wireTCP(cfg)
 		if err != nil {
@@ -281,7 +268,6 @@ func New(cfg Config) (*Cluster, error) {
 			cl.dispatchSample(site, s, configured)
 		},
 	})
-	cl.finishWiring()
 	return cl, nil
 }
 
@@ -423,28 +409,32 @@ type senderFunc func(*event.Event) error
 
 func (f senderFunc) Submit(e *event.Event) error { return f(e) }
 
-// batchSenderFunc adds native whole-batch submission so the central
-// fan-out pipeline's batches survive the direct transport intact. The
-// optional owned hook carries the zero-copy protocol (slab views
-// guarded by a borrow-during-call reference); when nil, owned batches
-// degrade to many with the reference leaked by the caller.
-type batchSenderFunc struct {
-	one   func(*event.Event) error
-	many  func([]*event.Event) error
-	owned func([]*event.Event, event.Ref) error
-}
+// dataFunc is the direct-call data link: the central's fan-out calls
+// straight into the receiving site's ingest.
+type dataFunc func([]*event.Event, event.Ref) error
 
-func (f batchSenderFunc) Submit(e *event.Event) error         { return f.one(e) }
-func (f batchSenderFunc) SubmitBatch(es []*event.Event) error { return f.many(es) }
+func (f dataFunc) SubmitOwned(es []*event.Event, ref event.Ref) error { return f(es, ref) }
 
-func (f batchSenderFunc) SubmitOwned(es []*event.Event, ref event.Ref) error {
-	if f.owned == nil {
-		if ref != nil {
-			ref.Retain() // surrender the slab to the GC, never recycle it
-		}
-		return f.many(es)
-	}
-	return f.owned(es, ref)
+// newMirror builds mirror site i with its directive applier attached
+// and appends it to cl.Mirrors; only the control uplink differs between
+// transports.
+func (cl *Cluster) newMirror(cfg Config, i int, ctrlUp core.Sender) *core.MirrorSite {
+	ap := cl.newApplier(i)
+	m := core.NewMirrorSite(core.MirrorSiteConfig{
+		Main:   cl.siteMainCfg(cfg),
+		Model:  cfg.Model,
+		CPU:    cl.CPUs[i+1],
+		SiteID: uint8(i),
+		Obs:    cl.Obs,
+		Tracer: cl.Tracer,
+		OnPiggyback: func(round uint64, b []byte) {
+			ap.Apply(round, b)
+		},
+		CtrlUp: ctrlUp,
+	})
+	ap.SetInstall(adapt.InstallMirrorRegime(m))
+	cl.Mirrors = append(cl.Mirrors, m)
+	return m
 }
 
 // wireDirect connects sites with synchronous calls. Mirrors are
@@ -452,67 +442,14 @@ func (f batchSenderFunc) SubmitOwned(es []*event.Event, ref event.Ref) error {
 func (cl *Cluster) wireDirect(cfg Config) []core.MirrorLink {
 	links := make([]core.MirrorLink, cfg.Mirrors)
 	for i := 0; i < cfg.Mirrors; i++ {
-		i := i
-		ap := cl.newApplier(i)
-		m := core.NewMirrorSite(core.MirrorSiteConfig{
-			Main:   cl.siteMainCfg(cfg),
-			Model:  cfg.Model,
-			CPU:    cl.CPUs[i+1],
-			SiteID: uint8(i),
-			Obs:    cl.Obs,
-			Tracer: cl.Tracer,
-			OnPiggyback: func(round uint64, b []byte) {
-				ap.Apply(round, b)
-			},
-			CtrlUp: senderFunc(func(e *event.Event) error {
-				cl.Central.HandleControl(e)
-				return nil
-			}),
-		})
-		ap.SetInstall(adapt.InstallMirrorRegime(m))
-		cl.Mirrors = append(cl.Mirrors, m)
+		m := cl.newMirror(cfg, i, senderFunc(func(e *event.Event) error {
+			cl.Central.HandleControl(e)
+			return nil
+		}))
 		links[i] = core.MirrorLink{
-			Data: batchSenderFunc{
-				one:   func(e *event.Event) error { m.HandleData(e); return nil },
-				many:  func(es []*event.Event) error { m.HandleDataBatch(es); return nil },
-				owned: m.HandleOwnedBatch,
-			},
+			Data: dataFunc(m.HandleOwnedBatch),
 			Ctrl: senderFunc(func(e *event.Event) error { m.HandleControl(e); return nil }),
 		}
-	}
-	return links
-}
-
-// wireChannels connects sites with in-process ECho channels.
-func (cl *Cluster) wireChannels(cfg Config) []core.MirrorLink {
-	links := make([]core.MirrorLink, cfg.Mirrors)
-	ctrlUp := echo.NewLocal("ctrl.up")
-	cl.closers = append(cl.closers, func() { ctrlUp.Close() })
-	ctrlUp.Subscribe(func(e *event.Event) { cl.Central.HandleControl(e) })
-	for i := 0; i < cfg.Mirrors; i++ {
-		ap := cl.newApplier(i)
-		m := core.NewMirrorSite(core.MirrorSiteConfig{
-			Main:   cl.siteMainCfg(cfg),
-			Model:  cfg.Model,
-			CPU:    cl.CPUs[i+1],
-			SiteID: uint8(i),
-			Obs:    cl.Obs,
-			Tracer: cl.Tracer,
-			OnPiggyback: func(round uint64, b []byte) {
-				ap.Apply(round, b)
-			},
-			CtrlUp: ctrlUp,
-		})
-		ap.SetInstall(adapt.InstallMirrorRegime(m))
-		cl.Mirrors = append(cl.Mirrors, m)
-		data := echo.NewLocal(fmt.Sprintf("data.%d", i))
-		ctrl := echo.NewLocal(fmt.Sprintf("ctrl.down.%d", i))
-		data.SubscribeBatch(m.HandleData, func(es []*event.Event, ref event.Ref) {
-			_ = m.HandleOwnedBatch(es, ref)
-		})
-		ctrl.Subscribe(m.HandleControl)
-		cl.closers = append(cl.closers, func() { data.Close(); ctrl.Close() })
-		links[i] = core.MirrorLink{Data: data, Ctrl: ctrl}
 	}
 	return links
 }
@@ -558,21 +495,7 @@ func (cl *Cluster) wireTCP(cfg Config) ([]core.MirrorLink, error) {
 		}
 		cl.closers = append(cl.closers, func() { upLink.Close() })
 
-		ap := cl.newApplier(i)
-		m := core.NewMirrorSite(core.MirrorSiteConfig{
-			Main:   cl.siteMainCfg(cfg),
-			Model:  cfg.Model,
-			CPU:    cl.CPUs[i+1],
-			SiteID: uint8(i),
-			Obs:    cl.Obs,
-			Tracer: cl.Tracer,
-			OnPiggyback: func(round uint64, b []byte) {
-				ap.Apply(round, b)
-			},
-			CtrlUp: upLink,
-		})
-		ap.SetInstall(adapt.InstallMirrorRegime(m))
-		cl.Mirrors = append(cl.Mirrors, m)
+		m := cl.newMirror(cfg, i, upLink)
 		dataCh.SubscribeBatch(m.HandleData, func(es []*event.Event, ref event.Ref) {
 			_ = m.HandleOwnedBatch(es, ref)
 		})
@@ -587,9 +510,6 @@ func (cl *Cluster) wireTCP(cfg Config) ([]core.MirrorLink, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: mirror %d data handshake: %w", i, err)
 		}
-		if i < len(cfg.LegacyFrames) && cfg.LegacyFrames[i] {
-			dataLink.SetLegacyFraming(true)
-		}
 		ctrlConn, err := simnet.Dial(ln.Addr().String(), cfg.Shaping)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: mirror %d ctrl link: %w", i, err)
@@ -603,11 +523,6 @@ func (cl *Cluster) wireTCP(cfg Config) ([]core.MirrorLink, error) {
 	}
 	return links, nil
 }
-
-// finishWiring is a hook for post-central-construction steps (the
-// direct transport's closures capture cl.Central lazily, so nothing is
-// needed today).
-func (cl *Cluster) finishWiring() {}
 
 // --- status plane -----------------------------------------------------
 

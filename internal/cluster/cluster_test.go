@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -53,11 +54,21 @@ func runOn(t *testing.T, tr Transport) {
 	if cl.DelayHist.Count() != 100 {
 		t.Fatalf("delay samples = %d, want 100", cl.DelayHist.Count())
 	}
+	// Same events, same order, same applied state: every replica is
+	// byte-for-byte the central's.
+	central := cl.Central.Main().Engine().State().Snapshot()
+	if len(central) == 0 {
+		t.Fatal("central snapshot is empty; convergence check is vacuous")
+	}
+	for i, m := range cl.Mirrors {
+		if got := m.Main().Engine().State().Snapshot(); !bytes.Equal(got, central) {
+			t.Fatalf("mirror %d state diverged from central (%d vs %d bytes)", i, len(got), len(central))
+		}
+	}
 }
 
-func TestClusterDirect(t *testing.T)   { runOn(t, TransportDirect) }
-func TestClusterChannels(t *testing.T) { runOn(t, TransportChannels) }
-func TestClusterTCP(t *testing.T)      { runOn(t, TransportTCP) }
+func TestClusterDirect(t *testing.T) { runOn(t, TransportDirect) }
+func TestClusterTCP(t *testing.T)    { runOn(t, TransportTCP) }
 
 func TestClusterTCPShaped(t *testing.T) {
 	cl, err := New(Config{
@@ -94,10 +105,9 @@ func TestTargetsFallBackToCentral(t *testing.T) {
 
 func TestTransportString(t *testing.T) {
 	for tr, want := range map[Transport]string{
-		TransportDirect:   "direct",
-		TransportChannels: "channels",
-		TransportTCP:      "tcp",
-		Transport(9):      "transport(9)",
+		TransportDirect: "direct",
+		TransportTCP:    "tcp",
+		Transport(9):    "transport(9)",
 	} {
 		if got := tr.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", tr, got, want)

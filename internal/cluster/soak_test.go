@@ -14,7 +14,7 @@ import (
 // sites, subscriptions, servers, and links must all shut down.
 func TestNoGoroutineLeaks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	for _, tr := range []Transport{TransportDirect, TransportChannels, TransportTCP} {
+	for _, tr := range []Transport{TransportDirect, TransportTCP} {
 		for i := 0; i < 3; i++ {
 			cl, err := New(Config{Mirrors: 2, Transport: tr, Model: lightModel})
 			if err != nil {

@@ -47,7 +47,7 @@ func DefaultFwdFunc(e *event.Event) *event.Event { return e }
 // link serves the latter (e.g. a weather-analytics site receiving only
 // weather events).
 type MirrorLink struct {
-	Data Sender
+	Data DataSender
 	Ctrl Sender
 	// Filter, when non-nil, selects the events this site receives;
 	// nil mirrors everything.

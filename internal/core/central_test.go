@@ -14,6 +14,21 @@ type senderFunc func(*event.Event) error
 
 func (f senderFunc) Submit(e *event.Event) error { return f(e) }
 
+// SubmitOwned lets a per-event test double stand in for a data link
+// (DataSender). The double may keep events past the call, so views are
+// cloned off their slab first.
+func (f senderFunc) SubmitOwned(es []*event.Event, ref event.Ref) error {
+	for _, e := range es {
+		if ref != nil {
+			e = e.Clone()
+		}
+		if err := f(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // rig is a fully wired in-process central + N mirrors.
 type rig struct {
 	central *Central

@@ -65,8 +65,7 @@ type sendGroup struct {
 type linkSender struct {
 	idx   int
 	link  MirrorLink
-	data  BatchSender
-	owned OwnedBatchSender // non-nil when link.Data speaks the zero-copy protocol
+	data  DataSender
 	aux   *costmodel.CPU
 	model costmodel.Model
 	alive func(int) bool
@@ -116,15 +115,12 @@ func newLinkSender(idx int, link MirrorLink, depth int, aux *costmodel.CPU, mode
 	s := &linkSender{
 		idx:    idx,
 		link:   link,
-		data:   AsBatchSender(link.Data),
+		data:   link.Data,
 		aux:    aux,
 		model:  model,
 		alive:  alive,
 		ring:   make([]*event.Event, size),
 		tracer: tracer,
-	}
-	if o, ok := link.Data.(OwnedBatchSender); ok {
-		s.owned = o
 	}
 	mirror := obs.L("mirror", strconv.Itoa(idx))
 	s.enqueued = reg.Counter("link_enqueued_total", mirror)
@@ -283,11 +279,8 @@ func (s *linkSender) run(wg *sync.WaitGroup) {
 // mirror's arrival watermark discards the stale prefix).
 // send owns the drained batch's slab releases (rels): they fire once no
 // event of the batch can be referenced downstream any more — after an
-// owned submission returns (receivers retained what they keep), or
-// immediately when the batch is dropped or filtered to nothing. A plain
-// BatchSender receiver may retain the views indefinitely, so that path
-// never fires the releases and the slabs are left to the garbage
-// collector instead of the pool — correctness over reuse.
+// submission returns (receivers retained what they keep), or
+// immediately when the batch is dropped or filtered to nothing.
 func (s *linkSender) send(batch []*event.Event, rels []func()) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -317,14 +310,9 @@ func (s *linkSender) send(batch []*event.Event, rels []func()) {
 	s.batchEvents.Record(time.Duration(len(batch)))
 	s.batchBytes.Record(time.Duration(bytes))
 	start := time.Now()
-	var err error
-	if s.owned != nil {
-		ref := newGroupRef(rels)
-		err = s.owned.SubmitOwned(batch, ref)
-		ref.Release()
-	} else {
-		err = s.data.SubmitBatch(batch)
-	}
+	ref := newGroupRef(rels)
+	err := s.data.SubmitOwned(batch, ref)
+	ref.Release()
 	elapsed := time.Since(start)
 	s.stall.Add(elapsed)
 	s.tracer.Observe(obs.StageLinkSend, elapsed)
@@ -360,15 +348,13 @@ func (s *linkSender) recoverySend(events []*event.Event, readmit func()) error {
 		}
 		return nil
 	}
-	bytes := 0
-	for _, e := range events {
-		bytes += len(e.Payload)
-	}
+	bytes := event.BatchPayloadBytes(events)
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	s.aux.Charge(s.model.SubmitBatchCost(len(events), bytes))
 	start := time.Now()
-	err := s.data.SubmitBatch(events)
+	// Recovery events are heap-owned: no slab guards them.
+	err := s.data.SubmitOwned(events, nil)
 	s.stall.Add(time.Since(start))
 	if err != nil {
 		return err

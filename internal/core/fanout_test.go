@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,20 +15,19 @@ func tev(seq uint64) *event.Event {
 	return &event.Event{Type: event.TypeFAAPosition, Seq: seq, Coalesced: 1, Payload: []byte{1, 2, 3, 4}}
 }
 
-// collectSender records every submitted event.
+// collectSender is a data link that records every submitted event's
+// Seq (it keeps no view past the call).
 type collectSender struct {
 	mu   sync.Mutex
 	seqs []uint64
-	fail uint64 // Submit of this seq errors (0 = never)
 }
 
-func (s *collectSender) Submit(e *event.Event) error {
+func (s *collectSender) SubmitOwned(events []*event.Event, _ event.Ref) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fail != 0 && e.Seq == s.fail {
-		return errors.New("collect: injected failure")
+	for _, e := range events {
+		s.seqs = append(s.seqs, e.Seq)
 	}
-	s.seqs = append(s.seqs, e.Seq)
 	return nil
 }
 
@@ -37,64 +35,6 @@ func (s *collectSender) got() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]uint64(nil), s.seqs...)
-}
-
-// nativeBatchSender implements BatchSender directly.
-type nativeBatchSender struct{ collectSender }
-
-func (s *nativeBatchSender) SubmitBatch(events []*event.Event) error {
-	for _, e := range events {
-		if err := s.Submit(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func TestAsBatchSenderAdapterEquivalence(t *testing.T) {
-	batch := make([]*event.Event, 10)
-	for i := range batch {
-		batch[i] = tev(uint64(i + 1))
-	}
-
-	// Per-event reference.
-	ref := &collectSender{}
-	for _, e := range batch {
-		if err := ref.Submit(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The adapter must deliver the same events in the same order.
-	adapted := &collectSender{}
-	bs := AsBatchSender(adapted)
-	if err := bs.SubmitBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	want, got := ref.got(), adapted.got()
-	if len(want) != len(got) {
-		t.Fatalf("adapter delivered %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("event %d: seq %d vs %d", i, got[i], want[i])
-		}
-	}
-
-	// A native BatchSender passes through unchanged.
-	native := &nativeBatchSender{}
-	if AsBatchSender(native) != BatchSender(native) {
-		t.Fatal("AsBatchSender must return a native BatchSender as-is")
-	}
-
-	// The adapter stops at the first per-event error and reports it.
-	failing := &collectSender{fail: 4}
-	if err := AsBatchSender(failing).SubmitBatch(batch); err == nil {
-		t.Fatal("SubmitBatch must surface the per-event error")
-	}
-	if got := failing.got(); len(got) != 3 {
-		t.Fatalf("delivered %d events before the failure, want 3", len(got))
-	}
 }
 
 func TestLinkSenderOverflowAccounting(t *testing.T) {
@@ -182,11 +122,7 @@ type slowBatchSender struct {
 	n     atomic.Uint64
 }
 
-func (s *slowBatchSender) Submit(e *event.Event) error {
-	return s.SubmitBatch([]*event.Event{e})
-}
-
-func (s *slowBatchSender) SubmitBatch(events []*event.Event) error {
+func (s *slowBatchSender) SubmitOwned(events []*event.Event, _ event.Ref) error {
 	time.Sleep(s.delay)
 	s.n.Add(uint64(len(events)))
 	return nil

@@ -14,8 +14,9 @@ import (
 	"adaptmirror/internal/vclock"
 )
 
-// Sender is the minimal outbound interface the framework needs from a
-// transport: both echo.LocalChannel and echo.SendLink satisfy it.
+// Sender is the per-event outbound interface of control and client
+// links (mirror data links are DataSenders): both echo.LocalChannel and
+// echo.SendLink satisfy it.
 type Sender interface {
 	Submit(*event.Event) error
 }

@@ -21,6 +21,13 @@ func (l *failableLink) Submit(e *event.Event) error {
 	return l.fn(e)
 }
 
+func (l *failableLink) SubmitOwned(es []*event.Event, ref event.Ref) error {
+	if l.dead.Load() {
+		return ErrUnitClosed
+	}
+	return l.fn.SubmitOwned(es, ref)
+}
+
 // membershipRig wires a central with two mirrors whose links can be
 // severed.
 type membershipRig struct {

@@ -258,114 +258,32 @@ func (m *MirrorSite) noteRound(seq uint64) {
 // detect missed rounds; a promoted coordinator resumes above it.
 func (m *MirrorSite) LastRound() uint64 { return m.lastRound.Load() }
 
-// HandleData accepts one mirrored event from the central site.
-// Re-delivered events (at or below the arrival watermark) count as
-// received but are otherwise dropped; recovery-state events skip the
-// backup queue (they are not mirrored history, they replace it);
-// adaptation directives (recovery snapshots carry one) go straight to
-// the piggyback hook, never near the queues.
+// HandleData accepts one heap-owned mirrored event — a per-event
+// frame arriving on the data channel — as a batch of one.
 func (m *MirrorSite) HandleData(e *event.Event) {
-	m.received.Add(1)
-	if e.Type == event.TypeAdapt {
-		m.noteRound(e.Seq)
-		if m.cfg.OnPiggyback != nil && len(e.Payload) > 0 {
-			m.cfg.OnPiggyback(e.Seq, e.Payload)
-		}
-		return
-	}
-	m.dedupMu.Lock()
-	ok := m.admit(e)
-	m.dedupMu.Unlock()
-	if !ok {
-		return
-	}
-	if isRecoveryTransfer(e) {
-		// The transfer re-anchors this replica at its cut: retained
-		// backup entries are either covered (inside the state body) or
-		// orphans of a dead central's epoch — both go.
-		m.backup.Rebase(e.VT)
-	} else {
-		m.backup.Append(e)
-	}
-	_ = m.ready.Put(e)
+	_ = m.HandleOwnedBatch([]*event.Event{e}, nil)
 }
 
-// HandleDataBatch accepts a batch of mirrored events, booking the
-// backup and ready queues once per batch. The site retains the events,
-// not the slice.
-func (m *MirrorSite) HandleDataBatch(events []*event.Event) {
-	if len(events) == 0 {
-		return
-	}
-	m.received.Add(uint64(len(events)))
-	// Common case first: every event admitted, none of them recovery
-	// state — the original slice feeds both queues with no copying.
-	// On the first exception, fall back to filtered copies.
-	toBackup, toReady := events, events
-	plain := true
-	var directives []*event.Event
-	var rebase vclock.VC
-	m.dedupMu.Lock()
-	for i, e := range events {
-		adaptDir := e.Type == event.TypeAdapt
-		ok := !adaptDir && m.admit(e)
-		if plain && ok && !isRecoveryTransfer(e) {
-			continue
-		}
-		if plain {
-			toBackup = append(make([]*event.Event, 0, len(events)), events[:i]...)
-			toReady = append(make([]*event.Event, 0, len(events)), events[:i]...)
-			plain = false
-		}
-		if adaptDir {
-			m.noteRound(e.Seq)
-			directives = append(directives, e)
-			continue
-		}
-		if ok {
-			toReady = append(toReady, e)
-			if isRecoveryTransfer(e) {
-				// The transfer replaces history: everything retained so
-				// far — including earlier events in this batch — is
-				// covered by its cut or orphaned by it.
-				rebase = e.VT
-				toBackup = toBackup[:0]
-			} else {
-				toBackup = append(toBackup, e)
-			}
-		}
-	}
-	m.dedupMu.Unlock()
-	if rebase != nil {
-		m.backup.Rebase(rebase)
-	}
-	if len(toBackup) > 0 {
-		m.backup.AppendBatch(toBackup)
-	}
-	if len(toReady) > 0 {
-		_ = m.ready.PutBatch(toReady)
-	}
-	if m.cfg.OnPiggyback != nil {
-		for _, e := range directives {
-			if len(e.Payload) > 0 {
-				m.cfg.OnPiggyback(e.Seq, e.Payload)
-			}
-		}
-	}
-}
-
-// HandleOwnedBatch accepts a batch of pooled event views borrowing
-// from slabs guarded by ref (core.OwnedBatchSender). No payload is
-// copied: admitted events enter the backup and ready queues as-is,
-// and the backup queue takes a retained reference that it drops when
-// a checkpoint commit trims past the batch. That trim is the proof
-// the views are dead — the commit cut folds in this site's own
-// last-processed reply, so everything trimmed has already cleared the
-// ready queue and the EDE. Recovery-state events skip the backup
-// queue, so nothing would pin their slab while they wait in ready;
-// they are deep-cloned off it (a cold path — recovery only).
-// Adaptation directives are applied synchronously while the caller's
-// borrow keeps the slab live.
+// HandleOwnedBatch is the site's data-path entry point (the receiving
+// end of core.DataSender): it accepts a batch of mirrored events from
+// the central site. Re-delivered events (at or below the arrival
+// watermark) count as received but are otherwise dropped; recovery
+// transfers skip the backup queue (they are not mirrored history, they
+// replace it); adaptation directives (recovery blocks carry one) go
+// straight to the piggyback hook, applied synchronously while the
+// caller's borrow keeps the slab live, never near the queues.
+//
+// With a non-nil ref the events are pooled views borrowing from slabs
+// it guards. No payload is copied: admitted events enter the backup
+// and ready queues as-is, and the backup queue takes a retained
+// reference that it drops when a checkpoint commit trims past the
+// batch. That trim is the proof the views are dead — the commit cut
+// folds in this site's own last-processed reply, so everything trimmed
+// has already cleared the ready queue and the EDE. Nothing would pin a
+// recovery transfer's slab while it waits in ready, so it is
+// deep-cloned off it (a cold path — recovery only). With a nil ref the
+// events are heap-owned and are queued as they are. Either way the
+// site retains events, never the slice.
 func (m *MirrorSite) HandleOwnedBatch(events []*event.Event, ref event.Ref) error {
 	if len(events) == 0 {
 		return nil
@@ -392,7 +310,10 @@ func (m *MirrorSite) HandleOwnedBatch(events []*event.Event, ref event.Ref) erro
 			// and rebase the backup below.
 			rebase = e.VT
 			toBackup = toBackup[:0]
-			toReady = append(toReady, e.Clone())
+			if ref != nil {
+				e = e.Clone()
+			}
+			toReady = append(toReady, e)
 			continue
 		}
 		toBackup = append(toBackup, e)
@@ -406,8 +327,12 @@ func (m *MirrorSite) HandleOwnedBatch(events []*event.Event, ref event.Ref) erro
 	// already be backed up, or a crash between the two bookings would
 	// lose acknowledged history.
 	if len(toBackup) > 0 {
-		ref.Retain()
-		m.backup.AppendOwnedBatch(toBackup, ref.Release)
+		if ref != nil {
+			ref.Retain()
+			m.backup.AppendOwnedBatch(toBackup, ref.Release)
+		} else {
+			m.backup.AppendBatch(toBackup)
+		}
 	}
 	var err error
 	if len(toReady) > 0 {

@@ -52,15 +52,9 @@ func (s Sample) Max(o Sample) Sample {
 	return s
 }
 
-// sampleWireV1 is the original three-variable encoding; sampleWire is
-// the current size. DecodeSample accepts both, so mixed-generation
-// sites interoperate: an old sample decodes with the telemetry
-// variables zero, and an old decoder reads the leading 12 bytes of a
-// new sample unchanged.
-const (
-	sampleWireV1 = 12
-	sampleWire   = 24
-)
+// sampleWire is the encoded size of a Sample: six little-endian
+// uint32 variables.
+const sampleWire = 24
 
 // EncodeSample serializes s for piggybacking on control events.
 func EncodeSample(s Sample) []byte {
@@ -74,21 +68,18 @@ func EncodeSample(s Sample) []byte {
 	return b
 }
 
-// DecodeSample parses a Sample encoded by EncodeSample, accepting the
-// pre-telemetry 12-byte form with the extension variables zeroed.
+// DecodeSample parses a Sample encoded by EncodeSample; any other
+// length is rejected.
 func DecodeSample(b []byte) (Sample, error) {
-	if len(b) < sampleWireV1 {
-		return Sample{}, fmt.Errorf("core: sample too short: %d bytes", len(b))
+	if len(b) != sampleWire {
+		return Sample{}, fmt.Errorf("core: sample is %d bytes, want %d", len(b), sampleWire)
 	}
-	s := Sample{
-		Ready:   int(binary.LittleEndian.Uint32(b[0:])),
-		Backup:  int(binary.LittleEndian.Uint32(b[4:])),
-		Pending: int(binary.LittleEndian.Uint32(b[8:])),
-	}
-	if len(b) >= sampleWire {
-		s.WireBytes = int(binary.LittleEndian.Uint32(b[12:]))
-		s.Outbox = int(binary.LittleEndian.Uint32(b[16:]))
-		s.ApplyLag = int(binary.LittleEndian.Uint32(b[20:]))
-	}
-	return s, nil
+	return Sample{
+		Ready:     int(binary.LittleEndian.Uint32(b[0:])),
+		Backup:    int(binary.LittleEndian.Uint32(b[4:])),
+		Pending:   int(binary.LittleEndian.Uint32(b[8:])),
+		WireBytes: int(binary.LittleEndian.Uint32(b[12:])),
+		Outbox:    int(binary.LittleEndian.Uint32(b[16:])),
+		ApplyLag:  int(binary.LittleEndian.Uint32(b[20:])),
+	}, nil
 }

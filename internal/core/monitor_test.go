@@ -2,10 +2,9 @@ package core
 
 import "testing"
 
-// TestSampleWireExtension pins the mixed-generation wire contract: the
-// extended 24-byte encoding round-trips all six variables, and a
-// legacy 12-byte payload (pre-wire-telemetry sites) still decodes with
-// the extension fields zero.
+// TestSampleWireExtension pins the sample wire contract: the 24-byte
+// encoding round-trips all six variables, and anything that is not
+// exactly that size is rejected rather than zero-filled.
 func TestSampleWireExtension(t *testing.T) {
 	s := Sample{Ready: 1, Backup: 2, Pending: 3, WireBytes: 400_000, Outbox: 5, ApplyLag: 600}
 	b := EncodeSample(s)
@@ -20,19 +19,13 @@ func TestSampleWireExtension(t *testing.T) {
 		t.Fatalf("round trip = %+v, want %+v", got, s)
 	}
 
-	// A legacy peer ships only the leading three variables.
-	legacy, err := DecodeSample(b[:sampleWireV1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Sample{Ready: 1, Backup: 2, Pending: 3}
-	if legacy != want {
-		t.Fatalf("legacy decode = %+v, want %+v", legacy, want)
-	}
-
-	// Truncated below the v1 floor still fails.
-	if _, err := DecodeSample(b[:sampleWireV1-1]); err == nil {
-		t.Fatal("sub-v1 payload must fail to decode")
+	// Short, odd-length and over-long samples are rejected.
+	for _, n := range []int{0, 2, 12, sampleWire - 1, sampleWire + 1} {
+		bad := append(b[:0:0], b...)
+		bad = append(bad, 0)[:n]
+		if _, err := DecodeSample(bad); err == nil {
+			t.Fatalf("%d-byte sample must fail to decode", n)
+		}
 	}
 }
 

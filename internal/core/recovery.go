@@ -179,25 +179,19 @@ func recoveryEvents(snap RecoverySnapshot) []*event.Event {
 // mirror goes through Membership.Rejoin / Membership.RejoinSince,
 // which additionally serializes the transfer against the live
 // fan-out.
-func (c *Central) RecoverMirror(link Sender) (int, error) {
+func (c *Central) RecoverMirror(link DataSender) (int, error) {
 	return c.RecoverMirrorSince(link, nil)
 }
 
 // RecoverMirrorSince is RecoverMirror with cut negotiation: the
 // rejoiner's last committed cut selects delta or snapshot mode. The
-// state transfer travels as a single head event whose payload is the
-// state body and whose VT is the consistency cut, followed by the
-// backup suffix.
-func (c *Central) RecoverMirrorSince(link Sender, cut vclock.VC) (int, error) {
+// state transfer travels as one heap-owned block: a head event whose
+// payload is the state body and whose VT is the consistency cut,
+// followed by the backup suffix.
+func (c *Central) RecoverMirrorSince(link DataSender, cut vclock.VC) (int, error) {
 	snap := c.BuildRecoverySince(cut)
-	events := recoveryEvents(snap)
-	if err := link.Submit(events[0]); err != nil {
-		return 0, fmt.Errorf("core: recovery state transfer: %w", err)
-	}
-	for i, e := range events[1:] {
-		if err := link.Submit(e); err != nil {
-			return i, fmt.Errorf("core: recovery replay at %d/%d: %w", i, len(snap.Events), err)
-		}
+	if err := link.SubmitOwned(recoveryEvents(snap), nil); err != nil {
+		return 0, fmt.Errorf("core: recovery transfer: %w", err)
 	}
 	c.noteRejoin(snap)
 	return len(snap.Events), nil

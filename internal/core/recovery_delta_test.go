@@ -35,7 +35,7 @@ func TestDeltaRejoinMidTraffic(t *testing.T) {
 			if drop.Load() {
 				return nil
 			}
-			return inner.Submit(e)
+			return inner.SubmitOwned([]*event.Event{e}, nil)
 		})
 	})
 	m := r.mirrors[0]

@@ -268,3 +268,45 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 		t.Fatalf("double recovery re-applied events: processed %d -> %d", processedOnce, got)
 	}
 }
+
+// TestUnownedRecoveryBlockConverges feeds a recovery block — a
+// TypeRecoveryState head plus a backup replay suffix — through the
+// site's one data entry point with a nil ref, the form recovery
+// transfers take under the single data-link contract: the heap-owned
+// events must be queued as they are (replay retained in the backup,
+// head not) and the replica must converge byte-for-byte.
+func TestUnownedRecoveryBlockConverges(t *testing.T) {
+	r := newRig(t, 1, func(cfg *CentralConfig) {
+		cfg.Params = Params{CheckpointFreq: 1 << 30} // nothing trims the backup
+	})
+	r.feedPositions(t, 3, 10, 64)
+	waitFor(t, "the central EDE to apply the first phase", func() bool { return r.central.Main().Processed() >= 30 })
+	snap := r.central.BuildRecoverySince(nil)
+	for i := uint64(100); i < 110; i++ {
+		if err := r.central.Ingest(event.NewPosition(event.FlightID(1+i%3), i, float64(i), 7, 9000, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.central.Drain()
+	snap.Events = r.central.Backup().SnapshotSince(snap.Cut)
+	block := recoveryEvents(snap)
+	if block[0].Type != event.TypeRecoveryState || len(snap.Events) == 0 {
+		t.Fatalf("block = %s head + %d replayed events, want a state head and a non-empty suffix",
+			block[0].Type, len(snap.Events))
+	}
+
+	fresh := NewMirrorSite(MirrorSiteConfig{})
+	defer fresh.Close()
+	if err := fresh.HandleOwnedBatch(block, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Backup().Len(); got != len(snap.Events) {
+		t.Fatalf("backup retains %d events, want the %d replayed ones", got, len(snap.Events))
+	}
+	fresh.Drain()
+	cs := r.central.Main().Engine().State().Snapshot()
+	fs := fresh.Main().Engine().State().Snapshot()
+	if !bytes.Equal(cs, fs) {
+		t.Fatalf("replica recovered from an un-owned block diverged: %d vs %d snapshot bytes", len(fs), len(cs))
+	}
+}

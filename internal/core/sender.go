@@ -7,52 +7,16 @@ import (
 	"adaptmirror/internal/event"
 )
 
-// BatchSender extends Sender with whole-batch submission. Transports
-// that can frame a batch into one buffered write (echo.SendLink), one
-// subscriber-queue append (echo.LocalChannel), or one handler call
-// implement it natively; everything else goes through the
-// AsBatchSender adapter, which degrades to per-event Submit.
-type BatchSender interface {
-	Sender
-	// SubmitBatch delivers every event of the batch in order. The
-	// receiver retains the events, never the slice, so callers may
-	// reuse the slice after the call returns.
-	SubmitBatch([]*event.Event) error
-}
-
-// AsBatchSender returns s itself when it natively implements
-// BatchSender, and otherwise wraps it in an adapter that submits the
-// batch one event at a time — semantically equivalent, just without
-// the amortization.
-func AsBatchSender(s Sender) BatchSender {
-	if bs, ok := s.(BatchSender); ok {
-		return bs
-	}
-	return submitEach{s}
-}
-
-// submitEach is the per-event fallback adapter.
-type submitEach struct{ Sender }
-
-func (a submitEach) SubmitBatch(events []*event.Event) error {
-	for _, e := range events {
-		if err := a.Sender.Submit(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OwnedBatchSender is the zero-copy extension of BatchSender: the
-// batch's events are pooled views borrowing from slabs guarded by ref.
-// The views (and the slice) are valid only for the duration of the
-// call; a receiver keeping any view longer must ref.Retain() before
+// DataSender is the one contract a mirror data link implements: a run
+// of events handed over as a single owned batch. When ref is non-nil
+// the events are pooled views borrowing from slabs it guards; the
+// views and the slice are valid only for the duration of the call, so
+// a receiver keeping any view longer must ref.Retain() before
 // returning and ref.Release() once done. Transports that merely encode
-// (echo.SendLink) need neither. Senders that do not implement this
-// interface receive the same views through SubmitBatch, in which case
-// the caller forfeits slab reuse rather than correctness (the slab is
-// leaked to the garbage collector).
-type OwnedBatchSender interface {
+// (echo.SendLink) need neither. A nil ref means the events are
+// heap-owned (recovery blocks, test doubles): the receiver may keep
+// them indefinitely, but still never the slice.
+type DataSender interface {
 	SubmitOwned(events []*event.Event, ref event.Ref) error
 }
 

@@ -24,11 +24,12 @@ var ErrClosed = errors.New("echo: channel closed")
 // subscriptions run concurrently.
 type Handler func(*event.Event)
 
-// BatchHandler consumes owned batches (LocalChannel.SubmitOwned): the
-// events are pooled views borrowing from slabs guarded by ref, and the
-// slice and views are valid only for the duration of the call. A
-// handler keeping any view longer must ref.Retain() before returning
-// and ref.Release() once done.
+// BatchHandler consumes owned batches (LocalChannel.SubmitOwned). With
+// a non-nil ref the events are pooled views borrowing from slabs it
+// guards, and the slice and views are valid only for the duration of
+// the call: a handler keeping any view longer must ref.Retain() before
+// returning and ref.Release() once done. With a nil ref the events are
+// heap-owned; only the slice is lent.
 type BatchHandler func(events []*event.Event, ref event.Ref)
 
 // Channel is a logical event channel: submitted events are delivered
@@ -95,45 +96,16 @@ func (c *LocalChannel) Submit(e *event.Event) error {
 	return nil
 }
 
-// SubmitBatch delivers a whole batch to all current subscribers with
-// one channel-lock acquisition and one queue append per subscriber.
-// Events must not be mutated after submission; the channel retains the
-// events, not the passed slice.
-func (c *LocalChannel) SubmitBatch(events []*event.Event) error {
-	if len(events) == 0 {
-		return nil
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	subs := c.subs
-	c.mu.Unlock()
-
-	c.submitted.Add(uint64(len(events)))
-	var bytes uint64
-	for _, e := range events {
-		bytes += uint64(len(e.Payload))
-	}
-	c.bytes.Add(bytes)
-	for _, s := range subs {
-		if n := s.deliverBatch(events); n > 0 {
-			c.delivered.Add(uint64(n))
-		}
-	}
-	return nil
-}
-
-// SubmitOwned delivers a batch of pooled event views guarded by ref
-// with zero payload copies. Each batch-aware subscriber receives the
-// events through its BatchHandler under the borrow-during-call
-// contract; plain-handler subscribers receive them one event at a
-// time with a reference retained forever on their behalf (a plain
-// Handler may keep events indefinitely, so the slab is surrendered to
-// the garbage collector instead of the pool — correctness over
-// reuse). The caller's own reference is untouched; the passed slice
-// is never retained.
+// SubmitOwned delivers a whole batch to all current subscribers with
+// one channel-lock acquisition and one queue append per subscriber
+// (core.DataSender). With a non-nil ref the events are pooled views
+// guarded by it and no payload is copied: each batch-aware subscriber
+// receives them through its BatchHandler under the borrow-during-call
+// contract. A plain Handler may keep events indefinitely, so
+// plain-handler subscribers receive heap copies, one event at a time.
+// With a nil ref the events are heap-owned and delivered as they are.
+// The caller's own reference is untouched; the passed slice is never
+// retained.
 func (c *LocalChannel) SubmitOwned(events []*event.Event, ref event.Ref) error {
 	if len(events) == 0 {
 		return nil
@@ -272,38 +244,30 @@ func (s *Subscription) deliver(e *event.Event) bool {
 	return true
 }
 
-// deliverBatch queues a whole batch under one lock acquisition and
-// returns the number of events accepted (0 when stopped). The channel
-// retains the events, never the slice.
-func (s *Subscription) deliverBatch(events []*event.Event) int {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return 0
-	}
-	for _, e := range events {
-		s.queue = append(s.queue, subItem{e: e})
-	}
-	s.pending += len(events)
-	s.cond.Signal()
-	s.mu.Unlock()
-	return len(events)
-}
-
-// deliverOwned queues an owned batch: the slice is copied (the caller
-// only lends it) and one reference is taken on the subscriber's
-// behalf. Batch-aware subscribers give it back after their handler
-// returns; plain ones hold it forever (see SubmitOwned).
+// deliverOwned queues an owned batch and returns the number of events
+// accepted (0 when stopped). A batch-aware subscriber gets a copy of
+// the slice (the caller only lends it) plus one reference taken on its
+// behalf, given back after its handler returns; a plain one gets each
+// event on its own, cloned off the slab when there is one.
 func (s *Subscription) deliverOwned(events []*event.Event, ref event.Ref) int {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
 		return 0
 	}
-	if ref != nil {
-		ref.Retain()
+	if s.bh == nil {
+		for _, e := range events {
+			if ref != nil {
+				e = e.Clone()
+			}
+			s.queue = append(s.queue, subItem{e: e})
+		}
+	} else {
+		if ref != nil {
+			ref.Retain()
+		}
+		s.queue = append(s.queue, subItem{batch: append([]*event.Event(nil), events...), ref: ref})
 	}
-	s.queue = append(s.queue, subItem{batch: append([]*event.Event(nil), events...), ref: ref})
 	s.pending += len(events)
 	s.cond.Signal()
 	s.mu.Unlock()
@@ -326,23 +290,13 @@ func (s *Subscription) run() {
 		s.mu.Unlock()
 		for i := range items {
 			it := &items[i]
-			switch {
-			case it.batch == nil:
+			if it.batch == nil {
 				s.handler(it.e)
 				s.drained(1)
-			case s.bh != nil:
+			} else {
 				s.bh(it.batch, it.ref)
 				if it.ref != nil {
 					it.ref.Release()
-				}
-				s.drained(len(it.batch))
-			default:
-				// Plain subscriber: hand the views over one at a time
-				// and keep the retained reference — the handler may
-				// hold them past the call, so the slab must never be
-				// recycled under it.
-				for _, e := range it.batch {
-					s.handler(e)
 				}
 				s.drained(len(it.batch))
 			}

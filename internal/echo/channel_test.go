@@ -56,7 +56,7 @@ func TestLocalDeliveryOrder(t *testing.T) {
 	}
 }
 
-func TestLocalSubmitBatch(t *testing.T) {
+func TestLocalSubmitOwned(t *testing.T) {
 	c := NewLocal("data")
 	var mu sync.Mutex
 	var got []uint64
@@ -71,13 +71,13 @@ func TestLocalSubmitBatch(t *testing.T) {
 	for i := range batch {
 		batch[i] = ev(uint64(i))
 	}
-	if err := c.SubmitBatch(batch[:20]); err != nil {
+	if err := c.SubmitOwned(batch[:20], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SubmitBatch(batch[20:]); err != nil {
+	if err := c.SubmitOwned(batch[20:], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SubmitBatch(nil); err != nil {
+	if err := c.SubmitOwned(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "batch deliveries", func() bool {
@@ -97,8 +97,8 @@ func TestLocalSubmitBatch(t *testing.T) {
 		t.Fatalf("Stats = %+v", st)
 	}
 	c.Close()
-	if err := c.SubmitBatch(batch[:1]); err != ErrClosed {
-		t.Fatalf("SubmitBatch after Close = %v, want ErrClosed", err)
+	if err := c.SubmitOwned(batch[:1], nil); err != ErrClosed {
+		t.Fatalf("SubmitOwned after Close = %v, want ErrClosed", err)
 	}
 }
 

@@ -114,11 +114,12 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	switch mode {
 	case modeSend:
-		// ReadFrame discriminates columnar batch frames from legacy
-		// per-event frames on the wire, so mixed-version peers share
-		// one connection format. Batch frames decode into pooled slab
-		// views published zero-copy; the server's reference is dropped
-		// as soon as the channel has taken its own.
+		// ReadFrame discriminates the columnar batch frames of data
+		// links from the per-event frames of control and client links,
+		// so every link class shares one connection format. Batch
+		// frames decode into pooled slab views published zero-copy; the
+		// server's reference is dropped as soon as the channel has
+		// taken its own.
 		r := event.NewReader(conn)
 		for {
 			e, b, err := r.ReadFrame()
@@ -237,23 +238,8 @@ type SendLink struct {
 	// other write error; the owner redials.
 	writeTimeout time.Duration
 
-	// legacy forces per-event framing for batches, for peers that
-	// predate the columnar batch frame. Single-event Submit always
-	// uses the legacy frame (control links stay byte-compatible).
-	legacy bool
-
 	submitted atomic.Uint64
 	bytes     atomic.Uint64
-}
-
-// SetLegacyFraming switches batch submissions to the per-event legacy
-// codec (true) or the columnar batch frame (false, the default). The
-// receive side auto-detects per frame, so this only needs to change
-// for peers too old to read batch frames.
-func (l *SendLink) SetLegacyFraming(legacy bool) {
-	l.mu.Lock()
-	l.legacy = legacy
-	l.mu.Unlock()
 }
 
 // DialSend connects a send link for the named channel at addr.
@@ -315,7 +301,8 @@ func NewSendLink(conn net.Conn, name string) (*SendLink, error) {
 // Name returns the remote channel name.
 func (l *SendLink) Name() string { return l.name }
 
-// Submit implements Channel-style submission over the link.
+// Submit pushes one event in the per-event frame (control and client
+// links).
 func (l *SendLink) Submit(e *event.Event) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -336,12 +323,13 @@ func (l *SendLink) Submit(e *event.Event) error {
 	return nil
 }
 
-// SubmitBatch frames a whole batch into one buffered write and a
-// single flush, amortizing the per-submission syscall and lock costs
-// across the batch. Unless legacy framing is forced, the batch rides
-// one columnar frame: headers packed per column, payloads
-// concatenated into a single blob, nothing allocated per event.
-func (l *SendLink) SubmitBatch(events []*event.Event) error {
+// SubmitOwned pushes a whole batch as one columnar frame (data links,
+// core.DataSender): headers packed per column, payloads concatenated
+// into a single blob, nothing allocated per event, one buffered write
+// and a single flush. The link only encodes the events into its write
+// buffer and retains nothing, so the caller's slabs are free for reuse
+// the moment the call returns; ref is not touched.
+func (l *SendLink) SubmitOwned(events []*event.Event, _ event.Ref) error {
 	if len(events) == 0 {
 		return nil
 	}
@@ -351,11 +339,7 @@ func (l *SendLink) SubmitBatch(events []*event.Event) error {
 		return l.err
 	}
 	l.armDeadlineLocked()
-	write := l.w.WriteBatchFrame
-	if l.legacy {
-		write = l.w.WriteBatch
-	}
-	if err := write(events); err != nil {
+	if err := l.w.WriteBatchFrame(events); err != nil {
 		l.err = err
 		return err
 	}
@@ -370,14 +354,6 @@ func (l *SendLink) SubmitBatch(events []*event.Event) error {
 	}
 	l.bytes.Add(bytes)
 	return nil
-}
-
-// SubmitOwned implements the zero-copy submission contract: the link
-// only encodes the views into its write buffer and retains nothing,
-// so the caller's slabs are free for reuse the moment the call
-// returns. ref is not touched.
-func (l *SendLink) SubmitOwned(events []*event.Event, _ event.Ref) error {
-	return l.SubmitBatch(events)
 }
 
 // Stats returns events and payload bytes submitted on the link.

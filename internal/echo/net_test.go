@@ -47,7 +47,7 @@ func TestSendLinkDeliversToBusChannel(t *testing.T) {
 	}
 }
 
-func TestSendLinkSubmitBatch(t *testing.T) {
+func TestSendLinkSubmitOwned(t *testing.T) {
 	bus := NewBus()
 	ch, _ := bus.Open("ingress")
 	var mu sync.Mutex
@@ -68,10 +68,10 @@ func TestSendLinkSubmitBatch(t *testing.T) {
 	for i := range batch {
 		batch[i] = ev(uint64(i))
 	}
-	if err := link.SubmitBatch(batch); err != nil {
+	if err := link.SubmitOwned(batch, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := link.SubmitBatch(nil); err != nil {
+	if err := link.SubmitOwned(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "server-side batch deliveries", func() bool {
@@ -319,58 +319,5 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		<-got
-	}
-}
-
-// TestSendLinkLegacyFraming pins the wire behavior behind
-// SetLegacyFraming: a legacy link must put per-event frames on the
-// wire (each delivered singly, never through the server's owned-batch
-// path), while the default link carries one columnar frame per
-// SubmitBatch, observable as a single owned-batch delivery. This is
-// what keeps the mixed-generation cluster configuration honest — if
-// the knob silently stopped switching codecs, interop tests upstream
-// would pass without exercising the legacy decoder at all.
-func TestSendLinkLegacyFraming(t *testing.T) {
-	for _, legacy := range []bool{true, false} {
-		name := "columnar"
-		if legacy {
-			name = "legacy"
-		}
-		t.Run(name, func(t *testing.T) {
-			bus := NewBus()
-			ch, _ := bus.Open("data")
-			var singles, batches atomic.Uint64
-			ch.SubscribeBatch(
-				func(e *event.Event) { singles.Add(1) },
-				func(es []*event.Event, ref event.Ref) { batches.Add(uint64(len(es))) },
-			)
-			_, addr := startServer(t, bus)
-
-			link, err := DialSend(addr, "data")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer link.Close()
-			link.SetLegacyFraming(legacy)
-
-			batch := make([]*event.Event, 20)
-			for i := range batch {
-				batch[i] = ev(uint64(i))
-			}
-			if err := link.SubmitBatch(batch); err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, "wire deliveries", func() bool {
-				return singles.Load()+batches.Load() == 20
-			})
-			if legacy && singles.Load() != 20 {
-				t.Fatalf("legacy framing: %d single + %d batched deliveries, want 20 + 0",
-					singles.Load(), batches.Load())
-			}
-			if !legacy && batches.Load() != 20 {
-				t.Fatalf("columnar framing: %d single + %d batched deliveries, want 0 + 20",
-					singles.Load(), batches.Load())
-			}
-		})
 	}
 }

@@ -18,7 +18,7 @@ import (
 //
 //	offset  size        field
 //	0       2           marker 0xFFFF (Type 0xFFFF is never produced,
-//	                    so legacy per-event frames self-discriminate
+//	                    so per-event frames self-discriminate
 //	                    on their first two bytes)
 //	2       1           version (currently 1)
 //	3       1           flags (constant-column hoisting, see below)
@@ -46,7 +46,7 @@ const (
 	MaxBatchEvents = 1 << 16
 
 	// MaxBatchFrame bounds the total encoded size of one columnar
-	// frame accepted by the Reader (legacy frames stay bounded by the
+	// frame accepted by the Reader (per-event frames stay bounded by the
 	// tighter per-event limit).
 	MaxBatchFrame = 64 << 20
 )
@@ -63,7 +63,7 @@ const (
 )
 
 // IsBatchFrame reports whether buf starts with the columnar batch
-// marker rather than a legacy per-event header.
+// marker rather than a per-event header.
 func IsBatchFrame(buf []byte) bool {
 	return len(buf) >= 2 && binary.LittleEndian.Uint16(buf) == batchMarker
 }

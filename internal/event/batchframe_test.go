@@ -291,6 +291,45 @@ func TestBatchDecodeReuseSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWireFrameRoundTripZeroAllocs pins the data-link wire path at the
+// Writer/Reader layer: once the slab pool and the buffers are warm, one
+// WriteBatchFrame → Flush → ReadFrame → Release cycle allocates
+// nothing per event — only ReadFrame's 4-byte length buffer, which
+// escapes through io.ReadFull once per frame whatever the batch size.
+// The bound leaves room for the slab-pool misses the race detector
+// injects (sync.Pool drops a share of Puts under -race), still far
+// below one allocation per event at the smallest batch.
+func TestWireFrameRoundTripZeroAllocs(t *testing.T) {
+	for _, n := range []int{16, 64, 256} {
+		batch := make([]*Event, n)
+		for i := range batch {
+			batch[i] = bev(i)
+		}
+		var wire bytes.Buffer // drained each cycle, so it never regrows
+		w := NewWriter(&wire)
+		r := NewReader(&wire)
+		cycle := func() {
+			if err := w.WriteBatchFrame(batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			_, b, err := r.ReadFrame()
+			if err != nil || b == nil || len(b.Events) != n {
+				t.Fatalf("n=%d: decoded %v, %v", n, b, err)
+			}
+			b.Release()
+		}
+		for i := 0; i < 4; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(200, cycle); allocs > 4 {
+			t.Fatalf("n=%d: wire round trip allocates %.0f objects per batch, want a small constant", n, allocs)
+		}
+	}
+}
+
 func FuzzBatchFrame(f *testing.F) {
 	// Seed with valid frames of both generations plus mutations the
 	// fuzzer can splice: a hoisted columnar frame, a varied columnar

@@ -124,30 +124,6 @@ func (w *Writer) WriteEvent(e *Event) error {
 	return err
 }
 
-// WriteBatch frames a whole batch into one contiguous buffer and
-// hands it to the underlying bufio writer with a single Write call,
-// so a batch costs one buffered write (plus the caller's single
-// Flush) instead of one write and flush per event.
-func (w *Writer) WriteBatch(events []*Event) error {
-	if len(events) == 0 {
-		return nil
-	}
-	total := 0
-	for _, e := range events {
-		total += 4 + e.EncodedSize()
-	}
-	if cap(w.buf) < total {
-		w.buf = make([]byte, 0, total)
-	}
-	w.buf = w.buf[:0]
-	for _, e := range events {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(e.EncodedSize()))
-		w.buf = e.Append(w.buf)
-	}
-	_, err := w.w.Write(w.buf)
-	return err
-}
-
 // WriteBatchFrame frames a whole batch as one columnar frame (see
 // batchframe.go) built in the writer's reused buffer and handed to the
 // underlying bufio writer with a single Write call. Batches larger than
@@ -223,10 +199,11 @@ func (r *Reader) ReadEvent() (*Event, error) {
 	return e, nil
 }
 
-// ReadFrame reads one frame of either framing generation: a columnar
-// batch frame yields a pooled Batch of zero-copy views (the caller owns
-// one reference and must Release it), a legacy frame yields a single
-// decoded event. Exactly one of the two results is non-nil on success.
+// ReadFrame reads one frame of either link class: a columnar batch
+// frame (data links) yields a pooled Batch of zero-copy views (the
+// caller owns one reference and must Release it), a per-event frame
+// (control and client links) yields a single decoded event. Exactly one
+// of the two results is non-nil on success.
 // It returns io.EOF at a clean end of stream and io.ErrUnexpectedEOF on
 // a truncated frame.
 func (r *Reader) ReadFrame() (*Event, *Batch, error) {
@@ -239,7 +216,7 @@ func (r *Reader) ReadFrame() (*Event, *Batch, error) {
 		return nil, nil, fmt.Errorf("event: frame length %d exceeds maximum", n)
 	}
 	// The frame is read straight into a pooled slab so a batch frame's
-	// payloads need no further copy; a legacy frame just borrows the
+	// payloads need no further copy; a per-event frame just borrows the
 	// slab for the duration of the decode.
 	b := acquireBatch()
 	buf := b.Frame(n)

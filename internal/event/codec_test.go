@@ -184,54 +184,6 @@ func TestWriterReaderStream(t *testing.T) {
 	}
 }
 
-func TestWriteBatchMatchesPerEvent(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var events []*Event
-	for i := 0; i < 50; i++ {
-		e := NewPosition(FlightID(rng.Intn(50)), uint64(i), rng.Float64(), rng.Float64(), rng.Float64(), rng.Intn(2048))
-		e.VT = vclock.New(2).Tick(0)
-		events = append(events, e)
-	}
-
-	var single, batched bytes.Buffer
-	ws := NewWriter(&single)
-	for _, e := range events {
-		if err := ws.WriteEvent(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ws.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wb := NewWriter(&batched)
-	if err := wb.WriteBatch(nil); err != nil { // no-op
-		t.Fatal(err)
-	}
-	if err := wb.WriteBatch(events); err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(single.Bytes(), batched.Bytes()) {
-		t.Fatal("WriteBatch encoding differs from per-event WriteEvent")
-	}
-
-	r := NewReader(&batched)
-	for i, want := range events {
-		got, err := r.ReadEvent()
-		if err != nil {
-			t.Fatalf("event %d: %v", i, err)
-		}
-		if !eventsEqual(want, got) {
-			t.Fatalf("event %d mismatch: %s vs %s", i, want, got)
-		}
-	}
-	if _, err := r.ReadEvent(); err != io.EOF {
-		t.Fatalf("want io.EOF at end of stream, got %v", err)
-	}
-}
-
 func TestReaderTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

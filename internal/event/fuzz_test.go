@@ -105,7 +105,9 @@ func validStream() []byte {
 	rep.Seq = 5
 	rep.Stream = 1
 	rep.Payload = []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	w.WriteBatch([]*Event{pos, st, chk, rep})
+	for _, e := range []*Event{pos, st, chk, rep} {
+		w.WriteEvent(e)
+	}
 	w.Flush()
 	return buf.Bytes()
 }

@@ -22,25 +22,11 @@ import (
 	"math/rand"
 	"sync"
 
+	"adaptmirror/internal/core"
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/metrics"
 	"adaptmirror/internal/obs"
 )
-
-// Sender matches core.Sender structurally (avoiding the dependency):
-// the minimal outbound link interface.
-type Sender interface {
-	Submit(*event.Event) error
-}
-
-// BatchSender matches core.BatchSender: links that frame whole
-// batches. A wrapped Link always implements it so the fan-out's batch
-// path survives wrapping; when the underlying link does not, the batch
-// degrades to per-event submission.
-type BatchSender interface {
-	Sender
-	SubmitBatch([]*event.Event) error
-}
 
 // Faults are per-submission fault probabilities for one link. Classes
 // compose: each submission draws for every class independently, in a
@@ -103,12 +89,22 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Wrap returns a fault-injecting link in front of next. The name keys
-// the link's decision stream (and its metrics labels), so wrapping the
-// same topology with the same plane seed reproduces the same faults
-// regardless of goroutine interleaving elsewhere. Wrapping the same
-// name twice returns the same Link.
-func (p *Plane) Wrap(name string, next Sender, f Faults) *Link {
+// Wrap returns a fault-injecting control or client link in front of
+// next. The name keys the link's decision stream (and its metrics
+// labels), so wrapping the same topology with the same plane seed
+// reproduces the same faults regardless of goroutine interleaving
+// elsewhere. Wrapping the same name twice returns the same Link.
+func (p *Plane) Wrap(name string, next core.Sender, f Faults) *Link {
+	return p.wrap(name, next, nil, f)
+}
+
+// WrapData is Wrap for a mirror data link: the returned Link is driven
+// through SubmitOwned and forwards whole batches to next.
+func (p *Plane) WrapData(name string, next core.DataSender, f Faults) *Link {
+	return p.wrap(name, nil, next, f)
+}
+
+func (p *Plane) wrap(name string, next core.Sender, data core.DataSender, f Faults) *Link {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if l, ok := p.links[name]; ok {
@@ -117,7 +113,7 @@ func (p *Plane) Wrap(name string, next Sender, f Faults) *Link {
 	l := &Link{
 		name:   name,
 		next:   next,
-		batch:  asBatch(next),
+		data:   data,
 		faults: f,
 		rng:    rand.New(rand.NewSource(int64(splitmix64(uint64(p.seed) ^ fnv64a(name))))),
 	}
@@ -138,33 +134,16 @@ func (p *Plane) Link(name string) *Link {
 	return p.links[name]
 }
 
-// asBatch mirrors core.AsBatchSender without the import.
-func asBatch(s Sender) BatchSender {
-	if bs, ok := s.(BatchSender); ok {
-		return bs
-	}
-	return eachBatch{s}
-}
-
-type eachBatch struct{ Sender }
-
-func (a eachBatch) SubmitBatch(events []*event.Event) error {
-	for _, e := range events {
-		if err := a.Sender.Submit(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Link is one fault-injecting wrapper. Fault decisions are drawn under
 // the link mutex in submission order, so the decision stream is
 // deterministic for a deterministic submission sequence (the central
 // sending path is single-writer per link, which gives exactly that).
+// Exactly one of next (Wrap: per-event Submit) and data (WrapData:
+// SubmitOwned) is set.
 type Link struct {
 	name   string
-	next   Sender
-	batch  BatchSender
+	next   core.Sender
+	data   core.DataSender
 	faults Faults
 
 	mu   sync.Mutex
@@ -273,7 +252,7 @@ func (l *Link) plan(e *event.Event, out []*event.Event) []*event.Event {
 	return out
 }
 
-// Submit implements Sender with the link's fault schedule applied.
+// Submit implements core.Sender with the link's fault schedule applied.
 func (l *Link) Submit(e *event.Event) error {
 	l.mu.Lock()
 	out := l.plan(e, nil)
@@ -286,34 +265,10 @@ func (l *Link) Submit(e *event.Event) error {
 	return nil
 }
 
-// SubmitBatch implements BatchSender: per-event decisions, one framed
-// downstream submission for the survivors.
-func (l *Link) SubmitBatch(events []*event.Event) error {
-	l.mu.Lock()
-	out := make([]*event.Event, 0, len(events)+1)
-	for _, e := range events {
-		out = l.plan(e, out)
-	}
-	l.mu.Unlock()
-	if len(out) == 0 {
-		return nil
-	}
-	return l.batch.SubmitBatch(out)
-}
-
-// ownedSender matches core.OwnedBatchSender structurally: zero-copy
-// batch submission under a borrow-during-call reference.
-type ownedSender interface {
-	SubmitOwned(events []*event.Event, ref event.Ref) error
-}
-
-// SubmitOwned applies the link's fault schedule to an owned batch and
-// passes the survivors (and the guarding reference) downstream when
-// the next hop speaks the zero-copy protocol. When it does not — or
-// when a reorder fault holds one of the batch's views back past this
-// call — a permanent reference is taken so the slab is surrendered to
-// the garbage collector instead of being recycled under a retained
-// view. The decision stream is identical to SubmitBatch's.
+// SubmitOwned implements core.DataSender: per-event decisions in
+// submission order, then one downstream submission of the survivors
+// under the caller's reference. A view a reorder fault holds back past
+// this call is cloned off its slab, so the link never pins one.
 func (l *Link) SubmitOwned(events []*event.Event, ref event.Ref) error {
 	l.mu.Lock()
 	heldBefore := l.held
@@ -321,22 +276,14 @@ func (l *Link) SubmitOwned(events []*event.Event, ref event.Ref) error {
 	for _, e := range events {
 		out = l.plan(e, out)
 	}
-	holdsView := l.held != nil && l.held != heldBefore
-	l.mu.Unlock()
-	if holdsView && ref != nil {
-		ref.Retain()
-		ref = nil // the leak already guards every view of this batch
+	if ref != nil && l.held != nil && l.held != heldBefore {
+		l.held = l.held.Clone()
 	}
+	l.mu.Unlock()
 	if len(out) == 0 {
 		return nil
 	}
-	if o, ok := l.next.(ownedSender); ok && ref != nil {
-		return o.SubmitOwned(out, ref)
-	}
-	if ref != nil {
-		ref.Retain()
-	}
-	return l.batch.SubmitBatch(out)
+	return l.data.SubmitOwned(out, ref)
 }
 
 // Flush releases a pending reorder holdback (end of a schedule, before
@@ -349,6 +296,9 @@ func (l *Link) Flush() error {
 	l.mu.Unlock()
 	if held == nil {
 		return nil
+	}
+	if l.data != nil {
+		return l.data.SubmitOwned([]*event.Event{held}, nil)
 	}
 	return l.next.Submit(held)
 }

@@ -4,7 +4,7 @@
 #
 # Usage:
 #   scripts/bench_compare.sh [output-file]
-#   scripts/bench_compare.sh gate
+#   scripts/bench_compare.sh rejoin
 #
 # Typical comparison workflow:
 #   git checkout main   && scripts/bench_compare.sh bench_old.txt
@@ -14,31 +14,11 @@
 #
 # The output is plain `go test -bench` text, which benchstat consumes
 # directly; without benchstat the raw per-run lines are still usable.
-#
-# The `gate` mode is the CI wire-format check (make bench-gate): it
-# runs the BenchmarkWireFrame legacy/columnar pair COUNT (>=5) times
-# and feeds the result to cmd/benchgate, which (a) checks with a
-# Mann-Whitney U test that the columnar frame is not statistically
-# slower than the legacy per-event codec, and (b) asserts the columnar
-# round trip reports 0 allocs/op — the steady-state zero-copy claim.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 count="${COUNT:-5}"
-
-if [ "${1:-}" = "gate" ]; then
-    mkdir -p results
-    out=results/bench_gate.txt
-    echo "running: -bench BenchmarkWireFrame -count=$count -> $out" >&2
-    go test -run xxx -bench 'BenchmarkWireFrame' -benchmem \
-        -benchtime=300000x -count="$count" -timeout 30m . | tee "$out"
-    go run ./cmd/benchgate \
-        -compare -old-sub legacy -new-sub columnar \
-        -assert-zero-allocs 'WireFrame/columnar' \
-        "$out" "$out"
-    exit $?
-fi
 
 # The `rejoin` mode is the incremental-rejoin check (make
 # bench-rejoin): it runs the BenchmarkRejoinTransfer snapshot/delta
