@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race ci metrics-lint status-smoke takeover-smoke bench-smoke chaos fuzz bench bench-compare bench-rejoin bench-serve figures clean
+.PHONY: all build vet test race flake ci metrics-lint status-smoke takeover-smoke bench-smoke chaos fuzz bench bench-compare bench-rejoin bench-serve figures clean
 
 all: ci
 
@@ -28,11 +28,19 @@ status-smoke:
 	$(GO) run ./cmd/statussmoke
 
 # Wire-takeover end-to-end under the race detector: central + standby
-# + survivor as TCP-connected mirrord sites, kill the central, assert
-# the standby promotes (or the mirrors elect), the survivor redials,
-# and the cluster converges byte-exact in epoch 1.
+# + survivor as TCP-connected sites of the runtime mirrord ships
+# (internal/site), kill the central, assert the standby promotes (or
+# the mirrors elect), the survivor redials, and the cluster converges
+# byte-exact in epoch 1.
 takeover-smoke:
-	$(GO) test -race -count=1 -run 'TestWireTakeover' ./cmd/mirrord
+	$(GO) test -race -count=1 -run 'TestWireTakeover' ./internal/site
+
+# Repeats the timing-sensitive suites under the race detector: the
+# site runtime, the figure smoke shapes, core, and the cluster tests
+# that run over the site runtime or pin chaos replay.
+flake:
+	$(GO) test -race -count=10 ./internal/site ./internal/figures ./internal/core
+	$(GO) test -race -count=10 -run 'TestCluster|TestDataLink|TestChaosDeterministicReplay' ./internal/cluster
 
 # Builds the frozen wall-clock benchmark (bench/, a nested module that
 # `go build ./...` does not reach) against the working tree and runs
@@ -42,7 +50,7 @@ bench-smoke:
 	bash bench/run.sh -quick
 
 # Full gate: what CI runs and what every change must keep green.
-ci: build vet race metrics-lint status-smoke takeover-smoke bench-smoke
+ci: build vet race flake metrics-lint status-smoke takeover-smoke bench-smoke
 
 # Deterministic fault-injection sweep under the race detector: 32
 # seeded runs of each schedule class — "mirror" crash-restarts a

@@ -206,12 +206,8 @@ func (c *Cluster) Close() { c.inner.Close() }
 // primary, the degraded regime is installed; it reverts below
 // primary−secondary. Directives piggyback on checkpoint traffic.
 func (c *Cluster) NewAdaptation(baseline, degraded Regime, primary, secondary int) *Controller {
-	ctl := adapt.NewController(baseline, degraded, adapt.InstallRegime(c.inner.Central))
+	ctl := adapt.NewController(baseline, degraded, nil)
 	ctl.SetMonitorValues(adapt.VarPending, primary, secondary)
-	c.inner.SetOnMirrorSample(func(site int, s core.Sample) { ctl.ObserveSite(site, s) })
-	c.inner.Central.SetPiggyback(func() []byte {
-		ctl.Observe(c.inner.Central.Sample())
-		return adapt.EncodeRegime(ctl.Current())
-	})
+	c.inner.AttachController(ctl)
 	return ctl
 }

@@ -18,7 +18,6 @@ import (
 
 	"adaptmirror/internal/adapt"
 	"adaptmirror/internal/cluster"
-	"adaptmirror/internal/core"
 	"adaptmirror/internal/costmodel"
 	"adaptmirror/internal/httpfront"
 	"adaptmirror/internal/obs"
@@ -130,21 +129,12 @@ func run() error {
 	cl, err := cluster.New(cluster.Config{
 		Mirrors: 2,
 		Model:   model,
-		OnMirrorSample: func(site int, s core.Sample) {
-			controller.ObserveSite(site, s)
-		},
 	})
 	if err != nil {
 		return err
 	}
 	defer cl.Close()
-	controller.SetApply(adapt.InstallRegime(cl.Central))
-	controller.RegisterMetrics(cl.Obs)
-	cl.Controller = controller
-	cl.Central.SetPiggyback(func() []byte {
-		controller.Observe(cl.Central.Sample())
-		return adapt.EncodeRegime(controller.Current())
-	})
+	cl.AttachController(controller)
 
 	// A small mirrored workload so every instrument has moved: events
 	// through the full pipeline, plus init-state requests against the

@@ -16,11 +16,16 @@
 // mirrors arms wire takeover: a killed central is detected by
 // missed-round heartbeats, replaced by the -standby site (or by
 // committed-cut election when none is designated), and the survivors
-// redial the promoted address without restarting. See takeover.go and
-// the README failover runbook.
+// redial the promoted address without restarting. See
+// internal/site/takeover.go and the README failover runbook.
+//
+// This command only maps flags onto internal/site options; the site
+// runtime itself — the one cluster.New(TransportTCP) also starts —
+// lives there.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -31,131 +36,197 @@ import (
 	"syscall"
 	"time"
 
+	"adaptmirror/internal/core"
+	"adaptmirror/internal/costmodel"
+	"adaptmirror/internal/ede"
 	"adaptmirror/internal/httpfront"
 	"adaptmirror/internal/obs"
+	"adaptmirror/internal/site"
 )
 
-func main() {
-	var (
-		role       = flag.String("role", "", "site role: central or mirror")
-		listen     = flag.String("listen", "127.0.0.1:7000", "event-channel listen address")
-		httpAddr   = flag.String("http", "127.0.0.1:8000", "HTTP front listen address (client requests)")
-		central    = flag.String("central", "", "mirror role: central site's event-channel address")
-		siteID     = flag.Int("site", 0, "mirror role: this mirror's index in the central site's -mirrors list")
-		standby    = flag.Bool("standby", false, "mirror role: arm this site as the warm-standby central (journals mutations per committed cut for post-promotion delta rejoins)")
-		peers      = flag.String("peers", "", "mirror role: comma-separated event-channel addresses of every mirror site, indexed by -site (the cluster manifest; required to arm wire takeover)")
-		tkBudget   = flag.Int("takeover-budget", 0, "mirror role: missed checkpoint-round intervals tolerated before declaring the central dead (0 = takeover disarmed)")
-		tkInterval = flag.Duration("takeover-interval", defaultTakeoverInterval, "mirror role: central-liveness detection interval")
-		advertise  = flag.String("advertise", "", "mirror role: event-channel address announced to survivors after this site promotes (default: this site's -peers entry)")
-		mirrors    = flag.String("mirrors", "", "central role: comma-separated mirror event-channel addresses")
-		selective  = flag.Int("selective", 0, "overwrite run length for FAA positions (0 = simple mirroring)")
-		coalesce   = flag.Int("coalesce", 0, "coalesce up to N events before mirroring (0 = off)")
-		chkpt      = flag.Int("chkpt", 50, "checkpoint once per N processed events")
-		padding    = flag.Int("padding", 64, "per-flight init-state padding bytes")
-		shards     = flag.Int("shards", 0, "EDE state shard count, rounded up to a power of two (0 = default)")
-		workers    = flag.Int("reqworkers", 0, "init-state serving pool size (0 = default)")
-		adaptOn    = flag.Bool("adapt", false, "central role: enable runtime adaptation between mirroring functions")
-		adaptPri   = flag.Int("adapt-primary", 100, "pending-request primary threshold for adaptation")
-		adaptSec   = flag.Int("adapt-secondary", 50, "hysteresis below primary for reverting")
-		logDir     = flag.String("log", "", "central role: directory for the durable operations log (empty = disabled)")
-		dumpEvery  = flag.Duration("metricsdump", 0, "dump the metrics registry to stdout this often, in the Prometheus text format (0 = off)")
-		auditPath  = flag.String("auditlog", "", "central role with -adapt: durable JSONL file recording every adaptation transition")
-		statusAddr = flag.String("statusaddr", "", "extra listen address serving the operations plane (/metrics and /cluster/status) on its own port")
-	)
-	flag.Parse()
+// usageError is a command line that names no startable site (exit 2);
+// empty when the flag package has already reported it.
+type usageError string
 
+func (e usageError) Error() string { return string(e) }
+
+// deployment is the one site a mirrord process runs, plus what the
+// process adds around it.
+type deployment struct {
+	role string
+	// Exactly one of central and mirror is set, by role.
+	central *site.CentralSite
+	mirror  *site.MirrorSite
+	reg     *obs.Registry
+	front   *httpfront.Front
+
+	dumpEvery  time.Duration
+	statusAddr string
+}
+
+func (d *deployment) Close() error {
+	if d.central != nil {
+		return d.central.Close()
+	}
+	return d.mirror.Close()
+}
+
+func splitAddrs(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, ",")
+}
+
+// start parses a mirrord command line and starts the site it describes.
+func start(args []string) (*deployment, error) {
+	fs := flag.NewFlagSet("mirrord", flag.ContinueOnError)
 	var (
-		site  interface{ Close() error }
-		reg   *obs.Registry
-		front *httpfront.Front
-		err   error
+		role       = fs.String("role", "", "site role: central or mirror")
+		listen     = fs.String("listen", "127.0.0.1:7000", "event-channel listen address")
+		httpAddr   = fs.String("http", "127.0.0.1:8000", "HTTP front listen address (client requests)")
+		central    = fs.String("central", "", "mirror role: central site's event-channel address")
+		siteID     = fs.Int("site", 0, "mirror role: this mirror's index in the central site's -mirrors list")
+		standby    = fs.Bool("standby", false, "mirror role: arm this site as the warm-standby central (journals mutations per committed cut for post-promotion delta rejoins)")
+		peers      = fs.String("peers", "", "mirror role: comma-separated event-channel addresses of every mirror site, indexed by -site (the cluster manifest; required to arm wire takeover)")
+		tkBudget   = fs.Int("takeover-budget", 0, "mirror role: missed checkpoint-round intervals tolerated before declaring the central dead (0 = takeover disarmed)")
+		tkInterval = fs.Duration("takeover-interval", site.DefaultTakeoverInterval, "mirror role: central-liveness detection interval")
+		advertise  = fs.String("advertise", "", "mirror role: event-channel address announced to survivors after this site promotes (default: this site's -peers entry)")
+		mirrors    = fs.String("mirrors", "", "central role: comma-separated mirror event-channel addresses")
+		selective  = fs.Int("selective", 0, "overwrite run length for FAA positions (0 = simple mirroring)")
+		coalesce   = fs.Int("coalesce", 0, "coalesce up to N events before mirroring (0 = off)")
+		chkpt      = fs.Int("chkpt", 50, "checkpoint once per N processed events")
+		padding    = fs.Int("padding", 64, "per-flight init-state padding bytes")
+		shards     = fs.Int("shards", 0, "EDE state shard count, rounded up to a power of two (0 = default)")
+		workers    = fs.Int("reqworkers", 0, "init-state serving pool size (0 = default)")
+		adaptOn    = fs.Bool("adapt", false, "central role: enable runtime adaptation between mirroring functions")
+		adaptPri   = fs.Int("adapt-primary", 100, "pending-request primary threshold for adaptation")
+		adaptSec   = fs.Int("adapt-secondary", 50, "hysteresis below primary for reverting")
+		logDir     = fs.String("log", "", "central role: directory for the durable operations log (empty = disabled)")
+		dumpEvery  = fs.Duration("metricsdump", 0, "dump the metrics registry to stdout this often, in the Prometheus text format (0 = off)")
+		auditPath  = fs.String("auditlog", "", "central role with -adapt: durable JSONL file recording every adaptation transition")
+		statusAddr = fs.String("statusaddr", "", "extra listen address serving the operations plane (/metrics and /cluster/status) on its own port")
 	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
+		}
+		return nil, usageError("")
+	}
+
+	// Every site charges the paper's cost model to its own virtual CPU
+	// and exports one registry; this is the only place the deployed
+	// path names them.
+	model := costmodel.Default
+	d := &deployment{role: *role, reg: obs.NewRegistry(), dumpEvery: *dumpEvery, statusAddr: *statusAddr}
+	tracer := obs.NewTracer(d.reg)
+	mainCfg := core.MainConfig{
+		EDE:            ede.Config{Model: model, StatePadding: *padding, Shards: *shards},
+		RequestWorkers: *workers,
+	}
+	var err error
 	switch *role {
 	case "central":
-		var addrs []string
-		if *mirrors != "" {
-			addrs = strings.Split(*mirrors, ",")
-		}
-		var c *centralSite
-		c, err = startCentral(centralOptions{
+		d.central, err = site.StartCentral(site.CentralOptions{
+			Config: core.CentralConfig{
+				Streams: 2,
+				Params:  core.Params{Coalesce: *coalesce > 0, MaxCoalesce: *coalesce, CheckpointFreq: *chkpt},
+				Model:   model,
+				CPU:     &costmodel.CPU{},
+				Main:    mainCfg,
+				Obs:     d.reg,
+				Tracer:  tracer,
+			},
 			Listen:         *listen,
 			HTTP:           *httpAddr,
-			Mirrors:        addrs,
+			Mirrors:        splitAddrs(*mirrors),
 			Selective:      *selective,
-			Coalesce:       *coalesce,
-			ChkptFreq:      *chkpt,
-			StatePad:       *padding,
-			Shards:         *shards,
-			ReqWorkers:     *workers,
+			LogDir:         *logDir,
 			Adapt:          *adaptOn,
 			AdaptPrimary:   *adaptPri,
 			AdaptSecondary: *adaptSec,
-			LogDir:         *logDir,
 			AuditPath:      *auditPath,
 		})
 		if err == nil {
-			site, reg, front = c, c.Obs, c.Front
+			d.front = d.central.Front
 		}
 	case "mirror":
 		if *central == "" {
-			fmt.Fprintln(os.Stderr, "mirrord: -central is required for the mirror role")
-			os.Exit(2)
+			return nil, usageError("-central is required for the mirror role")
 		}
-		var peerAddrs []string
-		if *peers != "" {
-			peerAddrs = strings.Split(*peers, ",")
+		if *siteID < 0 || *siteID > 255 {
+			return nil, usageError("-site must be in 0..255")
 		}
-		var m *mirrorSite
-		m, err = startMirror(mirrorOptions{
+		d.mirror, err = site.StartMirror(site.MirrorOptions{
+			Config: core.MirrorSiteConfig{
+				Main:    mainCfg,
+				Model:   model,
+				CPU:     &costmodel.CPU{},
+				SiteID:  uint8(*siteID),
+				Standby: *standby,
+				Obs:     d.reg,
+				Tracer:  tracer,
+			},
 			Listen:           *listen,
 			HTTP:             *httpAddr,
 			Central:          *central,
-			SiteID:           *siteID,
-			Standby:          *standby,
-			StatePad:         *padding,
-			Shards:           *shards,
-			ReqWorkers:       *workers,
-			Peers:            peerAddrs,
+			Peers:            splitAddrs(*peers),
 			TakeoverBudget:   *tkBudget,
 			TakeoverInterval: *tkInterval,
 			Advertise:        *advertise,
 		})
 		if err == nil {
-			site, reg, front = m, m.Obs, m.Front
+			d.front = d.mirror.Front
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "mirrord: -role must be central or mirror")
-		os.Exit(2)
+		return nil, usageError("-role must be central or mirror")
 	}
 	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("mirrord: %s site up (events %s, http %s)\n", *role, *listen, *httpAddr)
+	return d, nil
+}
+
+func main() {
+	d, err := start(os.Args[1:])
+	var usage usageError
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case errors.As(err, &usage):
+		if usage != "" {
+			fmt.Fprintf(os.Stderr, "mirrord: %s\n", usage)
+		}
+		os.Exit(2)
+	case err != nil:
 		fmt.Fprintf(os.Stderr, "mirrord: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("mirrord: %s site up (events %s, http %s)\n", *role, *listen, *httpAddr)
 
 	// The operations plane (/metrics, /cluster/status) is always part of
 	// the client-facing front; -statusaddr additionally binds the same
 	// mux on a dedicated listener so operators can firewall it apart
 	// from client traffic.
 	var statusSrv *http.Server
-	if *statusAddr != "" {
-		ln, lerr := net.Listen("tcp", *statusAddr)
+	if d.statusAddr != "" {
+		ln, lerr := net.Listen("tcp", d.statusAddr)
 		if lerr != nil {
 			fmt.Fprintf(os.Stderr, "mirrord: status listener: %v\n", lerr)
 			os.Exit(1)
 		}
-		statusSrv = &http.Server{Handler: front.Handler()}
+		statusSrv = &http.Server{Handler: d.front.Handler()}
 		go statusSrv.Serve(ln)
 		fmt.Printf("mirrord: status plane on %s (/metrics, /cluster/status)\n", ln.Addr())
 	}
 
-	if *dumpEvery > 0 {
+	if d.dumpEvery > 0 {
 		go func() {
-			t := time.NewTicker(*dumpEvery)
+			t := time.NewTicker(d.dumpEvery)
 			defer t.Stop()
 			for now := range t.C {
-				fmt.Printf("# mirrord %s metrics %s\n", *role, now.Format(time.RFC3339))
-				_ = reg.WritePrometheus(os.Stdout)
+				fmt.Printf("# mirrord %s metrics %s\n", d.role, now.Format(time.RFC3339))
+				_ = d.reg.WritePrometheus(os.Stdout)
 			}
 		}()
 	}
@@ -167,5 +238,5 @@ func main() {
 	if statusSrv != nil {
 		statusSrv.Close()
 	}
-	site.Close()
+	d.Close()
 }

@@ -37,21 +37,12 @@ func run() error {
 		Mirrors: 2,
 		Model:   model,
 		Params:  core.Params{CheckpointFreq: 50},
-		OnMirrorSample: func(site int, s core.Sample) {
-			controller.ObserveSite(site, s)
-		},
 	})
 	if err != nil {
 		return err
 	}
 	defer cl.Close()
-	controller.SetApply(adapt.InstallRegime(cl.Central))
-	controller.RegisterMetrics(cl.Obs)
-	cl.Controller = controller
-	cl.Central.SetPiggyback(func() []byte {
-		controller.Observe(cl.Central.Sample())
-		return adapt.EncodeRegime(controller.Current())
-	})
+	cl.AttachController(controller)
 
 	events := cluster.BuildEvents(cluster.Options{
 		Flights: 10, UpdatesPerFlight: 30, EventSize: 128, Seed: 1,

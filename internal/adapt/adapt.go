@@ -362,6 +362,18 @@ func (c *Controller) SetMonitorValues(v Var, primary, secondary int) {
 	c.mu.Unlock()
 }
 
+// Attach makes c the decision point of central's checkpoint rounds:
+// every round's CHKPT first feeds the central's own sample to the
+// controller, then carries whatever regime is current, stamped with
+// the round. Mirror samples reach the controller separately, through
+// the central's OnMirrorSample hook.
+func (c *Controller) Attach(central *core.Central) {
+	central.SetPiggyback(func() []byte {
+		c.Observe(central.Sample())
+		return EncodeRegime(c.Current())
+	})
+}
+
 // Observe feeds one of the central site's own samples. It is
 // ObserveSite(SiteCentral, s).
 func (c *Controller) Observe(s core.Sample) bool {

@@ -69,6 +69,7 @@ import (
 	"adaptmirror/internal/faultinject"
 	"adaptmirror/internal/metrics"
 	"adaptmirror/internal/obs"
+	"adaptmirror/internal/site"
 	"adaptmirror/internal/vclock"
 )
 
@@ -256,7 +257,7 @@ type chaosRig struct {
 	// same late binding the mirror slots already use.
 	central atomic.Pointer[core.Central]
 	member  atomic.Pointer[core.Membership]
-	slots   []atomic.Pointer[core.MirrorSite]
+	mirrors []atomic.Pointer[site.Mirror]
 	cpus    []*costmodel.CPU // [0] central, [1..] mirrors
 	hist    *metrics.Histogram
 	audit   *obs.AuditLog
@@ -278,11 +279,10 @@ type chaosRig struct {
 	preCrashCut vclock.VC
 	fedBase     uint64
 
-	// controller is the central adaptation decision-maker; appliers
-	// hold each mirror slot's current directive applier (swapped with
-	// the site on crash-restart — the watermark is volatile state).
+	// controller is the central adaptation decision-maker. (Each mirror
+	// slot's applier is swapped with the site on crash-restart — the
+	// directive watermark is volatile state.)
 	controller *adapt.Controller
-	appliers   []atomic.Pointer[adapt.Applier]
 
 	// adaptMu guards the install watermarks and violations recorded
 	// from applier install callbacks, plus the counters retired from
@@ -302,16 +302,19 @@ func (r *chaosRig) violatef(format string, args ...interface{}) {
 func (r *chaosRig) cen() *core.Central    { return r.central.Load() }
 func (r *chaosRig) mem() *core.Membership { return r.member.Load() }
 
+// mirror and applier load slot i's current incarnation.
+func (r *chaosRig) mirror(i int) *core.MirrorSite { return r.mirrors[i].Load().Site }
+func (r *chaosRig) applier(i int) *adapt.Applier  { return r.mirrors[i].Load().Applier }
+
 // newMirror builds one mirror-site incarnation. The control uplink is
 // the plane's per-mirror Link, shared across incarnations so the fault
 // decision stream continues over a restart, exactly like a network
 // path that outlives the host behind it.
-func (r *chaosRig) newMirror(i int) *core.MirrorSite {
+func (r *chaosRig) newMirror(i int) *site.Mirror {
 	// Each incarnation gets a fresh applier: a crash loses the
 	// directive watermark with the rest of volatile state, and the
 	// recovery transfer re-delivers the current regime.
-	ap := adapt.NewApplier(nil)
-	m := core.NewMirrorSite(core.MirrorSiteConfig{
+	m := site.NewMirror(core.MirrorSiteConfig{
 		Model:  chaosModel,
 		CPU:    r.cpus[i+1],
 		SiteID: uint8(i),
@@ -320,16 +323,12 @@ func (r *chaosRig) newMirror(i int) *core.MirrorSite {
 		// + sealed cuts), so whichever is the lowest-indexed live site
 		// at the crash can be promoted.
 		Standby: r.cfg.CentralCrash,
-		OnPiggyback: func(round uint64, b []byte) {
-			ap.Apply(round, b)
-		},
 	})
-	install := adapt.InstallMirrorRegime(m)
-	ap.SetInstall(func(round uint64, reg adapt.Regime) {
+	install := adapt.InstallMirrorRegime(m.Site)
+	m.Applier.SetInstall(func(round uint64, reg adapt.Regime) {
 		install(round, reg)
 		r.noteInstall(i, round)
 	})
-	r.appliers[i].Store(ap)
 	return m
 }
 
@@ -354,11 +353,7 @@ func (r *chaosRig) noteInstall(i int, round uint64) {
 // incarnation restarts the monotonicity baseline (its regime arrives
 // again through the recovery transfer).
 func (r *chaosRig) retireApplier(i int) {
-	ap := r.appliers[i].Load()
-	if ap == nil {
-		return
-	}
-	_, stale, invalid := ap.Stats()
+	_, stale, invalid := r.applier(i).Stats()
 	r.adaptMu.Lock()
 	r.staleRetired += stale
 	r.invalidRetired += invalid
@@ -372,12 +367,10 @@ func (r *chaosRig) directiveStats() (stale, invalid uint64) {
 	r.adaptMu.Lock()
 	stale, invalid = r.staleRetired, r.invalidRetired
 	r.adaptMu.Unlock()
-	for i := range r.appliers {
-		if ap := r.appliers[i].Load(); ap != nil {
-			_, s, inv := ap.Stats()
-			stale += s
-			invalid += inv
-		}
+	for i := range r.mirrors {
+		_, s, inv := r.applier(i).Stats()
+		stale += s
+		invalid += inv
 	}
 	return stale, invalid
 }
@@ -392,19 +385,22 @@ func (r *chaosRig) slowCharge(i int, base time.Duration, n int) {
 	r.cpus[i+1].ChargeAsync(time.Duration(r.sched.SlowFactor-1) * base * time.Duration(n))
 }
 
-func newChaosRig(cfg ChaosConfig) *chaosRig {
-	sched := faultinject.NewSchedule(cfg.Seed, cfg.Mirrors)
+// chaosSchedule derives the run's fault plan from its seed and class.
+func chaosSchedule(cfg ChaosConfig) faultinject.Schedule {
 	if cfg.CentralCrash {
-		sched = faultinject.NewCentralCrashSchedule(cfg.Seed, cfg.Mirrors)
+		return faultinject.NewCentralCrashSchedule(cfg.Seed, cfg.Mirrors)
 	}
+	return faultinject.NewSchedule(cfg.Seed, cfg.Mirrors)
+}
+
+func newChaosRig(cfg ChaosConfig, sched faultinject.Schedule) *chaosRig {
 	r := &chaosRig{
 		cfg:           cfg,
 		sched:         sched,
 		reg:           obs.NewRegistry(),
-		slots:         make([]atomic.Pointer[core.MirrorSite], cfg.Mirrors),
+		mirrors:       make([]atomic.Pointer[site.Mirror], cfg.Mirrors),
 		hist:          metrics.NewHistogram(0),
 		prevCommitted: make([]vclock.VC, cfg.Mirrors+1),
-		appliers:      make([]atomic.Pointer[adapt.Applier], cfg.Mirrors),
 		lastInstall:   make([]uint64, cfg.Mirrors),
 	}
 	// The controller is fully constructed before the central exists:
@@ -429,7 +425,7 @@ func newChaosRig(cfg ChaosConfig) *chaosRig {
 		r.data = append(r.data, r.plane.WrapData(fmt.Sprintf("data.%d", i),
 			dataFunc(func(es []*event.Event, ref event.Ref) error {
 				r.slowCharge(i, chaosModel.EventBase, len(es))
-				return r.slots[i].Load().HandleOwnedBatch(es, ref)
+				return r.mirror(i).HandleOwnedBatch(es, ref)
 			}), faultinject.Faults{}))
 		// Control links tolerate loss, duplication, reordering, and
 		// payload damage by protocol design — the schedule's
@@ -437,7 +433,7 @@ func newChaosRig(cfg ChaosConfig) *chaosRig {
 		r.ctrlDown = append(r.ctrlDown, r.plane.Wrap(fmt.Sprintf("ctrl.down.%d", i),
 			senderFunc(func(e *event.Event) error {
 				r.slowCharge(i, chaosModel.ControlCost, 1)
-				r.slots[i].Load().HandleControl(e)
+				r.mirror(i).HandleControl(e)
 				return nil
 			}), sched.CtrlFaults))
 		r.ctrlUp = append(r.ctrlUp, r.plane.Wrap(fmt.Sprintf("ctrl.up.%d", i),
@@ -464,12 +460,9 @@ func newChaosRig(cfg ChaosConfig) *chaosRig {
 	// Decision point: each round's CHKPT observes the central's own
 	// queues and piggybacks whatever regime is current, stamped with
 	// the round.
-	r.cen().SetPiggyback(func() []byte {
-		r.controller.Observe(r.cen().Sample())
-		return adapt.EncodeRegime(r.controller.Current())
-	})
+	r.controller.Attach(r.cen())
 	for i := 0; i < cfg.Mirrors; i++ {
-		r.slots[i].Store(r.newMirror(i))
+		r.mirrors[i].Store(r.newMirror(i))
 	}
 	r.member.Store(core.NewMembership(r.cen(), core.MembershipConfig{
 		MissedRounds: cfg.MissedRounds,
@@ -494,8 +487,8 @@ func (r *chaosRig) check(stage string) {
 	if err := r.cen().Backup().CheckInvariants(); err != nil {
 		r.violatef("%s: central backup: %v", stage, err)
 	}
-	for i := range r.slots {
-		m := r.slots[i].Load()
+	for i := range r.mirrors {
+		m := r.mirror(i)
 		mcom := m.Backup().Committed()
 		if prev := r.prevCommitted[i+1]; prev != nil && !prev.LessEq(mcom) {
 			r.violatef("%s: mirror %d committed cut regressed: %v after %v", stage, i, mcom, prev)
@@ -515,6 +508,13 @@ func (r *chaosRig) round(stage string) {
 	r.check(stage)
 }
 
+// setDown partitions (or heals) every link to and from mirror i.
+func (r *chaosRig) setDown(i int, down bool) {
+	r.data[i].SetDown(down)
+	r.ctrlDown[i].SetDown(down)
+	r.ctrlUp[i].SetDown(down)
+}
+
 // flushCtrl releases reorder holdbacks on every control link so a held
 // reply or commit cannot outlive the run.
 func (r *chaosRig) flushCtrl() {
@@ -527,12 +527,12 @@ func (r *chaosRig) flushCtrl() {
 // RunChaos executes one seeded chaos run and reports the verdict.
 func RunChaos(cfg ChaosConfig) ChaosResult {
 	cfg.defaults()
-	r := newChaosRig(cfg)
-	sched := r.sched
+	sched := chaosSchedule(cfg)
+	r := newChaosRig(cfg, sched)
 	res := ChaosResult{Schedule: sched}
 	defer func() {
-		for i := range r.slots {
-			r.slots[i].Load().Close()
+		for i := range r.mirrors {
+			r.mirror(i).Close()
 		}
 		r.cen().Close()
 	}()
@@ -562,9 +562,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 			if i == crashAt {
 				// The mirror dies: every link to and from it partitions,
 				// and whatever its volatile queues held is gone with it.
-				r.data[victim].SetDown(true)
-				r.ctrlDown[victim].SetDown(true)
-				r.ctrlUp[victim].SetDown(true)
+				r.setDown(victim, true)
 			}
 			if i == restartAt {
 				r.waitMirrored(uint64(i))
@@ -620,14 +618,14 @@ func (r *chaosRig) deltaLagScenario(fed *int) int {
 	if lag == r.sched.CrashMirror {
 		lag = 1
 	}
-	if lag >= len(r.slots) {
+	if lag >= len(r.mirrors) {
 		return 0 // no healthy peer to lag in a 1-mirror cluster
 	}
 	// Control faults may have spuriously excluded the chosen site
 	// already; an excluded site receives no COMMIT broadcasts, so
 	// re-admit everyone before waiting for its cut to land.
 	r.rejoinAll("delta-prep")
-	m := r.slots[lag].Load()
+	m := r.mirror(lag)
 	// The site must hold a committed cut to present; control faults can
 	// have eaten every COMMIT so far, so drive rounds until one lands.
 	for attempt := 0; attempt < 200 && m.Backup().Committed() == nil; attempt++ {
@@ -641,17 +639,8 @@ func (r *chaosRig) deltaLagScenario(fed *int) int {
 
 	// Partition the site and drive rounds until the detector excludes
 	// it, unblocking commits for the rest of the cluster.
-	r.data[lag].SetDown(true)
-	r.ctrlDown[lag].SetDown(true)
-	r.ctrlUp[lag].SetDown(true)
-	lagOut := func() bool {
-		for _, i := range r.mem().Failed() {
-			if i == lag {
-				return true
-			}
-		}
-		return false
-	}
+	r.setDown(lag, true)
+	lagOut := func() bool { return !r.mem().Alive(lag) }
 
 	// The world advances past the lagging site: fresh mutations and
 	// fresh committed cuts, all journaled against the cut it holds.
@@ -699,9 +688,7 @@ func (r *chaosRig) deltaLagScenario(fed *int) int {
 	r.round("delta-advance")
 
 	// Heal the links and rejoin incrementally from the committed cut.
-	r.data[lag].SetDown(false)
-	r.ctrlDown[lag].SetDown(false)
-	r.ctrlUp[lag].SetDown(false)
+	r.setDown(lag, false)
 	before := r.cen().RejoinStats()
 	replayed, err := r.mem().RejoinSince(lag, m.Backup().Committed())
 	if err != nil {
@@ -779,14 +766,7 @@ func (r *chaosRig) excludeVictim() {
 	// specifically matters: control-link faults may have spuriously
 	// excluded a healthy mirror already, so a bare "anyone failed?"
 	// check could pass without the victim ever leaving the quorum.
-	victimOut := func() bool {
-		for _, i := range r.mem().Failed() {
-			if i == r.sched.CrashMirror {
-				return true
-			}
-		}
-		return false
-	}
+	victimOut := func() bool { return !r.mem().Alive(r.sched.CrashMirror) }
 	for attempt := 0; !victimOut() && attempt < r.cfg.MissedRounds+8; attempt++ {
 		r.round("exclusion")
 	}
@@ -816,14 +796,12 @@ func (r *chaosRig) rejoinAll(stage string) {
 func (r *chaosRig) restartAndRejoin() int {
 	victim := r.sched.CrashMirror
 	r.retireApplier(victim)
-	old := r.slots[victim].Swap(r.newMirror(victim))
-	old.Close()
+	old := r.mirrors[victim].Swap(r.newMirror(victim))
+	old.Site.Close()
 	// A fresh incarnation starts a fresh backup queue: the monotonicity
 	// baseline resets with it.
 	r.prevCommitted[victim+1] = nil
-	r.data[victim].SetDown(false)
-	r.ctrlDown[victim].SetDown(false)
-	r.ctrlUp[victim].SetDown(false)
+	r.setDown(victim, false)
 	replayed, err := r.mem().Rejoin(victim)
 	if err != nil {
 		r.violatef("rejoin: %v", err)
@@ -845,8 +823,9 @@ func (r *chaosRig) restartAndRejoin() int {
 // pure function of the seed), and a checkpoint commit is forced before
 // the crash so every seed demonstrates zero committed-event loss
 // rather than vacuously passing with a nil pre-crash cut. fed is the
-// cumulative fed-event count at the crash instant.
-func (r *chaosRig) promoteCentral(fed uint64) {
+// cumulative fed-event count at the crash instant. It returns what the
+// adoption step produced (nil when the promotion could not run).
+func (r *chaosRig) promoteCentral(fed uint64) *site.Promoted {
 	old := r.cen()
 	r.waitMirrored(fed)
 	// Force a committed cut before the crash: control faults may have
@@ -872,59 +851,43 @@ func (r *chaosRig) promoteCentral(fed uint64) {
 	// pins the delivered-event set to the feed position (seed-exact);
 	// protocol-wise the crash is still abrupt — no handoff round runs.
 	old.Drain()
-	for i := range r.slots {
-		r.data[i].SetDown(true)
-		r.ctrlDown[i].SetDown(true)
-		r.ctrlUp[i].SetDown(true)
+	for i := range r.mirrors {
+		r.setDown(i, true)
 	}
 	old.Close()
 
-	// The standby is the lowest-indexed live mirror (Failed() reports
-	// ascending indices, so one pass suffices).
+	// The standby is the lowest-indexed live mirror.
 	standby := 0
-	for _, f := range r.mem().Failed() {
-		if f == standby {
-			standby++
-		}
+	for standby < len(r.mirrors) && !r.mem().Alive(standby) {
+		standby++
 	}
-	if standby >= len(r.slots) {
+	if standby >= len(r.mirrors) {
 		r.violatef("promotion: no live mirror left to promote")
-		return
+		return nil
 	}
-	site := r.slots[standby].Load()
+	standbySite := r.mirrors[standby].Load()
 
 	// Failure detection: the standby's monitor sees no new round for
 	// its whole budget and declares the central dead. The first tick
 	// baselines (the site has observed rounds), the rest miss.
-	mon := core.NewStandbyMonitor(site.LastRound, r.cfg.MissedRounds)
+	mon := core.NewStandbyMonitor(standbySite.Site.LastRound, r.cfg.MissedRounds)
 	fired := false
 	for t := 0; t < r.cfg.MissedRounds+2 && !fired; t++ {
 		fired = mon.Tick()
 	}
 	if !fired {
 		r.violatef("promotion: standby monitor never declared the central failed")
-		return
+		return nil
 	}
 
-	// Adopt: capture the standby's local view and build the new central
-	// on it, one epoch past the failed one. The directive pair comes
-	// from the standby's applier so PublishDirective re-broadcasts the
-	// installed regime idempotently.
-	state := site.Promote()
-	state.Epoch = old.Epoch() + 1
-	if ap := r.appliers[standby].Load(); ap != nil {
-		if reg, round, ok := ap.Current(); ok {
-			state.Directive = adapt.EncodeRegime(reg)
-			state.DirectiveRound = round
-		}
-	}
-	preRound := state.RoundFloor
-	links := make([]core.MirrorLink, len(r.slots))
-	for i := range r.slots {
+	// Adopt: the shared adoption step builds the new central on the
+	// standby's local view, one epoch past the failed one, with every
+	// slot of a fresh Membership excluded.
+	links := make([]core.MirrorLink, len(r.mirrors))
+	for i := range r.mirrors {
 		links[i] = core.MirrorLink{Data: r.data[i], Ctrl: r.ctrlDown[i]}
 	}
-	nc := core.NewCentral(core.CentralConfig{
-		Streams: 1,
+	p := standbySite.Promote(old.Epoch()+1, core.CentralConfig{
 		Model:   chaosModel,
 		CPU:     r.cpus[standby+1],
 		Mirrors: links,
@@ -932,13 +895,13 @@ func (r *chaosRig) promoteCentral(fed uint64) {
 		OnMirrorSample: func(site int, s core.Sample) {
 			r.controller.ObserveSite(site, s)
 		},
-		Resume: &state,
+	}, core.MembershipConfig{
+		MissedRounds: r.cfg.MissedRounds,
+		OnFailure:    func(site int) { r.controller.EvictSite(site) },
 	})
+	nc, nm := p.Central, p.Member
 	nc.SetParams(false, 1, 1<<30)
-	nc.SetPiggyback(func() []byte {
-		r.controller.Observe(nc.Sample())
-		return adapt.EncodeRegime(r.controller.Current())
-	})
+	r.controller.Attach(nc)
 	r.central.Store(nc)
 	// The new backup queue is a fresh incarnation seeded at the
 	// standby's cut; the new Mirrored counter starts at zero.
@@ -948,54 +911,33 @@ func (r *chaosRig) promoteCentral(fed uint64) {
 	// Invariant 7, promotion-instant half: the adopted state covers the
 	// last committed cut (nothing durable lost) and round numbering
 	// restarts strictly above everything the old epoch stamped.
-	if preCut != nil && !preCut.LessEq(nc.Main().LastProcessed()) {
-		r.violatef("promotion: adopted state %v below last committed cut %v",
-			nc.Main().LastProcessed(), preCut)
+	if preCut != nil && !preCut.LessEq(p.Anchor) {
+		r.violatef("promotion: adopted state %v below last committed cut %v", p.Anchor, preCut)
 	}
 	if nc.Epoch() != old.Epoch()+1 {
 		r.violatef("promotion: epoch %d, want %d", nc.Epoch(), old.Epoch()+1)
 	}
-	if checkpoint.EpochBase(nc.Epoch()) <= preRound {
+	if checkpoint.EpochBase(nc.Epoch()) <= p.RoundFloor {
 		r.violatef("promotion: epoch base %d not above old epoch's round watermark %d",
-			checkpoint.EpochBase(nc.Epoch()), preRound)
+			checkpoint.EpochBase(nc.Epoch()), p.RoundFloor)
 	}
 
-	// Re-point the survivors: a fresh Membership starts with every slot
-	// excluded, then each is re-admitted through RejoinSince. The
-	// standby's own slot restarts as a fresh mirror (its main unit now
-	// belongs to the central); survivors present their committed cut
-	// for a delta transfer only when their arrival watermark is covered
-	// by the adopted state — a survivor the old central fanned out to
-	// past the standby's progress holds mutations the adopted journal
-	// never saw, and must take the snapshot path (Install replaces
-	// wholesale).
-	nm := core.NewMembership(nc, core.MembershipConfig{
-		MissedRounds: r.cfg.MissedRounds,
-		OnFailure:    func(site int) { r.controller.EvictSite(site) },
-	})
-	for i := range r.slots {
-		if err := nm.Exclude(i); err != nil {
-			r.violatef("promotion: exclude mirror %d: %v", i, err)
-		}
-	}
+	// Re-point the survivors: each is re-admitted through RejoinSince.
+	// The standby's own slot restarts as a fresh mirror (its main unit
+	// now belongs to the central) and takes the full transfer;
+	// survivors present the cut site.RejoinCut allows them.
 	r.member.Store(nm)
-	for i := range r.slots {
-		r.data[i].SetDown(false)
-		r.ctrlDown[i].SetDown(false)
-		r.ctrlUp[i].SetDown(false)
+	for i := range r.mirrors {
+		r.setDown(i, false)
 	}
 	r.retireApplier(standby)
-	promoted := r.slots[standby].Swap(r.newMirror(standby))
-	promoted.Close() // detached: stops aux plumbing only, the main unit lives on
+	r.mirrors[standby].Store(r.newMirror(standby))
+	standbySite.Site.Close() // detached: stops aux plumbing only, the main unit lives on
 	r.prevCommitted[standby+1] = nil
-	anchor := nc.Main().LastProcessed()
-	for i := range r.slots {
+	for i := range r.mirrors {
 		var cut vclock.VC
 		if i != standby {
-			m := r.slots[i].Load()
-			if m.ArrivalHigh().LessEq(anchor) {
-				cut = m.Backup().Committed()
-			}
+			cut = site.RejoinCut(r.mirror(i), p.Anchor)
 		}
 		if _, err := nm.RejoinSince(i, cut); err != nil {
 			r.violatef("promotion: rejoin mirror %d: %v", i, err)
@@ -1009,6 +951,7 @@ func (r *chaosRig) promoteCentral(fed uint64) {
 		NewCentral: fmt.Sprintf("mirror%d", standby),
 		Epoch:      nc.Epoch(),
 	})
+	return p
 }
 
 // finish drains the pipeline, waits for every mirror to converge on
@@ -1022,16 +965,16 @@ func (r *chaosRig) finish(res *ChaosResult) {
 	r.rejoinAll("final")
 	centralLP := r.cen().Main().LastProcessed()
 	deadline := time.Now().Add(20 * time.Second)
-	for i := range r.slots {
-		for !centralLP.LessEq(r.slots[i].Load().Main().LastProcessed()) {
+	for i := range r.mirrors {
+		for !centralLP.LessEq(r.mirror(i).Main().LastProcessed()) {
 			if time.Now().After(deadline) {
 				r.violatef("drain: mirror %d stuck at %v, central at %v",
-					i, r.slots[i].Load().Main().LastProcessed(), centralLP)
+					i, r.mirror(i).Main().LastProcessed(), centralLP)
 				break
 			}
 			time.Sleep(time.Millisecond)
 		}
-		r.slots[i].Load().Drain()
+		r.mirror(i).Drain()
 	}
 
 	// Final rounds: control faults can drop a reply or a commit, so one
@@ -1053,8 +996,8 @@ func (r *chaosRig) finish(res *ChaosResult) {
 	h := fnv.New64a()
 	_, _ = h.Write(want)
 	res.StateDigest = h.Sum64()
-	for i := range r.slots {
-		m := r.slots[i].Load()
+	for i := range r.mirrors {
+		m := r.mirror(i)
 		got := m.Main().Engine().State().Snapshot()
 		if string(got) != string(want) {
 			r.violatef("convergence: mirror %d snapshot differs from central (%d vs %d bytes)",
@@ -1089,9 +1032,9 @@ func (r *chaosRig) finish(res *ChaosResult) {
 	}
 	if !r.regimesConverged() {
 		want := r.controller.Current()
-		for i := range r.appliers {
-			reg, round, ok := r.appliers[i].Load().Current()
-			id, _, _ := r.slots[i].Load().Regime()
+		for i := range r.mirrors {
+			reg, round, ok := r.applier(i).Current()
+			id, _, _ := r.mirror(i).Regime()
 			if !ok || reg.ID != want.ID || id != want.ID {
 				r.violatef("adapt: mirror %d regime applier=%d site=%d (round %d, have=%v) != central %d after drain",
 					i, reg.ID, id, round, ok, want.ID)
@@ -1117,8 +1060,8 @@ func (r *chaosRig) finish(res *ChaosResult) {
 		}
 		base := checkpoint.EpochBase(r.cen().Epoch())
 		var maxRound uint64
-		for i := range r.slots {
-			if lr := r.slots[i].Load().LastRound(); lr > maxRound {
+		for i := range r.mirrors {
+			if lr := r.mirror(i).LastRound(); lr > maxRound {
 				maxRound = lr
 			}
 		}
@@ -1134,12 +1077,12 @@ func (r *chaosRig) finish(res *ChaosResult) {
 // regime ID.
 func (r *chaosRig) regimesConverged() bool {
 	want := r.controller.Current().ID
-	for i := range r.appliers {
-		reg, _, ok := r.appliers[i].Load().Current()
+	for i := range r.mirrors {
+		reg, _, ok := r.applier(i).Current()
 		if !ok || reg.ID != want {
 			return false
 		}
-		if id, _, _ := r.slots[i].Load().Regime(); id != want {
+		if id, _, _ := r.mirror(i).Regime(); id != want {
 			return false
 		}
 	}

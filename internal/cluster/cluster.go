@@ -7,19 +7,18 @@ package cluster
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"adaptmirror/internal/adapt"
 	"adaptmirror/internal/core"
 	"adaptmirror/internal/costmodel"
-	"adaptmirror/internal/echo"
 	"adaptmirror/internal/ede"
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/metrics"
 	"adaptmirror/internal/obs"
 	"adaptmirror/internal/simnet"
+	"adaptmirror/internal/site"
 	"adaptmirror/internal/status"
 )
 
@@ -33,8 +32,9 @@ const (
 	// modeled by the cost model, matching the paper's observation
 	// that intra-cluster bandwidth is not the bottleneck).
 	TransportDirect Transport = iota
-	// TransportTCP wires sites with framed events over loopback TCP,
-	// optionally shaped by a simnet profile — the deployment path.
+	// TransportTCP starts the deployed site runtime (internal/site, what
+	// cmd/mirrord runs) once per site on loopback TCP, optionally
+	// shaped by a simnet profile.
 	TransportTCP
 )
 
@@ -153,6 +153,18 @@ func (cl *Cluster) SetOnMirrorSample(f func(site int, s core.Sample)) {
 	cl.sampleMu.Unlock()
 }
 
+// AttachController makes c the cluster's adaptation decision-maker:
+// every site's samples reach it, its regime is installed on the central
+// site and rides each checkpoint round, and the registry and the status
+// plane report it.
+func (cl *Cluster) AttachController(c *adapt.Controller) {
+	cl.SetOnMirrorSample(func(site int, s core.Sample) { c.ObserveSite(site, s) })
+	c.SetApply(adapt.InstallRegime(cl.Central))
+	c.RegisterMetrics(cl.Obs)
+	cl.Controller = c
+	c.Attach(cl.Central)
+}
+
 func (cl *Cluster) dispatchSample(site int, s core.Sample, configured func(int, core.Sample)) {
 	if configured != nil {
 		configured(site, s)
@@ -163,20 +175,6 @@ func (cl *Cluster) dispatchSample(site int, s core.Sample, configured func(int, 
 	if f != nil {
 		f(site, s)
 	}
-}
-
-// newApplier creates mirror i's directive applier and exports its
-// metrics; the install hook is attached once the site exists.
-func (cl *Cluster) newApplier(i int) *adapt.Applier {
-	ap := adapt.NewApplier(nil)
-	ap.RegisterMetrics(cl.Obs, fmt.Sprintf("mirror%d", i))
-	// The wire-takeover counters are part of every mirror site's
-	// metrics surface (cmd/mirrord arms them with -takeover-budget);
-	// the in-process cluster registers them at zero so dashboards and
-	// the metrics lint see the full shape.
-	core.RegisterTakeoverMetrics(cl.Obs, fmt.Sprintf("mirror%d", i))
-	cl.Appliers = append(cl.Appliers, ap)
-	return ap
 }
 
 // counterSink counts submissions (the regular-clients channel) and
@@ -213,12 +211,7 @@ func New(cfg Config) (*Cluster, error) {
 	cl.Obs.RegisterHistogram("request_latency_seconds", cl.RequestHist)
 	cl.Obs.Describe("client_updates_total", "State updates emitted to regular clients.")
 	cl.Obs.RegisterCounter("client_updates_total", cl.Updates)
-	cl.Obs.Describe("slab_pool_hit_total", "Batch-frame slabs served from the pool.")
-	cl.Obs.Describe("slab_pool_miss_total", "Batch-frame slabs freshly allocated on pool miss.")
-	cl.Obs.Describe("slab_pool_retained_total", "Batch-frame slabs returned to the pool for reuse.")
-	cl.Obs.CounterFunc("slab_pool_hit_total", func() float64 { h, _, _ := event.SlabPoolStats(); return float64(h) })
-	cl.Obs.CounterFunc("slab_pool_miss_total", func() float64 { _, m, _ := event.SlabPoolStats(); return float64(m) })
-	cl.Obs.CounterFunc("slab_pool_retained_total", func() float64 { _, _, r := event.SlabPoolStats(); return float64(r) })
+	site.RegisterSlabMetrics(cl.Obs)
 	if cfg.SeriesBin > 0 {
 		cl.DelaySeries = metrics.NewSeries(cl.start, cfg.SeriesBin)
 	}
@@ -231,35 +224,19 @@ func New(cfg Config) (*Cluster, error) {
 	mainCfg.DelayHist = cl.DelayHist
 	mainCfg.DelaySeries = cl.DelaySeries
 
-	var links []core.MirrorLink
-	var err error
-	switch cfg.Transport {
-	case TransportDirect:
-		links = cl.wireDirect(cfg)
-	case TransportTCP:
-		links, err = cl.wireTCP(cfg)
-		if err != nil {
-			cl.Close()
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("cluster: unknown transport %d", cfg.Transport)
-	}
-
 	var auxCPU *costmodel.CPU
 	if cfg.NICOffload {
 		auxCPU = &costmodel.CPU{}
 		cl.CPUs = append(cl.CPUs, auxCPU)
 	}
 	configured := cfg.OnMirrorSample
-	cl.Central = core.NewCentral(core.CentralConfig{
+	central := core.CentralConfig{
 		Streams:      cfg.Streams,
 		Params:       cfg.Params,
 		Model:        cfg.Model,
 		CPU:          cl.CPUs[0],
 		AuxCPU:       auxCPU,
 		Main:         mainCfg,
-		Mirrors:      links,
 		NoMirror:     cfg.NoMirror,
 		DeltaHorizon: cfg.DeltaHorizon,
 		Obs:          cl.Obs,
@@ -267,12 +244,19 @@ func New(cfg Config) (*Cluster, error) {
 		OnMirrorSample: func(site int, s core.Sample) {
 			cl.dispatchSample(site, s, configured)
 		},
-	})
+	}
+	switch cfg.Transport {
+	case TransportDirect:
+		cl.wireDirect(cfg, central)
+	case TransportTCP:
+		if err := cl.startTCP(cfg, central); err != nil {
+			cl.Close()
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("cluster: unknown transport %d", cfg.Transport)
+	}
 	return cl, nil
-}
-
-func edeConfig(cfg Config) ede.Config {
-	return ede.Config{Model: cfg.Model, StatePadding: cfg.StatePadding, Shards: cfg.StateShards}
 }
 
 // siteMainCfg is the main-unit configuration shared by every site:
@@ -280,7 +264,7 @@ func edeConfig(cfg Config) ede.Config {
 // request-latency histogram.
 func (cl *Cluster) siteMainCfg(cfg Config) core.MainConfig {
 	return core.MainConfig{
-		EDE:            edeConfig(cfg),
+		EDE:            ede.Config{Model: cfg.Model, StatePadding: cfg.StatePadding, Shards: cfg.StateShards},
 		RequestWorkers: cfg.RequestWorkers,
 		RequestHist:    cl.RequestHist,
 	}
@@ -388,15 +372,9 @@ func (cl *Cluster) DrainAll() time.Time {
 	return costmodel.WaitIdle(cl.CPUs...)
 }
 
-// Close tears the cluster down.
+// Close tears the cluster down, the central site first.
 func (cl *Cluster) Close() {
 	cl.closeOnce.Do(func() {
-		if cl.Central != nil {
-			cl.Central.Close()
-		}
-		for _, m := range cl.Mirrors {
-			m.Close()
-		}
 		for i := len(cl.closers) - 1; i >= 0; i-- {
 			cl.closers[i]()
 		}
@@ -415,113 +393,85 @@ type dataFunc func([]*event.Event, event.Ref) error
 
 func (f dataFunc) SubmitOwned(es []*event.Event, ref event.Ref) error { return f(es, ref) }
 
-// newMirror builds mirror site i with its directive applier attached
-// and appends it to cl.Mirrors; only the control uplink differs between
-// transports.
-func (cl *Cluster) newMirror(cfg Config, i int, ctrlUp core.Sender) *core.MirrorSite {
-	ap := cl.newApplier(i)
-	m := core.NewMirrorSite(core.MirrorSiteConfig{
+// mirrorConfig is mirror site i's configuration; the transport adds
+// the control uplink.
+func (cl *Cluster) mirrorConfig(cfg Config, i int) core.MirrorSiteConfig {
+	return core.MirrorSiteConfig{
 		Main:   cl.siteMainCfg(cfg),
 		Model:  cfg.Model,
 		CPU:    cl.CPUs[i+1],
 		SiteID: uint8(i),
 		Obs:    cl.Obs,
 		Tracer: cl.Tracer,
-		OnPiggyback: func(round uint64, b []byte) {
-			ap.Apply(round, b)
-		},
-		CtrlUp: ctrlUp,
-	})
-	ap.SetInstall(adapt.InstallMirrorRegime(m))
-	cl.Mirrors = append(cl.Mirrors, m)
-	return m
+	}
 }
 
-// wireDirect connects sites with synchronous calls. Mirrors are
-// created first; the central's links close over the slice.
-func (cl *Cluster) wireDirect(cfg Config) []core.MirrorLink {
-	links := make([]core.MirrorLink, cfg.Mirrors)
+// addMirror records an assembled mirror site and how to stop it.
+func (cl *Cluster) addMirror(m *site.Mirror, stop func()) {
+	cl.Mirrors = append(cl.Mirrors, m.Site)
+	cl.Appliers = append(cl.Appliers, m.Applier)
+	cl.closers = append(cl.closers, stop)
+}
+
+// wireDirect connects sites with synchronous calls — the one in-process
+// transport, on ledger time. Mirrors are created first; their uplinks
+// reach the central through cl once it exists.
+func (cl *Cluster) wireDirect(cfg Config, central core.CentralConfig) {
 	for i := 0; i < cfg.Mirrors; i++ {
-		m := cl.newMirror(cfg, i, senderFunc(func(e *event.Event) error {
+		mc := cl.mirrorConfig(cfg, i)
+		mc.CtrlUp = senderFunc(func(e *event.Event) error {
 			cl.Central.HandleControl(e)
 			return nil
-		}))
-		links[i] = core.MirrorLink{
-			Data: dataFunc(m.HandleOwnedBatch),
-			Ctrl: senderFunc(func(e *event.Event) error { m.HandleControl(e); return nil }),
-		}
+		})
+		m := site.NewMirror(mc)
+		cl.addMirror(m, m.Site.Close)
+		central.Mirrors = append(central.Mirrors, core.MirrorLink{
+			Data: dataFunc(m.Site.HandleOwnedBatch),
+			Ctrl: senderFunc(func(e *event.Event) error { m.Site.HandleControl(e); return nil }),
+		})
 	}
-	return links
+	cl.Central = core.NewCentral(central)
+	cl.closers = append(cl.closers, cl.Central.Close)
 }
 
-// wireTCP connects sites over loopback TCP with optional shaping:
-// each mirror runs an ECho server exporting its data and control
-// channels; the central site dials shaped send links to each and runs
-// its own server for the shared control-up channel.
-func (cl *Cluster) wireTCP(cfg Config) ([]core.MirrorLink, error) {
-	// Central's control-up server.
-	upBus := echo.NewBus()
-	upCh, _ := upBus.Open("ctrl.up")
-	upCh.Subscribe(func(e *event.Event) { cl.Central.HandleControl(e) })
-	upLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("cluster: central listener: %w", err)
-	}
-	upSrv := echo.NewServer(upBus)
-	go upSrv.Serve(upLn)
-	cl.closers = append(cl.closers, func() { upSrv.Close(); upBus.Close() })
-
-	links := make([]core.MirrorLink, cfg.Mirrors)
+// startTCP starts the deployed site runtime on loopback, in the
+// deployment's order: mirrors first, then the central, which dials
+// them; the mirrors' uplinks are then pointed at the address the
+// central bound — the mechanism wire takeover repoints survivors with.
+func (cl *Cluster) startTCP(cfg Config, central core.CentralConfig) error {
+	var mirrors []*site.MirrorSite
+	var addrs []string
 	for i := 0; i < cfg.Mirrors; i++ {
-		bus := echo.NewBus()
-		dataCh, _ := bus.Open("data")
-		ctrlCh, _ := bus.Open("ctrl.down")
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d listener: %w", i, err)
-		}
-		srv := echo.NewServer(bus)
-		go srv.Serve(ln)
-		cl.closers = append(cl.closers, func() { srv.Close(); bus.Close() })
-
-		// Mirror's uplink to the central control channel.
-		upConn, err := simnet.Dial(upLn.Addr().String(), cfg.Shaping)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d uplink: %w", i, err)
-		}
-		upLink, err := echo.NewSendLink(upConn, "ctrl.up")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d uplink handshake: %w", i, err)
-		}
-		cl.closers = append(cl.closers, func() { upLink.Close() })
-
-		m := cl.newMirror(cfg, i, upLink)
-		dataCh.SubscribeBatch(m.HandleData, func(es []*event.Event, ref event.Ref) {
-			_ = m.HandleOwnedBatch(es, ref)
+		m, err := site.StartMirror(site.MirrorOptions{
+			Config:  cl.mirrorConfig(cfg, i),
+			Listen:  "127.0.0.1:0",
+			Shaping: cfg.Shaping,
 		})
-		ctrlCh.Subscribe(m.HandleControl)
-
-		// Central's downlinks to this mirror.
-		dataConn, err := simnet.Dial(ln.Addr().String(), cfg.Shaping)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d data link: %w", i, err)
+			return fmt.Errorf("cluster: mirror %d: %w", i, err)
 		}
-		dataLink, err := echo.NewSendLink(dataConn, "data")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d data handshake: %w", i, err)
-		}
-		ctrlConn, err := simnet.Dial(ln.Addr().String(), cfg.Shaping)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d ctrl link: %w", i, err)
-		}
-		ctrlLink, err := echo.NewSendLink(ctrlConn, "ctrl.down")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mirror %d ctrl handshake: %w", i, err)
-		}
-		cl.closers = append(cl.closers, func() { dataLink.Close(); ctrlLink.Close() })
-		links[i] = core.MirrorLink{Data: dataLink, Ctrl: ctrlLink}
+		cl.addMirror(m.Mirror, func() { m.Close() })
+		mirrors = append(mirrors, m)
+		addrs = append(addrs, m.Addr)
 	}
-	return links, nil
+	c, err := site.StartCentral(site.CentralOptions{
+		Config:  central,
+		Listen:  "127.0.0.1:0",
+		Mirrors: addrs,
+		Shaping: cfg.Shaping,
+	})
+	if err != nil {
+		return fmt.Errorf("cluster: central: %w", err)
+	}
+	cl.Central = c.Central
+	cl.closers = append(cl.closers, func() { c.Close() })
+	for i, m := range mirrors {
+		m.Uplink.Repoint(c.Addr)
+		if err := m.Uplink.Dial(); err != nil {
+			return fmt.Errorf("cluster: mirror %d uplink: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // --- status plane -----------------------------------------------------

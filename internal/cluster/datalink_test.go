@@ -10,6 +10,7 @@ import (
 	"adaptmirror/internal/echo"
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/faultinject"
+	"adaptmirror/internal/site"
 	"adaptmirror/internal/vclock"
 )
 
@@ -30,8 +31,7 @@ func (r *countingRef) Release() {
 }
 
 // TestDataLinkContract drives core.DataSender through every data link
-// that can be built in this package (cmd/mirrord checks its lazyUplink
-// the same way) into a real mirror site and asserts the contract once:
+// there is into a real mirror site and asserts the contract once:
 // events arrive in order exactly once, and once the receiver has
 // drained and its backup is trimmed every reference is back to zero —
 // no path leaks a slab, retains past the trim, or double-releases.
@@ -66,22 +66,16 @@ func TestDataLinkContract(t *testing.T) {
 			return ch, nil
 		}},
 		{"tcp send link", func(t *testing.T, m *core.MirrorSite) (core.DataSender, func(int) bool) {
-			bus := echo.NewBus()
-			ch, _ := bus.Open("data")
-			if _, err := ch.SubscribeBatch(m.HandleData, handler(m)); err != nil {
-				t.Fatal(err)
-			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			link, err := echo.DialSend(serveData(t, m, handler(m)), site.ChanData)
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := echo.NewServer(bus)
-			go srv.Serve(ln)
-			link, err := echo.DialSend(ln.Addr().String(), "data")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { link.Close(); srv.Close(); bus.Close() })
+			t.Cleanup(func() { link.Close() })
+			return link, nil
+		}},
+		{"tcp reconnecting site link", func(t *testing.T, m *core.MirrorSite) (core.DataSender, func(int) bool) {
+			link := site.NewLink(serveData(t, m, handler(m)), site.ChanData, site.LinkOptions{})
+			t.Cleanup(func() { link.Close() })
 			return link, nil
 		}},
 		{"fault plane", func(t *testing.T, m *core.MirrorSite) (core.DataSender, func(int) bool) {
@@ -154,6 +148,25 @@ func TestDataLinkContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// serveData exports m's ingest as a "data" channel on a loopback
+// event-channel server and returns its address.
+func serveData(t *testing.T, m *core.MirrorSite, bh echo.BatchHandler) string {
+	t.Helper()
+	bus := echo.NewBus()
+	ch, _ := bus.Open(site.ChanData)
+	if _, err := ch.SubscribeBatch(m.HandleData, bh); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := echo.NewServer(bus)
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close(); bus.Close() })
+	return ln.Addr().String()
 }
 
 // waitUntil polls cond until it holds or five seconds pass.

@@ -192,14 +192,6 @@ func RunExperiment(opts Options) (Result, error) {
 	if zeroModel(model) {
 		model = costmodel.Default
 	}
-	// The controller must be fully constructed before New(cfg) starts
-	// the transports: the OnMirrorSample closure runs on transport
-	// goroutines, and having them read a variable the main goroutine
-	// assigns later is a data race.
-	var controller *adapt.Controller
-	if opts.Adaptive {
-		controller = adapt.NewController(opts.Baseline, opts.Degraded, nil)
-	}
 	cfg := Config{
 		Mirrors:        opts.Mirrors,
 		Transport:      opts.Transport,
@@ -214,11 +206,6 @@ func RunExperiment(opts Options) (Result, error) {
 			Coalesce:       opts.Coalesce,
 			MaxCoalesce:    opts.MaxCoalesce,
 			CheckpointFreq: opts.ChkptFreq,
-		},
-		OnMirrorSample: func(site int, s core.Sample) {
-			if controller != nil {
-				controller.ObserveSite(site, s)
-			}
 		},
 	}
 	cl, err := New(cfg)
@@ -242,13 +229,12 @@ func RunExperiment(opts Options) (Result, error) {
 	if opts.FieldDeltas {
 		cl.Central.SetFieldDeltas(true)
 	}
+	var controller *adapt.Controller
 	var audit *obs.AuditLog
 	if opts.Adaptive {
-		controller.SetApply(adapt.InstallRegime(cl.Central))
+		controller = adapt.NewController(opts.Baseline, opts.Degraded, nil)
 		audit = obs.NewAuditLog(0)
 		controller.SetAudit(audit)
-		controller.RegisterMetrics(cl.Obs)
-		cl.Controller = controller
 		cl.Audit = audit
 		if opts.PendingPrimary > 0 {
 			controller.SetMonitorValues(adapt.VarPending, opts.PendingPrimary, opts.PendingSecondary)
@@ -266,12 +252,7 @@ func RunExperiment(opts Options) (Result, error) {
 			controller.SetVarRegime(adapt.VarWireBytes, &opts.DeltaRegime)
 			controller.SetVarRegime(adapt.VarOutboxDepth, &opts.DeltaRegime)
 		}
-		// Central observes its own sample and piggybacks the current
-		// regime on every checkpoint round.
-		cl.Central.SetPiggyback(func() []byte {
-			controller.Observe(cl.Central.Sample())
-			return adapt.EncodeRegime(controller.Current())
-		})
+		cl.AttachController(controller)
 	}
 
 	events := BuildEvents(opts)

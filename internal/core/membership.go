@@ -103,8 +103,9 @@ func (m *Membership) onReply(site int) {
 	m.missed[site] = 0
 }
 
-// alive reports whether mirror i receives mirrored events.
-func (m *Membership) alive(i int) bool {
+// Alive reports whether mirror i is admitted: it receives mirrored
+// events and votes in the commit quorum.
+func (m *Membership) Alive(i int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return i < len(m.failed) && !m.failed[i]
@@ -229,7 +230,7 @@ func (c *Central) membershipHandle() *Membership {
 // mirrorAlive reports whether mirror i should receive traffic.
 func (c *Central) mirrorAlive(i int) bool {
 	m := c.membershipHandle()
-	return m == nil || m.alive(i)
+	return m == nil || m.Alive(i)
 }
 
 // noteRoundStart and noteReply forward protocol lifecycle to the

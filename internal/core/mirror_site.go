@@ -288,7 +288,6 @@ func (m *MirrorSite) HandleOwnedBatch(events []*event.Event, ref event.Ref) erro
 	if len(events) == 0 {
 		return nil
 	}
-	m.received.Add(uint64(len(events)))
 	m.batchMu.Lock()
 	defer m.batchMu.Unlock()
 	toBackup := m.scratchBackup[:0]
@@ -338,6 +337,9 @@ func (m *MirrorSite) HandleOwnedBatch(events []*event.Event, ref event.Ref) erro
 	if len(toReady) > 0 {
 		err = m.ready.PutBatch(toReady)
 	}
+	// Counted only now: whoever waits on Received() before draining the
+	// site must find the events already queued, not about to be.
+	m.received.Add(uint64(len(events)))
 	if m.cfg.OnPiggyback != nil {
 		for _, e := range dirs {
 			if len(e.Payload) > 0 {

@@ -237,6 +237,8 @@ type SendLink struct {
 	// wedging the caller. A deadline error poisons the link like any
 	// other write error; the owner redials.
 	writeTimeout time.Duration
+	// deadline is the write deadline currently armed on conn.
+	deadline time.Time
 
 	submitted atomic.Uint64
 	bytes     atomic.Uint64
@@ -277,14 +279,23 @@ func DialSendTimeout(addr, name string, timeout time.Duration) (*SendLink, error
 func (l *SendLink) SetWriteTimeout(d time.Duration) {
 	l.mu.Lock()
 	l.writeTimeout = d
+	l.deadline = time.Time{}
 	l.mu.Unlock()
 }
 
-// armDeadlineLocked applies the write deadline for one submission.
-// Callers hold l.mu.
+// armDeadlineLocked makes sure a submission starting now is bounded by
+// the write timeout. Arming the deadline updates a runtime timer, and a
+// data link does it once per frame, so a deadline that still has more
+// than half the timeout to run is left alone: a busy link re-arms twice
+// per timeout, and a write is cut off after between half of it and all
+// of it. Callers hold l.mu.
 func (l *SendLink) armDeadlineLocked() {
-	if l.writeTimeout > 0 {
-		l.conn.SetWriteDeadline(time.Now().Add(l.writeTimeout))
+	if l.writeTimeout <= 0 {
+		return
+	}
+	if now := time.Now(); l.deadline.Sub(now) < l.writeTimeout/2 {
+		l.deadline = now.Add(l.writeTimeout)
+		l.conn.SetWriteDeadline(l.deadline)
 	}
 }
 

@@ -92,6 +92,47 @@ func TestSendLinkSubmitOwned(t *testing.T) {
 	}
 }
 
+// TestSendLinkWriteTimeoutRearms: the write deadline is re-armed only
+// when less than half the timeout is left, so a link kept busy for
+// several timeouts against a reading peer must never see it expire,
+// while a peer that stops reading still fails a write within the bound.
+func TestSendLinkWriteTimeoutRearms(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	bus := NewBus()
+	ch, _ := bus.Open("ingress")
+	ch.Subscribe(func(*event.Event) {})
+	_, addr := startServer(t, bus)
+	link, err := DialSendTimeout(addr, "ingress", timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	for start := time.Now(); time.Since(start) < 4*timeout; time.Sleep(timeout / 20) {
+		if err := link.Submit(ev(1)); err != nil {
+			t.Fatalf("busy link failed after %s: %v", time.Since(start), err)
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	stalled, err := DialSendTimeout(ln.Addr().String(), "ingress", timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	big := &event.Event{Type: event.TypeFAAPosition, Coalesced: 1, Payload: make([]byte, 64<<10)}
+	start := time.Now()
+	for err == nil && time.Since(start) < 10*time.Second {
+		err = stalled.Submit(big)
+	}
+	if err == nil {
+		t.Fatal("submissions to a never-reading peer never failed")
+	}
+}
+
 func TestRecvLinkReceivesFromBusChannel(t *testing.T) {
 	bus := NewBus()
 	ch, _ := bus.Open("updates")

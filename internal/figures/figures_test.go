@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"adaptmirror/internal/cluster"
 )
 
 // The Quick scale keeps these smoke tests fast; shape assertions are
@@ -49,8 +51,31 @@ func TestFig5SmokeShape(t *testing.T) {
 	if len(ys) != 5 {
 		t.Fatalf("points = %d, want 5 (1,2,4,6,8 mirrors)", len(ys))
 	}
-	if ys[4] <= ys[0] {
-		t.Fatal("8 mirrors must cost more than 1")
+	for i, y := range ys {
+		if y <= 0 || math.IsNaN(y) {
+			t.Fatalf("point %d = %v, want a positive execution time", i, y)
+		}
+	}
+	// The figure's shape — every added mirror costs the central more —
+	// is asserted on what the seed determines, not on the elapsed time
+	// of two ~20 ms runs: each mirror is sent its own copy of every
+	// mirrored event, so the fan-out work grows exactly with the count.
+	fanout := func(mirrors int) (events, bytes uint64) {
+		opts := Quick.base(1000)
+		opts.Mirrors = mirrors
+		res, err := cluster.RunExperiment(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Central.Mirrored, res.LinkSentBytes
+	}
+	events1, bytes1 := fanout(1)
+	events8, bytes8 := fanout(8)
+	if events1 == 0 || events8 != events1 {
+		t.Fatalf("mirrored events: %d with 1 mirror, %d with 8; want the same non-zero stream", events1, events8)
+	}
+	if bytes1 == 0 || bytes8 != 8*bytes1 {
+		t.Fatalf("fan-out bytes: %d with 1 mirror, %d with 8; want exactly 8x", bytes1, bytes8)
 	}
 }
 
@@ -80,18 +105,32 @@ func TestFig7Smoke(t *testing.T) {
 	for _, s := range fig.Series {
 		byName[s.Name] = s
 	}
-	simple, sel := byName["simple"], byName["selective"]
-	if len(simple.Y) != len(fig78Loads) {
-		t.Fatalf("points = %d, want %d", len(simple.Y), len(fig78Loads))
+	if n := len(byName["simple"].Y); n != len(fig78Loads) {
+		t.Fatalf("points = %d, want %d", n, len(fig78Loads))
 	}
-	// At the highest load, selective must not be meaningfully slower
-	// than simple. The tolerance is wide: Quick scale is a smoke test
-	// on sub-5ms runs (race-detector instrumentation alone shifts
-	// them); the real shape assertions run at Full scale and are
-	// recorded in EXPERIMENTS.md.
-	last := len(simple.Y) - 1
-	if sel.Y[last] > simple.Y[last]*1.5 {
-		t.Fatalf("selective (%v) far slower than simple (%v) at max load", sel.Y[last], simple.Y[last])
+	for _, s := range fig.Series {
+		for _, y := range s.Y {
+			if y <= 0 || math.IsNaN(y) {
+				t.Fatalf("%s has non-positive point", s.Name)
+			}
+		}
+	}
+	// What makes selective mirroring cheaper is asserted on what the
+	// seed determines, not on the elapsed time of sub-5 ms runs (the
+	// timed shape runs at Full scale and is recorded in EXPERIMENTS.md):
+	// it sends the mirror a fraction of the same stream.
+	mirrored := func(overwrite int) uint64 {
+		opts := Quick.base(1000)
+		opts.Mirrors = 1
+		opts.Selective = overwrite
+		res, err := cluster.RunExperiment(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Central.Mirrored
+	}
+	if all, kept := mirrored(0), mirrored(Quick.SelectiveL); kept == 0 || kept >= all {
+		t.Fatalf("selective mirrored %d of the %d events simple mirroring sends; want a non-empty fraction", kept, all)
 	}
 }
 

@@ -1,45 +1,24 @@
-package main
+package site
 
-// Wire-level central takeover. PR 9 proved lossless central failover
-// in-process (MirrorSite.Promote -> CentralConfig.Resume, epoch-fenced
-// checkpoint rounds); this file makes a deployed mirrord cluster
-// survive its central the same way, over TCP:
-//
-//   - Detection: a ticker drives core.StandbyMonitor against the
-//     site's checkpoint-round watermark. After budget+1 intervals
-//     without a new round the site probes the central's TCP address
-//     (an idle but live central still accepts; a killed one refuses)
-//     and, if the probe fails too, declares the central dead.
-//   - Promotion: the designated -standby site promotes itself
-//     directly. Without a standby, mirrors hold an election: each
-//     candidate broadcasts an epoch-stamped ELECT claim on its peers'
-//     ctrl.down channels; the highest committed cut wins, ties break
-//     to the lowest site ID. Losers defer and wait for the winner's
-//     announcement, re-opening the election if it never comes.
-//   - Announcement: the promoted site broadcasts a TAKEOVER frame
-//     (epoch, new ctrl.up address, adopted-state anchor) on every
-//     survivor's ctrl.down until the survivor rejoins. Survivors
-//     repoint their uplink, pick a rejoin cut by comparing their
-//     arrival watermark against the anchor, and send a
-//     RECOVERY_REQ on the new uplink; the promoted central re-admits
-//     them through Membership.RejoinSince.
-//
-// Epoch fencing: a survivor records the first announcement it accepts
-// per epoch and rejects same-or-older epochs from any other address,
-// and the PR 9 coordinator floor rejects control traffic from older
-// epochs, so two would-be centrals can never split the cluster.
+// Wire-level central takeover: a deployed cluster survives its central
+// over TCP by the same adoption step (Mirror.Promote, epoch-fenced
+// checkpoint rounds) the in-process failover uses. A ticker-driven
+// core.StandbyMonitor plus a TCP liveness probe detects the death; the
+// standby promotes directly, or the mirrors elect by committed cut
+// (ELECT claims on ctrl.down); the promoted site announces itself in
+// TAKEOVER frames until every survivor has repointed its uplink and
+// rejoined from its RejoinCut. First-accepted-address-per-epoch fencing
+// keeps two would-be centrals from splitting the cluster. The protocol
+// is specified in DESIGN.md, "Wire takeover".
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"adaptmirror/internal/adapt"
 	"adaptmirror/internal/checkpoint"
 	"adaptmirror/internal/core"
-	"adaptmirror/internal/costmodel"
 	"adaptmirror/internal/echo"
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/status"
@@ -47,9 +26,9 @@ import (
 )
 
 const (
-	// defaultTakeoverInterval is the detection ticker period; align it
+	// DefaultTakeoverInterval is the detection ticker period; align it
 	// with the expected checkpoint-round cadence.
-	defaultTakeoverInterval = 500 * time.Millisecond
+	DefaultTakeoverInterval = 500 * time.Millisecond
 	// defaultPromotedChkptFreq is the checkpoint frequency a promoted
 	// central starts with when no directive ever told the mirror the
 	// central's parameters.
@@ -78,29 +57,17 @@ const (
 	rolePromoted  = "promoted"
 )
 
-var errSelfSlot = errors.New("mirrord: promoted site's own mirror slot")
-
-// deadLink fills the promoted site's own slot in its Mirrors slice:
-// the slot stays excluded forever (this site IS the central now), so
-// the link only ever fails fast.
-type deadLink struct{}
-
-func (deadLink) Submit(*event.Event) error { return errSelfSlot }
-
-func (deadLink) SubmitOwned([]*event.Event, event.Ref) error { return errSelfSlot }
-
 // promotedCentral is everything a mirror site owns after winning a
 // takeover: the resumed central, its membership, and the downlinks to
 // the surviving mirrors.
 type promotedCentral struct {
-	Central *core.Central
-	Member  *core.Membership
-	Ann     core.TakeoverAnnouncement
+	*Promoted
+	Ann core.TakeoverAnnouncement
 	// ctrl holds the per-slot ctrl.down links for announcements (nil
 	// at the promoted site's own slot); links holds every dialed link
 	// for Close.
-	ctrl     []*lazyUplink
-	links    []*lazyUplink
+	ctrl     []*Link
+	links    []*Link
 	rejoinMu []sync.Mutex
 }
 
@@ -113,28 +80,16 @@ func (pc *promotedCentral) Close() error {
 	return nil
 }
 
-// excluded reports whether slot is still voted out of the quorum.
-func (pc *promotedCentral) excluded(slot int) bool {
-	for _, i := range pc.Member.Failed() {
-		if i == slot {
-			return true
-		}
-	}
-	return false
-}
-
 // takeoverRuntime drives one mirror site's side of the wire-takeover
 // protocol.
 type takeoverRuntime struct {
-	s         *mirrorSite
+	s         *MirrorSite
 	peers     []string
 	self      int
 	standby   bool
 	budget    int
 	interval  time.Duration
 	advertise string
-
-	stats *core.TakeoverStats
 
 	mu    sync.Mutex
 	mon   *core.StandbyMonitor
@@ -156,64 +111,53 @@ type takeoverRuntime struct {
 	awaitingWinner bool
 
 	stop     chan struct{}
-	done     chan struct{}
-	started  bool
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
 // newTakeoverRuntime validates the manifest and builds the runtime
 // (not yet ticking; call start).
-func newTakeoverRuntime(s *mirrorSite, opts mirrorOptions) (*takeoverRuntime, error) {
-	if opts.SiteID < 0 || opts.SiteID >= len(opts.Peers) {
-		return nil, fmt.Errorf("takeover: site %d outside the peers manifest (%d entries)", opts.SiteID, len(opts.Peers))
+func newTakeoverRuntime(s *MirrorSite, opts MirrorOptions) (*takeoverRuntime, error) {
+	self := int(opts.Config.SiteID)
+	if self >= len(opts.Peers) {
+		return nil, fmt.Errorf("takeover: site %d outside the peers manifest (%d entries)", self, len(opts.Peers))
 	}
 	interval := opts.TakeoverInterval
 	if interval <= 0 {
-		interval = defaultTakeoverInterval
+		interval = DefaultTakeoverInterval
 	}
 	advertise := opts.Advertise
 	if advertise == "" {
-		advertise = opts.Peers[opts.SiteID]
+		advertise = opts.Peers[self]
 	}
 	return &takeoverRuntime{
 		s:         s,
 		peers:     append([]string(nil), opts.Peers...),
-		self:      opts.SiteID,
-		standby:   opts.Standby,
+		self:      self,
+		standby:   opts.Config.Standby,
 		budget:    opts.TakeoverBudget,
 		interval:  interval,
 		advertise: advertise,
-		stats:     core.RegisterTakeoverMetrics(s.Obs, s.site),
-		mon:       core.NewStandbyMonitor(s.Mirror.LastRound, opts.TakeoverBudget),
+		mon:       core.NewStandbyMonitor(s.Site.LastRound, opts.TakeoverBudget),
 		phase:     roleFollower,
 		claims:    make(map[uint64]map[uint8]core.ElectionClaim),
 		lastReply: make(map[uint64]time.Time),
 		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}, nil
 }
 
 func (t *takeoverRuntime) start() {
-	t.mu.Lock()
-	t.started = true
-	t.mu.Unlock()
+	t.wg.Add(1)
 	go t.run()
 }
 
 func (t *takeoverRuntime) stopAndWait() {
 	t.stopOnce.Do(func() { close(t.stop) })
-	t.mu.Lock()
-	started := t.started
-	t.mu.Unlock()
-	if started {
-		<-t.done
-	}
 	t.wg.Wait()
 }
 
 func (t *takeoverRuntime) run() {
-	defer close(t.done)
+	defer t.wg.Done()
 	tk := time.NewTicker(t.interval)
 	defer tk.Stop()
 	for {
@@ -230,11 +174,7 @@ func (t *takeoverRuntime) run() {
 // accepted announcements or from the epoch partition of its observed
 // rounds. Callers hold t.mu.
 func (t *takeoverRuntime) curEpochLocked() uint64 {
-	e := t.s.Mirror.LastRound() >> checkpoint.EpochShift
-	if t.seenEpoch > e {
-		return t.seenEpoch
-	}
-	return e
+	return max(t.seenEpoch, t.s.Site.LastRound()>>checkpoint.EpochShift)
 }
 
 func (t *takeoverRuntime) electWindow() time.Duration { return 2 * t.interval }
@@ -257,7 +197,7 @@ func (t *takeoverRuntime) tick() {
 	// Before the first observed round there is no heartbeat to miss:
 	// the documented startup order brings mirrors up before the
 	// central exists.
-	if t.s.Mirror.LastRound() == 0 && t.seenEpoch == 0 {
+	if t.s.Site.LastRound() == 0 && t.seenEpoch == 0 {
 		t.mu.Unlock()
 		return
 	}
@@ -268,29 +208,29 @@ func (t *takeoverRuntime) tick() {
 	// Missed-round budget exhausted. Rounds only advance with traffic,
 	// so first distinguish "idle" from "dead": a live central still
 	// accepts TCP on its event-channel address.
-	if t.probeAlive(t.s.uplink.Addr()) {
-		t.mon = core.NewStandbyMonitor(t.s.Mirror.LastRound, t.budget)
+	if t.probeAlive(t.s.Uplink.Addr()) {
+		t.mon = core.NewStandbyMonitor(t.s.Site.LastRound, t.budget)
 		t.mu.Unlock()
 		return
 	}
-	t.stats.Fired.Add(1)
+	t.s.Takeover.Fired.Add(1)
 	epoch := t.curEpochLocked() + 1
 	if t.standby {
 		fmt.Printf("mirrord: %s: central dead (missed-round budget %d exhausted) — standby takeover, epoch %d\n",
-			t.s.site, t.budget, epoch)
+			t.s.Name, t.budget, epoch)
 		t.promoteLocked(epoch)
 		t.mu.Unlock()
 		return
 	}
 	// No standby designated: open an election for the next epoch.
 	t.phase = roleCandidate
-	t.firedRound = t.s.Mirror.LastRound()
-	t.myClaim = core.ElectionClaim{Epoch: epoch, Site: uint8(t.self), Cut: t.s.Mirror.Backup().Committed()}
+	t.firedRound = t.s.Site.LastRound()
+	t.myClaim = core.ElectionClaim{Epoch: epoch, Site: uint8(t.self), Cut: t.s.Site.Backup().Committed()}
 	t.nextDecision = time.Now().Add(t.electWindow())
 	t.awaitingWinner = false
 	claim := t.myClaim
 	t.mu.Unlock()
-	fmt.Printf("mirrord: %s: central dead — electing for epoch %d (cut %s)\n", t.s.site, epoch, claim.Cut)
+	fmt.Printf("mirrord: %s: central dead — electing for epoch %d (cut %s)\n", t.s.Name, epoch, claim.Cut)
 	t.broadcastClaim(claim)
 }
 
@@ -299,10 +239,10 @@ func (t *takeoverRuntime) tick() {
 func (t *takeoverRuntime) candidateTickLocked() {
 	// Rounds resuming in the pre-election epoch prove the central was
 	// alive after all: abort.
-	lr := t.s.Mirror.LastRound()
+	lr := t.s.Site.LastRound()
 	if lr > t.firedRound && lr>>checkpoint.EpochShift == t.myClaim.Epoch-1 {
 		t.phase = roleFollower
-		t.mon = core.NewStandbyMonitor(t.s.Mirror.LastRound, t.budget)
+		t.mon = core.NewStandbyMonitor(t.s.Site.LastRound, t.budget)
 		t.mu.Unlock()
 		return
 	}
@@ -317,7 +257,7 @@ func (t *takeoverRuntime) candidateTickLocked() {
 		// our claim — and re-open the election.
 		delete(t.claims, epoch)
 		t.awaitingWinner = false
-		t.myClaim.Cut = t.s.Mirror.Backup().Committed()
+		t.myClaim.Cut = t.s.Site.Backup().Committed()
 		t.nextDecision = time.Now().Add(t.electWindow())
 		claim := t.myClaim
 		t.mu.Unlock()
@@ -335,7 +275,7 @@ func (t *takeoverRuntime) candidateTickLocked() {
 			return
 		}
 	}
-	fmt.Printf("mirrord: %s: election won — promoting, epoch %d\n", t.s.site, epoch)
+	fmt.Printf("mirrord: %s: election won — promoting, epoch %d\n", t.s.Name, epoch)
 	t.promoteLocked(epoch)
 	t.mu.Unlock()
 }
@@ -350,14 +290,7 @@ func (t *takeoverRuntime) probeAlive(addr string) bool {
 	if addr == "" {
 		return false
 	}
-	d := t.interval
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, d)
+	conn, err := net.DialTimeout("tcp", addr, min(max(t.interval, time.Second), 5*time.Second))
 	if err != nil {
 		return false
 	}
@@ -366,81 +299,57 @@ func (t *takeoverRuntime) probeAlive(addr string) bool {
 }
 
 // promoteLocked converts this mirror site into the epoch's central:
-// Promote captures the site's state, a resumed Central adopts it, all
-// survivor slots start excluded, and the announcement loop re-admits
-// them as they redial. Callers hold t.mu.
+// Mirror.Promote adopts the site's state with every survivor slot
+// excluded, and the announcement loop re-admits them as they redial.
+// Callers hold t.mu.
 func (t *takeoverRuntime) promoteLocked(epoch uint64) {
 	s := t.s
-	state := s.Mirror.Promote()
-	state.Epoch = epoch
-	if reg, round, ok := s.Applier.Current(); ok {
-		state.Directive = adapt.EncodeRegime(reg)
-		state.DirectiveRound = round
-	}
-	_, params, overwrite := s.Mirror.Regime()
-	if params.CheckpointFreq <= 0 {
-		params.CheckpointFreq = defaultPromotedChkptFreq
-	}
-
 	// Downlinks to every survivor, indexed by ORIGINAL site ID so the
 	// SiteID survivors stamp on checkpoint replies keeps addressing
-	// the right slot; our own slot gets a dead stub and stays excluded
-	// forever.
+	// the right slot; our own slot gets a closed link, which only ever
+	// fails fast, and stays excluded forever.
 	mirrors := make([]core.MirrorLink, len(t.peers))
 	pc := &promotedCentral{
-		ctrl:     make([]*lazyUplink, len(t.peers)),
+		ctrl:     make([]*Link, len(t.peers)),
 		rejoinMu: make([]sync.Mutex, len(t.peers)),
 	}
 	for i, addr := range t.peers {
 		if i == t.self {
-			mirrors[i] = core.MirrorLink{Data: deadLink{}, Ctrl: deadLink{}}
+			dead := NewLink("", ChanData, LinkOptions{})
+			dead.Close()
+			mirrors[i] = core.MirrorLink{Data: dead, Ctrl: dead}
 			continue
 		}
-		data := &lazyUplink{addr: addr, name: chanData, writeTimeout: rejoinWriteTimeout}
-		ctrl := &lazyUplink{addr: addr, name: chanCtrlDown}
+		data := NewLink(addr, ChanData, LinkOptions{Shaping: s.shaping, WriteTimeout: rejoinWriteTimeout})
+		ctrl := NewLink(addr, ChanCtrlDown, LinkOptions{Shaping: s.shaping})
 		pc.links = append(pc.links, data, ctrl)
 		pc.ctrl[i] = ctrl
 		mirrors[i] = core.MirrorLink{Data: data, Ctrl: ctrl}
 	}
-	streams := len(state.Clock)
-	if streams == 0 {
-		streams = 1
-	}
-	central := core.NewCentral(core.CentralConfig{
-		Streams: streams,
-		Params:  params,
-		Model:   costmodel.Default,
-		CPU:     &costmodel.CPU{},
+	pc.Promoted = s.Promote(epoch, core.CentralConfig{
+		Params:  core.Params{CheckpointFreq: defaultPromotedChkptFreq},
+		Model:   s.cfg.Model,
+		CPU:     s.cfg.CPU,
 		Mirrors: mirrors,
-		Obs:     s.Obs,
-		Tracer:  s.Tracer,
-		Resume:  &state,
-	})
-	if overwrite > 0 {
-		central.InstallSelective(overwrite)
-	}
-	pc.Central = central
-	pc.Member = core.NewMembership(central, core.MembershipConfig{MissedRounds: promotedMissBudget})
-	for i := range mirrors {
-		_ = pc.Member.Exclude(i)
-	}
-	pc.Ann = core.TakeoverAnnouncement{
-		Epoch:  epoch,
-		Addr:   t.advertise,
-		Anchor: central.Main().LastProcessed(),
-	}
+		Obs:     s.cfg.Obs,
+		Tracer:  s.cfg.Tracer,
+	}, core.MembershipConfig{MissedRounds: promotedMissBudget})
+	central := pc.Central
+	pc.Ann = core.TakeoverAnnouncement{Epoch: epoch, Addr: t.advertise, Anchor: pc.Anchor}
 
 	// The site's event-channel server now serves the central role too:
 	// sources feed ingress, survivors reply on ctrl.up. The HTTP front
 	// keeps serving /init from the adopted main unit untouched, and
 	// additionally accepts client updates like any central.
-	if ingress, err := s.bus.Open(chanIngress); err == nil {
+	if ingress, err := s.bus.Open(ChanIngress); err == nil {
 		ingress.Subscribe(func(e *event.Event) { _ = central.Ingest(e) })
 	}
-	if ctrlUp, err := s.bus.Open(chanCtrlUp); err == nil {
+	if ctrlUp, err := s.bus.Open(ChanCtrlUp); err == nil {
 		ctrlUp.Subscribe(func(e *event.Event) { t.handleCtrlUp(pc, e) })
 	}
-	s.Front.EnableUpdates(central.Ingest)
+	if s.Front != nil {
+		s.Front.EnableUpdates(central.Ingest)
+	}
 
 	t.phase = rolePromoted
 	t.seenEpoch = epoch
@@ -466,14 +375,14 @@ func (t *takeoverRuntime) announceLoop(pc *promotedCentral) {
 	for {
 		pending := false
 		for i, ctrl := range pc.ctrl {
-			if ctrl == nil || !pc.excluded(i) {
+			if ctrl == nil || pc.Member.Alive(i) {
 				continue
 			}
 			pending = true
 			_ = ctrl.Submit(frame)
 		}
 		if !pending && !converged {
-			fmt.Printf("mirrord: %s: takeover epoch %d converged — every survivor rejoined\n", t.s.site, pc.Ann.Epoch)
+			fmt.Printf("mirrord: %s: takeover epoch %d converged — every survivor rejoined\n", t.s.Name, pc.Ann.Epoch)
 		}
 		converged = !pending
 		select {
@@ -509,14 +418,14 @@ func (t *takeoverRuntime) serveRejoin(pc *promotedCentral, slot int, cut vclock.
 	}
 	pc.rejoinMu[slot].Lock()
 	defer pc.rejoinMu[slot].Unlock()
-	if !pc.excluded(slot) {
+	if pc.Member.Alive(slot) {
 		return // duplicate request; already rejoined
 	}
 	if _, err := pc.Member.RejoinSince(slot, cut); err != nil {
-		fmt.Printf("mirrord: %s: rejoining survivor %d: %v\n", t.s.site, slot, err)
+		fmt.Printf("mirrord: %s: rejoining survivor %d: %v\n", t.s.Name, slot, err)
 		return
 	}
-	fmt.Printf("mirrord: %s: survivor %d rejoined (cut %s)\n", t.s.site, slot, cut)
+	fmt.Printf("mirrord: %s: survivor %d rejoined (cut %s)\n", t.s.Name, slot, cut)
 }
 
 // handleControl intercepts takeover frames on the mirror's ctrl.down
@@ -545,7 +454,7 @@ func (t *takeoverRuntime) onAnnouncement(ann core.TakeoverAnnouncement) {
 		t.mu.Unlock()
 		return
 	}
-	roundsEpoch := t.s.Mirror.LastRound() >> checkpoint.EpochShift
+	roundsEpoch := t.s.Site.LastRound() >> checkpoint.EpochShift
 	switch {
 	case ann.Epoch <= roundsEpoch || ann.Epoch < t.seenEpoch:
 		// Stale: this site already runs in a same-or-newer epoch.
@@ -556,7 +465,7 @@ func (t *takeoverRuntime) onAnnouncement(ann core.TakeoverAnnouncement) {
 			// Split-brain fencing: a second would-be central claiming
 			// an epoch we already accepted from someone else.
 			fmt.Printf("mirrord: %s: rejecting conflicting takeover claim for epoch %d from %s (accepted %s)\n",
-				t.s.site, ann.Epoch, ann.Addr, t.seenAddr)
+				t.s.Name, ann.Epoch, ann.Addr, t.seenAddr)
 			t.mu.Unlock()
 			return
 		}
@@ -567,28 +476,22 @@ func (t *takeoverRuntime) onAnnouncement(ann core.TakeoverAnnouncement) {
 		// the new central.
 		t.seenEpoch, t.seenAddr = ann.Epoch, ann.Addr
 		t.phase = roleFollower
-		t.mon = core.NewStandbyMonitor(t.s.Mirror.LastRound, t.budget)
-		t.stats.Repoints.Add(1)
-		t.s.uplink.Repoint(ann.Addr)
-		fmt.Printf("mirrord: %s: takeover epoch %d — repointing uplink to %s\n", t.s.site, ann.Epoch, ann.Addr)
+		t.mon = core.NewStandbyMonitor(t.s.Site.LastRound, t.budget)
+		t.s.Takeover.Repoints.Add(1)
+		t.s.Uplink.Repoint(ann.Addr)
+		fmt.Printf("mirrord: %s: takeover epoch %d — repointing uplink to %s\n", t.s.Name, ann.Epoch, ann.Addr)
 	}
-	// Rejoin-cut negotiation (the PR 9 rule): only a site whose
-	// arrival watermark is covered by the adopted state may rejoin
-	// from its committed cut; anything newer takes the full transfer.
-	var cut vclock.VC
-	if t.s.Mirror.ArrivalHigh().LessEq(ann.Anchor) {
-		cut = t.s.Mirror.Backup().Committed()
-	}
+	cut := RejoinCut(t.s.Site, ann.Anchor)
 	t.mu.Unlock()
 	req := &event.Event{Type: event.TypeRecoveryRequest, Seq: uint64(t.self), VT: cut}
-	_ = t.s.uplink.Submit(req)
+	_ = t.s.Uplink.Submit(req)
 }
 
 // onClaim records a rival's election claim and answers with this
 // site's own standing (throttled), so a candidate's decision sees
 // every live peer even before that peer's own monitor fires.
 func (t *takeoverRuntime) onClaim(c core.ElectionClaim) {
-	t.stats.Claims.Add(1)
+	t.s.Takeover.Claims.Add(1)
 	t.mu.Lock()
 	if int(c.Site) == t.self {
 		t.mu.Unlock()
@@ -619,7 +522,7 @@ func (t *takeoverRuntime) onClaim(c core.ElectionClaim) {
 	var replyAddr string
 	if now := time.Now(); int(c.Site) < len(t.peers) && now.Sub(t.lastReply[c.Epoch]) >= t.interval {
 		t.lastReply[c.Epoch] = now
-		rc := core.ElectionClaim{Epoch: c.Epoch, Site: uint8(t.self), Cut: t.s.Mirror.Backup().Committed()}
+		rc := core.ElectionClaim{Epoch: c.Epoch, Site: uint8(t.self), Cut: t.s.Site.Backup().Committed()}
 		reply, replyAddr = &rc, t.peers[c.Site]
 	}
 	t.mu.Unlock()
@@ -646,20 +549,13 @@ func (t *takeoverRuntime) broadcastClaim(c core.ElectionClaim) {
 // sendClaim delivers one claim over a transient link (peers may be
 // dead; failures are expected and ignored).
 func (t *takeoverRuntime) sendClaim(addr string, c core.ElectionClaim) {
-	d := t.interval
-	if d < 500*time.Millisecond {
-		d = 500 * time.Millisecond
-	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	link, err := echo.DialSendTimeout(addr, chanCtrlDown, d)
+	link, err := echo.DialSendTimeout(addr, ChanCtrlDown, min(max(t.interval, 500*time.Millisecond), 2*time.Second))
 	if err != nil {
 		return
 	}
 	defer link.Close()
 	if link.Submit(&event.Event{Type: event.TypeElect, Seq: c.Epoch, Stream: c.Site, Payload: c.Encode()}) == nil {
-		t.stats.Claims.Add(1)
+		t.s.Takeover.Claims.Add(1)
 	}
 }
 
@@ -676,10 +572,10 @@ func (t *takeoverRuntime) Info() *status.Takeover {
 		Role:        role,
 		Budget:      t.budget,
 		Missed:      t.mon.Missed(),
-		Fired:       t.stats.Fired.Load() > 0,
+		Fired:       t.s.Takeover.Fired.Load() > 0,
 		Epoch:       t.seenEpoch,
-		CentralAddr: t.s.uplink.Addr(),
-		Claims:      t.stats.Claims.Load(),
-		Repoints:    t.stats.Repoints.Load(),
+		CentralAddr: t.s.Uplink.Addr(),
+		Claims:      t.s.Takeover.Claims.Load(),
+		Repoints:    t.s.Takeover.Repoints.Load(),
 	}
 }

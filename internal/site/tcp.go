@@ -1,0 +1,428 @@
+package site
+
+import (
+	"fmt"
+	"net"
+	"sync/atomic"
+	"time"
+
+	"adaptmirror/internal/adapt"
+	"adaptmirror/internal/core"
+	"adaptmirror/internal/echo"
+	"adaptmirror/internal/event"
+	"adaptmirror/internal/httpfront"
+	"adaptmirror/internal/obs"
+	"adaptmirror/internal/oislog"
+	"adaptmirror/internal/simnet"
+	"adaptmirror/internal/status"
+)
+
+// Channel names of the deployed wire protocol. Sources send to the
+// central site's "ingress"; the central dials each mirror's "data" and
+// "ctrl.down"; mirrors dial the central's "ctrl.up".
+const (
+	ChanIngress  = "ingress"
+	ChanData     = "data"
+	ChanCtrlDown = "ctrl.down"
+	ChanCtrlUp   = "ctrl.up"
+	// ChanUpdates carries the central EDE's output stream; thin
+	// clients (cmd/oisclient) subscribe to it with recv links.
+	ChanUpdates = "updates"
+)
+
+// CentralOptions configure a central site on TCP.
+type CentralOptions struct {
+	// Config is the transport-independent part, supplied whole by the
+	// caller: cost model, CPUs, registry, tracer, histograms, stream
+	// count, parameters, the main unit's configuration. The runtime
+	// fills in Mirrors (a reconnecting link pair per address), sets
+	// NoMirror when there are none, and points a nil Main.Out at the
+	// site's exported updates channel.
+	Config core.CentralConfig
+	// Listen is the event-channel address; HTTP the client front's
+	// ("" runs no front).
+	Listen string
+	HTTP   string
+	// Mirrors are the mirror sites' event-channel addresses; a site's
+	// index here is its site ID.
+	Mirrors []string
+	// Shaping applies to every connection the site dials.
+	Shaping simnet.Profile
+	// Selective, when positive, installs FAA-position overwriting with
+	// this run length.
+	Selective int
+	// LogDir, when non-empty, durably records every client state
+	// update on the updates channel in a segmented operations log (the
+	// paper's logging database consumer).
+	LogDir string
+	// Adapt enables runtime adaptation between the paper's two
+	// mirroring functions, engaging when any site's pending-request
+	// buffer reaches AdaptPrimary and reverting below
+	// AdaptPrimary-AdaptSecondary.
+	Adapt          bool
+	AdaptPrimary   int
+	AdaptSecondary int
+	// AuditPath, when non-empty (and Adapt is on), durably records
+	// every adaptation transition as JSONL at this path.
+	AuditPath string
+}
+
+// CentralSite bundles everything a running central site owns.
+type CentralSite struct {
+	Central *core.Central
+	// Front is nil when no HTTP address was configured.
+	Front *httpfront.Front
+	// Bus holds the site's exported channels.
+	Bus *echo.Bus
+	// Controller is non-nil when runtime adaptation is enabled; Audit
+	// is its transition log (durable when AuditPath was configured).
+	Controller *adapt.Controller
+	Audit      *obs.AuditLog
+	// Log is non-nil when LogDir was configured.
+	Log *oislog.Log
+	// Addr and HTTPAddr are the bound listen addresses.
+	Addr     string
+	HTTPAddr string
+	srv      *echo.Server
+	links    []*Link
+}
+
+// StartCentral assembles a central site: send links to every mirror, an
+// event-channel server for ingress and control-up traffic, and
+// optionally an HTTP front for client requests.
+func StartCentral(opts CentralOptions) (*CentralSite, error) {
+	s := &CentralSite{Bus: echo.NewBus()}
+	if err := s.start(opts); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+func (s *CentralSite) start(opts CentralOptions) error {
+	cfg := opts.Config
+	RegisterSlabMetrics(cfg.Obs)
+
+	// Dial every mirror before constructing the central so its sending
+	// task has live links from the first event (and a bad mirror
+	// address fails site startup immediately). The links redial on the
+	// next submit after a failure, so a mirror that crashes and
+	// restarts on the same address can be recovered over the same
+	// MirrorLink by Membership.Rejoin.
+	for _, addr := range opts.Mirrors {
+		data := NewLink(addr, ChanData, LinkOptions{Shaping: opts.Shaping})
+		ctrl := NewLink(addr, ChanCtrlDown, LinkOptions{Shaping: opts.Shaping})
+		s.links = append(s.links, data, ctrl)
+		for _, l := range []*Link{data, ctrl} {
+			if err := l.Dial(); err != nil {
+				return fmt.Errorf("dialing mirror %s %s channel: %w", addr, l.channel, err)
+			}
+		}
+		cfg.Mirrors = append(cfg.Mirrors, core.MirrorLink{Data: data, Ctrl: ctrl})
+	}
+	cfg.NoMirror = cfg.NoMirror || len(cfg.Mirrors) == 0
+
+	// The central EDE's output stream is exported on the updates
+	// channel for remote thin clients, and optionally tee'd into the
+	// durable operations log.
+	updates, err := s.Bus.Open(ChanUpdates)
+	if err != nil {
+		return err
+	}
+	if cfg.Main.Out == nil {
+		cfg.Main.Out = updates
+	}
+	if opts.LogDir != "" {
+		s.Log, err = oislog.Open(opts.LogDir, oislog.Options{})
+		if err != nil {
+			return err
+		}
+		updates.Subscribe(func(e *event.Event) { _ = s.Log.Append(e) })
+	}
+
+	if opts.Adapt {
+		// The controller is complete before the central exists: its
+		// sample hook runs on connection goroutines.
+		fn1 := adapt.Regime{ID: 1, Name: "coalesce-10/chkpt-50", Coalesce: true, MaxCoalesce: 10, OverwriteLen: opts.Selective, CheckpointFreq: 50}
+		fn2 := adapt.Regime{ID: 2, Name: "overwrite-20/chkpt-100", Coalesce: true, MaxCoalesce: 20, OverwriteLen: 20, CheckpointFreq: 100}
+		s.Controller = adapt.NewController(fn1, fn2, nil)
+		primary, secondary := opts.AdaptPrimary, opts.AdaptSecondary
+		if primary <= 0 {
+			primary = 100
+		}
+		if secondary <= 0 {
+			secondary = primary / 2
+		}
+		s.Controller.SetMonitorValues(adapt.VarPending, primary, secondary)
+		s.Controller.RegisterMetrics(cfg.Obs)
+		s.Audit = obs.NewAuditLog(0)
+		if opts.AuditPath != "" {
+			if err := s.Audit.OpenDurable(opts.AuditPath); err != nil {
+				return fmt.Errorf("opening audit log: %w", err)
+			}
+		}
+		s.Controller.SetAudit(s.Audit)
+		onSample := cfg.OnMirrorSample
+		cfg.OnMirrorSample = func(site int, sample core.Sample) {
+			if onSample != nil {
+				onSample(site, sample)
+			}
+			s.Controller.ObserveSite(site, sample)
+		}
+	}
+	s.Central = core.NewCentral(cfg)
+	if opts.Selective > 0 {
+		s.Central.InstallSelective(opts.Selective)
+	}
+	if s.Controller != nil {
+		s.Controller.SetApply(adapt.InstallRegime(s.Central))
+		s.Controller.Attach(s.Central)
+	}
+
+	// Export ingress and control-up channels.
+	ingress, err := s.Bus.Open(ChanIngress)
+	if err != nil {
+		return err
+	}
+	ingress.Subscribe(func(e *event.Event) { _ = s.Central.Ingest(e) })
+	ctrlUp, err := s.Bus.Open(ChanCtrlUp)
+	if err != nil {
+		return err
+	}
+	ctrlUp.Subscribe(s.Central.HandleControl)
+
+	if s.Addr, s.srv, err = serve(s.Bus, opts.Listen); err != nil {
+		return err
+	}
+	if opts.HTTP != "" {
+		s.Front = httpfront.NewWithRegistry(s.Central.Main(), cfg.Obs)
+		// Gate agents and similar clients may generate state updates;
+		// they enter through the central site's receiving task.
+		s.Front.EnableUpdates(s.Central.Ingest)
+		s.Front.SetStatus(s.Status)
+		if s.HTTPAddr, err = s.Front.Listen(opts.HTTP); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// serve starts an event-channel server for bus on addr.
+func serve(bus *echo.Bus, addr string) (string, *echo.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, fmt.Errorf("listening on %s: %w", addr, err)
+	}
+	srv := echo.NewServer(bus)
+	go srv.Serve(ln)
+	return ln.Addr().String(), srv, nil
+}
+
+// Status builds the aggregated cluster-status document served at
+// /cluster/status: the central regime and monitored variables, per-link
+// wire telemetry, per-site rows from the controller's last piggybacked
+// samples, rejoin accounting, and the adaptation audit tail.
+func (s *CentralSite) Status() status.Document {
+	return status.Central(status.CentralSources{
+		Site:       "central",
+		Central:    s.Central,
+		Controller: s.Controller,
+		Audit:      s.Audit,
+	})
+}
+
+// Close tears the site down.
+func (s *CentralSite) Close() error {
+	if s.Front != nil {
+		s.Front.Close()
+	}
+	if s.srv != nil {
+		s.srv.Close()
+	}
+	if s.Central != nil {
+		s.Central.Close()
+	}
+	if s.Log != nil {
+		s.Log.Close()
+	}
+	if s.Audit != nil {
+		s.Audit.Close()
+	}
+	for _, l := range s.links {
+		l.Close()
+	}
+	s.Bus.Close()
+	return nil
+}
+
+// MirrorOptions configure a mirror site on TCP.
+type MirrorOptions struct {
+	// Config is the transport-independent part, supplied whole by the
+	// caller: cost model, CPU, registry, tracer, the main unit's
+	// configuration, SiteID (this mirror's index in the central site's
+	// mirror list, stamped on checkpoint replies), Standby and
+	// StandbyHorizon. CtrlUp and OnPiggyback are the runtime's. A
+	// promoted site's central inherits Model, CPU, Obs and Tracer.
+	Config core.MirrorSiteConfig
+	// Listen is the event-channel address; HTTP the client front's
+	// ("" runs no front).
+	Listen string
+	HTTP   string
+	// Central is the central site's event-channel address; it may be
+	// unknown at start (mirrors start first) and set later through
+	// Uplink.Repoint.
+	Central string
+	// Shaping applies to every connection the site dials.
+	Shaping simnet.Profile
+	// Peers is the shared cluster manifest: every mirror site's
+	// event-channel address, indexed by site ID (entry SiteID is this
+	// site's own). Together with TakeoverBudget > 0 it arms the
+	// wire-takeover runtime; see takeover.go.
+	Peers []string
+	// TakeoverBudget is how many consecutive detection intervals
+	// without a new checkpoint round the site tolerates before
+	// declaring the central dead (0 disarms wire takeover).
+	TakeoverBudget int
+	// TakeoverInterval is the detection ticker period (0 =
+	// DefaultTakeoverInterval). Align it with the expected checkpoint
+	// round cadence.
+	TakeoverInterval time.Duration
+	// Advertise overrides the address announced to survivors after a
+	// promotion (default Peers[SiteID]).
+	Advertise string
+}
+
+// MirrorSite bundles everything a running mirror site owns.
+type MirrorSite struct {
+	*Mirror
+	// Front is nil when no HTTP address was configured.
+	Front *httpfront.Front
+	// Uplink is the control link to the central site.
+	Uplink *Link
+	// Addr and HTTPAddr are the bound listen addresses.
+	Addr     string
+	HTTPAddr string
+	cfg      core.MirrorSiteConfig
+	shaping  simnet.Profile
+	srv      *echo.Server
+	bus      *echo.Bus
+	// takeover is the wire-takeover runtime (nil when disarmed);
+	// promoted holds the central this site became after a takeover.
+	takeover *takeoverRuntime
+	promoted atomic.Pointer[promotedCentral]
+}
+
+// StartMirror assembles a mirror site: an event-channel server
+// exporting its data and control channels, a (lazily dialed) uplink to
+// the central site, and optionally an HTTP front.
+func StartMirror(opts MirrorOptions) (*MirrorSite, error) {
+	s := &MirrorSite{
+		bus:     echo.NewBus(),
+		Uplink:  NewLink(opts.Central, ChanCtrlUp, LinkOptions{Shaping: opts.Shaping}),
+		shaping: opts.Shaping,
+	}
+	if err := s.start(opts); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+func (s *MirrorSite) start(opts MirrorOptions) error {
+	RegisterSlabMetrics(opts.Config.Obs)
+	opts.Config.CtrlUp = s.Uplink
+	s.cfg = opts.Config
+	s.Mirror = NewMirror(opts.Config)
+
+	data, err := s.bus.Open(ChanData)
+	if err != nil {
+		return err
+	}
+	data.SubscribeBatch(s.Site.HandleData, func(es []*event.Event, ref event.Ref) {
+		_ = s.Site.HandleOwnedBatch(es, ref)
+	})
+	ctrl, err := s.bus.Open(ChanCtrlDown)
+	if err != nil {
+		return err
+	}
+	ctrl.Subscribe(s.handleCtrlDown)
+
+	// Arm the takeover runtime before the event-channel server starts:
+	// handleCtrlDown reads s.takeover from connection goroutines.
+	if opts.TakeoverBudget > 0 && len(opts.Peers) > 0 {
+		if s.takeover, err = newTakeoverRuntime(s, opts); err != nil {
+			return err
+		}
+	}
+
+	if s.Addr, s.srv, err = serve(s.bus, opts.Listen); err != nil {
+		return err
+	}
+	if opts.HTTP != "" {
+		s.Front = httpfront.NewWithRegistry(s.Site.Main(), opts.Config.Obs)
+		s.Front.SetStatus(s.Status)
+		if s.HTTPAddr, err = s.Front.Listen(opts.HTTP); err != nil {
+			return err
+		}
+	}
+	if s.takeover != nil {
+		s.takeover.start()
+	}
+	return nil
+}
+
+// handleCtrlDown dispatches control-downlink traffic: takeover frames
+// (TAKEOVER announcements, ELECT claims) go to the takeover runtime,
+// everything else to the mirror's checkpoint state machine.
+func (s *MirrorSite) handleCtrlDown(e *event.Event) {
+	if t := s.takeover; t != nil && t.handleControl(e) {
+		return
+	}
+	s.Site.HandleControl(e)
+}
+
+// Promoted returns the central this site became by winning a wire
+// takeover (nil before that).
+func (s *MirrorSite) Promoted() *Promoted {
+	if pc := s.promoted.Load(); pc != nil {
+		return pc.Promoted
+	}
+	return nil
+}
+
+// Status builds this site's status document: the mirror-local view
+// (applier-held regime, monitored variables), or — after a wire
+// takeover promoted this site — the full central document. Either way
+// an armed takeover runtime reports its state.
+func (s *MirrorSite) Status() status.Document {
+	var doc status.Document
+	if pc := s.promoted.Load(); pc != nil {
+		doc = status.Central(status.CentralSources{Site: s.Name, Central: pc.Central})
+	} else {
+		doc = status.Mirror(s.Name, s.Site, s.Applier)
+	}
+	if s.takeover != nil {
+		doc.Takeover = s.takeover.Info()
+	}
+	return doc
+}
+
+// Close tears the site down.
+func (s *MirrorSite) Close() error {
+	if s.takeover != nil {
+		s.takeover.stopAndWait()
+	}
+	if s.Front != nil {
+		s.Front.Close()
+	}
+	if s.srv != nil {
+		s.srv.Close()
+	}
+	if pc := s.promoted.Load(); pc != nil {
+		pc.Close()
+	}
+	s.Site.Close()
+	s.Uplink.Close()
+	s.bus.Close()
+	return nil
+}
