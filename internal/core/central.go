@@ -187,7 +187,6 @@ type Central struct {
 	mirrored  atomic.Uint64 // events sent to each mirror (per-mirror count)
 	mirroredW atomic.Uint64 // weighted raw events represented by mirrored ones
 	forwarded atomic.Uint64
-	sinceCk   atomic.Uint64
 
 	// fieldDeltas, when set, makes the sending task rewrite mirrored
 	// data events into framed per-flight field deltas (the field-delta
@@ -543,7 +542,8 @@ func (c *Central) sendingTask() {
 	}
 
 	batch := make([]*event.Event, 0, c.cfg.SendBatch)
-	var filtered []*event.Event
+	var filtered, fwdRun []*event.Event
+	var sinceCk uint64 // events forwarded since the last checkpoint trigger
 	for {
 		p := c.params.get()
 		max := c.cfg.SendBatch
@@ -576,21 +576,13 @@ func (c *Central) sendingTask() {
 		// frequency counted in processed events (the paper's "once per
 		// 50 processed events"), independent of how many survive the
 		// mirroring filter.
-		for _, e := range batch {
-			if fe := fns.fwd(e); fe != nil {
-				if tracer != nil {
-					fe.ForwardAt = time.Now().UnixNano()
-				}
-				if c.main.Deliver(fe) == nil {
-					c.forwarded.Add(1)
-				}
-			}
-			if c.sinceCk.Add(1) >= uint64(p.CheckpointFreq) {
-				c.sinceCk.Store(0)
-				select {
-				case c.chkptTrigger <- struct{}{}:
-				default:
-				}
+		fwdRun = c.forwardRun(batch, fwdRun, fns.fwd)
+		var due uint64
+		due, sinceCk = checkpointsDue(sinceCk, uint64(len(batch)), uint64(p.CheckpointFreq))
+		for ; due > 0; due-- {
+			select {
+			case c.chkptTrigger <- struct{}{}:
+			default:
 			}
 		}
 
@@ -748,31 +740,66 @@ func transformFieldDeltas(batch []*event.Event) {
 // queue straight into the main unit.
 func (c *Central) forwardOnly() {
 	batch := make([]*event.Event, 0, c.cfg.SendBatch)
+	var fwdRun []*event.Event
 	for {
 		var err error
 		batch, err = c.ready.GetAppend(batch[:0], c.cfg.SendBatch)
 		if err != nil {
 			return
 		}
-		tracer := c.cfg.Tracer
-		if tracer != nil {
+		if c.cfg.Tracer != nil {
 			now := time.Now().UnixNano()
 			for _, e := range batch {
 				e.ReadyAt = now
 			}
 		}
-		fwd := c.fns.Load().fwd
-		for _, e := range batch {
-			if fe := fwd(e); fe != nil {
-				if tracer != nil {
-					fe.ForwardAt = time.Now().UnixNano()
-				}
-				if c.main.Deliver(fe) == nil {
-					c.forwarded.Add(1)
-				}
-			}
+		fwdRun = c.forwardRun(batch, fwdRun, c.fns.Load().fwd)
+	}
+}
+
+// forwardRun passes batch through the forwarding function and hands
+// the survivors to the local main unit as one run: one queue hop and,
+// when tracing, one ForwardAt clock read for the run. scratch is the
+// caller's reusable survivor slice, returned emptied.
+func (c *Central) forwardRun(batch, scratch []*event.Event, fwd FwdFunc) []*event.Event {
+	run := scratch[:0]
+	for _, e := range batch {
+		if fe := fwd(e); fe != nil {
+			run = append(run, fe)
 		}
 	}
+	if c.cfg.Tracer != nil {
+		now := time.Now().UnixNano()
+		for _, fe := range run {
+			fe.ForwardAt = now
+		}
+	}
+	if len(run) > 0 && c.main.DeliverBatch(run) == nil {
+		c.forwarded.Add(uint64(len(run)))
+	}
+	clear(run)
+	return run[:0]
+}
+
+// checkpointsDue advances the count of events forwarded since the last
+// checkpoint trigger by a run of n at frequency freq. It returns how
+// many triggers fall due within the run and the count carried into the
+// next one: the closed form of counting one event at a time, posting
+// and resetting whenever the count reaches freq. A count already at or
+// past freq (the frequency was just lowered) posts on the run's first
+// event.
+func checkpointsDue(since, n, freq uint64) (posts, carried uint64) {
+	if freq < 1 {
+		freq = 1
+	}
+	first := uint64(1) // events until the first post
+	if since+1 < freq {
+		first = freq - since
+	}
+	if n < first {
+		return 0, since + n
+	}
+	return 1 + (n-first)/freq, (n - first) % freq
 }
 
 // closeSenders flushes and stops the per-link sender goroutines. It

@@ -165,9 +165,19 @@ func NewMainUnit(cfg MainConfig) *MainUnit {
 // Engine exposes the unit's EDE.
 func (m *MainUnit) Engine() *ede.Engine { return m.engine }
 
-// Deliver hands one forwarded event to the unit.
+// Deliver hands one forwarded event to the unit: DeliverBatch for a
+// run of one.
 func (m *MainUnit) Deliver(e *event.Event) error {
-	if err := m.in.Put(e); err != nil {
+	one := [1]*event.Event{e}
+	return m.DeliverBatch(one[:])
+}
+
+// DeliverBatch hands a run of forwarded events to the unit, in order,
+// under one queue lock. The unit retains the events, never the slice.
+// If the unit closes first it returns ErrUnitClosed; events enqueued
+// before the close are still processed.
+func (m *MainUnit) DeliverBatch(run []*event.Event) error {
+	if err := m.in.PutBatch(run); err != nil {
 		return ErrUnitClosed
 	}
 	return nil
@@ -201,35 +211,89 @@ func (m *MainUnit) Barrier(fn func()) error {
 	return nil
 }
 
+// applyRun bounds how many queued events processLoop takes per queue
+// hop. A run is whatever is queued at that moment, up to this bound —
+// the loop never waits for a run to fill, so batching adds no latency
+// at rates where the queue holds one event at a time.
+const applyRun = 256
+
+// processLoop drains the inbound queue a run at a time: one queue hop,
+// as few ledger operations as pacing allows and one histogram flush
+// per run, while each event's update still leaves — and the progress
+// watermark still advances — the moment that event is applied.
 func (m *MainUnit) processLoop() {
 	defer m.procWG.Done()
+	a := applier{m: m, evs: make([]event.Event, 0, applyRun)}
+	run := make([]*event.Event, 0, applyRun)
 	for {
-		e, err := m.in.Get()
+		var err error
+		run, err = m.in.GetAppend(run[:0], applyRun)
 		if err != nil {
 			return
 		}
-		if e.Type == event.TypeBarrier {
-			m.barrierMu.Lock()
-			fn := m.barriers[0]
-			m.barriers = m.barriers[1:]
-			m.barrierMu.Unlock()
-			fn()
-			continue
+		// Barrier sentinels keep their exact position: the events queued
+		// before one are applied (and their accounting flushed) before
+		// its function runs.
+		for start := 0; start < len(run); {
+			end := start
+			for end < len(run) && run[end].Type != event.TypeBarrier {
+				end++
+			}
+			a.apply(run[start:end])
+			if end < len(run) {
+				m.barrierMu.Lock()
+				fn := m.barriers[0]
+				m.barriers = m.barriers[1:]
+				m.barrierMu.Unlock()
+				fn()
+				end++
+			}
+			start = end
 		}
-		// Copy the event before Process: the moment Process folds its
-		// timestamp into the progress watermark, a checkpoint commit
-		// may trim the backup queue and recycle the slab an owned view
-		// borrows from, so e must not be touched after Process returns.
-		// Scalar reads below come from this stack copy. The Payload/VT
-		// aliases only reach the Out stream, which exists solely on the
-		// central site, whose main unit processes heap originals — a
-		// mirror site configuring Out would need to clone them first.
-		ev := *e
-		// The emission instant comes from the node's timeline (the
-		// virtual-CPU charge), so update delays reflect the node's
-		// booked processing, not the host's scheduling.
-		derived, done := m.engine.Process(e)
-		if ev.Ingress != 0 && (m.cfg.DelayHist != nil || m.cfg.DelaySeries != nil || m.cfg.Tracer != nil || m.cfg.TraceMirror) {
+		// Do not pin retired slabs against the collector between runs.
+		clear(run)
+	}
+}
+
+// applier is processLoop's per-run scratch: its own copies of a run's
+// events and the latency samples buffered until the run's flush.
+type applier struct {
+	m      *MainUnit
+	evs    []event.Event
+	delays []time.Duration
+	path   obs.CentralPath
+}
+
+// apply runs one barrier-free run through the EDE and flushes its
+// accounting.
+func (a *applier) apply(run []*event.Event) {
+	if len(run) == 0 {
+		return
+	}
+	m := a.m
+	// Copy every event before the engine sees the run: the moment the
+	// engine folds an event's timestamp into the progress watermark, a
+	// checkpoint commit may trim the backup queue and recycle the slab
+	// an owned view borrows from, so run[i] must not be touched once it
+	// has been applied. Scalar reads in emit come from these copies.
+	// (Events later in the run are still above the watermark, and their
+	// slabs live until a commit trims past them.) The Payload/VT aliases
+	// only reach the Out stream, which exists solely on the central
+	// site, whose main unit processes heap originals — a mirror site
+	// configuring Out would need to clone them first.
+	a.evs = a.evs[:0]
+	for _, e := range run {
+		a.evs = append(a.evs, *e)
+	}
+	lag := m.applyLagMicros.Load()
+	emitted := uint64(0)
+	timed := m.cfg.DelayHist != nil || m.cfg.DelaySeries != nil || m.cfg.Tracer != nil || m.cfg.TraceMirror
+	// The emission instant comes from the node's timeline (the
+	// virtual-CPU charge), so update delays reflect the node's booked
+	// processing, not the host's scheduling.
+	m.engine.ProcessRun(run, func(i int, derived []*event.Event, done time.Time) {
+		ev := &a.evs[i]
+		if timed && ev.Ingress != 0 {
 			delay := ev.Age(done)
 			if delay < 0 {
 				// The virtual CPU's catch-up window can book work
@@ -237,26 +301,14 @@ func (m *MainUnit) processLoop() {
 				// before it arrived.
 				delay = 0
 			}
-			if m.cfg.DelayHist != nil {
-				m.cfg.DelayHist.Record(delay)
-			}
+			a.delays = append(a.delays, delay)
 			if m.cfg.DelaySeries != nil {
 				m.cfg.DelaySeries.Observe(done, float64(delay)/float64(time.Microsecond))
 			}
 			if m.cfg.TraceMirror {
-				// processLoop is the only writer, so load-modify-store
-				// without CAS is race-free; readers see a torn-free
-				// atomic value.
-				us := int64(delay / time.Microsecond)
-				old := m.applyLagMicros.Load()
-				m.applyLagMicros.Store(old + (us-old)/4)
-			}
-			if t := m.cfg.Tracer; t != nil {
-				if m.cfg.TraceMirror {
-					t.Observe(obs.StageMirrorApply, delay)
-				} else {
-					t.ObserveCentralPath(ev.Ingress, ev.ReadyAt, ev.ForwardAt, done)
-				}
+				lag += (int64(delay/time.Microsecond) - lag) / 4
+			} else if m.cfg.Tracer != nil {
+				a.path.Add(ev.Ingress, ev.ReadyAt, ev.ForwardAt, done)
 			}
 		}
 		if m.cfg.Out != nil {
@@ -281,15 +333,35 @@ func (m *MainUnit) processLoop() {
 				Payload:   payload,
 			}
 			if m.cfg.Out.Submit(update) == nil {
-				m.emitted.Add(1)
+				emitted++
 			}
 			for _, d := range derived {
 				if m.cfg.Out.Submit(d) == nil {
-					m.emitted.Add(1)
+					emitted++
 				}
 			}
 		}
+	})
+
+	// One flush per run: every sample buffered above is booked before
+	// the next barrier function or queue hop, in event order.
+	if emitted > 0 {
+		m.emitted.Add(emitted)
 	}
+	if m.cfg.DelayHist != nil {
+		m.cfg.DelayHist.RecordBatch(a.delays)
+	}
+	if m.cfg.TraceMirror {
+		// processLoop is the only writer of the EWMA (alpha 1/4), so it
+		// is carried in a local across the run and published once.
+		m.applyLagMicros.Store(lag)
+		m.cfg.Tracer.ObserveBatch(obs.StageMirrorApply, a.delays)
+	} else {
+		m.cfg.Tracer.ObserveCentralPath(&a.path)
+	}
+	a.delays = a.delays[:0]
+	// The copies alias payloads and timestamps; drop them with the run.
+	clear(a.evs)
 }
 
 // Request enqueues a client init-state request. It returns

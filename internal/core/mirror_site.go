@@ -377,9 +377,10 @@ func (m *MirrorSite) HandleControl(e *event.Event) {
 }
 
 // forwardTask moves mirrored events from the ready queue to the local
-// main unit. Its exit path drains the unit shut — unless the site was
-// detached by a promotion, in which case the unit now belongs to the
-// adopting central and must keep accepting that central's deliveries.
+// main unit, a run (whatever is queued, up to applyRun) per hop. Its
+// exit path drains the unit shut — unless the site was detached by a
+// promotion, in which case the unit now belongs to the adopting central
+// and must keep accepting that central's deliveries.
 func (m *MirrorSite) forwardTask() {
 	defer m.wg.Done()
 	defer func() {
@@ -387,12 +388,15 @@ func (m *MirrorSite) forwardTask() {
 			m.main.DrainEvents()
 		}
 	}()
+	run := make([]*event.Event, 0, applyRun)
 	for {
-		e, err := m.ready.Get()
+		var err error
+		run, err = m.ready.GetAppend(run[:0], applyRun)
 		if err != nil {
 			return
 		}
-		_ = m.main.Deliver(e)
+		_ = m.main.DeliverBatch(run)
+		clear(run)
 	}
 }
 

@@ -180,6 +180,9 @@ func scale(perKB time.Duration, n int) time.Duration {
 type CPU struct {
 	mu        sync.Mutex
 	busyUntil time.Time
+	// busyNanos mirrors busyUntil (UnixNano), published under mu, so a
+	// zero-duration charge can see an idle ledger without the lock.
+	busyNanos atomic.Int64
 }
 
 // Pacing constants: catchUpWindow bounds how much late-running work
@@ -193,31 +196,76 @@ const (
 	sleepSlack    = 8 * time.Millisecond
 )
 
+// idleNow reports the completion instant of a charge that books nothing
+// on a ledger that is not ahead of the wall clock: such work completes
+// now — there is nothing to queue behind and nothing to back-fill. It
+// takes no lock, so a node running the zero model pays one clock read
+// per charge. ok is false when d books work or the ledger is ahead.
+func (c *CPU) idleNow(d time.Duration) (now time.Time, ok bool) {
+	if d > 0 {
+		return time.Time{}, false
+	}
+	now = time.Now()
+	return now, c.busyNanos.Load() <= now.UnixNano()
+}
+
+// bookRun is the ledger operation of ChargeRun at wall-clock instant
+// now; caller holds c.mu. It is kept free of clock reads and sleeps so
+// tests can replay it against the one-charge-at-a-time rule.
+func (c *CPU) bookRun(now time.Time, costs []time.Duration) (first time.Time, n int) {
+	if floor := now.Add(-catchUpWindow); c.busyUntil.Before(floor) {
+		c.busyUntil = floor
+	}
+	c.busyUntil = c.busyUntil.Add(max(costs[0], 0))
+	first = c.busyUntil
+	limit := now.Add(sleepSlack)
+	for n = 1; n < len(costs); n++ {
+		if d := costs[n]; d > 0 {
+			next := c.busyUntil.Add(d)
+			if next.After(limit) {
+				break
+			}
+			c.busyUntil = next
+		}
+	}
+	c.busyNanos.Store(c.busyUntil.UnixNano())
+	return first, n
+}
+
 // Charge books d of work on the CPU and returns the instant the work
 // completes in the node's timeline. The caller is delayed only when
 // the node has accumulated a significant backlog.
 func (c *CPU) Charge(d time.Duration) time.Time {
+	one := [1]time.Duration{d}
+	first, _ := c.ChargeRun(one[:])
+	return first
+}
+
+// ChargeRun books a run of consecutive charges in one ledger
+// operation. It returns the completion instant of costs[0] and the
+// number n >= 1 of charges booked; charge i < n completes at first
+// plus costs[1..i]. The instants, the ledger and the caller's pacing
+// are those of n Charge calls: the caller is paced on costs[0] exactly
+// as Charge paces it, and booking stops before the first later charge
+// that would itself have been paced, so the caller applies what was
+// booked and comes back for the rest.
+func (c *CPU) ChargeRun(costs []time.Duration) (first time.Time, n int) {
 	if c == nil {
-		Spin(d)
-		return time.Now()
+		Spin(costs[0])
+		return time.Now(), 1
 	}
-	if d < 0 {
-		d = 0
+	if now, ok := c.idleNow(costs[0]); ok {
+		return now, 1
 	}
 	c.mu.Lock()
 	now := time.Now()
-	floor := now.Add(-catchUpWindow)
-	if c.busyUntil.Before(floor) {
-		c.busyUntil = floor
-	}
-	c.busyUntil = c.busyUntil.Add(d)
-	release := c.busyUntil
+	first, n = c.bookRun(now, costs)
 	c.mu.Unlock()
 
-	if wait := time.Until(release); wait > sleepSlack {
+	if wait := first.Sub(now); wait > sleepSlack {
 		time.Sleep(wait - catchUpWindow)
 	}
-	return release
+	return first, n
 }
 
 // ChargeAsync books d of work on the CPU without pacing the caller.
@@ -229,18 +277,14 @@ func (c *CPU) ChargeAsync(d time.Duration) time.Time {
 	if c == nil {
 		return time.Now()
 	}
-	if d < 0 {
-		d = 0
+	if now, ok := c.idleNow(d); ok {
+		return now
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
-	floor := now.Add(-catchUpWindow)
-	if c.busyUntil.Before(floor) {
-		c.busyUntil = floor
-	}
-	c.busyUntil = c.busyUntil.Add(d)
-	return c.busyUntil
+	one := [1]time.Duration{d}
+	release, _ := c.bookRun(time.Now(), one[:])
+	return release
 }
 
 // BusyUntil returns the node's current busy-until deadline.

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -241,5 +242,95 @@ func TestBatchCosts(t *testing.T) {
 	// Empty batches are free.
 	if m.SerializeBatchCost(0, 0) != 0 || m.SubmitBatchCost(0, 0) != 0 {
 		t.Fatal("empty batch must cost nothing")
+	}
+}
+
+// TestChargeRunMatchesSingleCharges replays the ledger operation of
+// ChargeRun against the one-charge-at-a-time rule on a simulated wall
+// clock that advances only when the caller is paced: whatever the run
+// length, every charge must get the completion instant, and leave the
+// ledger, exactly as a Charge of its own would.
+func TestChargeRunMatchesSingleCharges(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	costs := make([]time.Duration, 5000)
+	for i := range costs {
+		switch rng.Intn(10) {
+		case 0:
+			costs[i] = 0
+		case 1:
+			costs[i] = time.Duration(rng.Intn(12)) * time.Millisecond // paced on its own
+		default:
+			costs[i] = time.Duration(1+rng.Intn(90)) * time.Microsecond
+		}
+	}
+	epoch := time.Now()
+	// replay books costs in runs of runLen and returns each charge's
+	// completion instant and the final ledger.
+	replay := func(runLen int) (done []time.Time, ledger time.Time) {
+		c := &CPU{}
+		now := epoch
+		for at := 0; at < len(costs); {
+			end := at + runLen
+			if end > len(costs) {
+				end = len(costs)
+			}
+			for at < end {
+				first, n := c.bookRun(now, costs[at:end])
+				if n < 1 {
+					t.Fatalf("bookRun booked %d charges", n)
+				}
+				// Charge's pacing: sleep until the ledger leads by the
+				// catch-up window.
+				if first.Sub(now) > sleepSlack {
+					now = first.Add(-catchUpWindow)
+				}
+				at0 := at
+				for ; at < at0+n; at++ {
+					if at > at0 {
+						first = first.Add(costs[at])
+					}
+					done = append(done, first)
+				}
+			}
+		}
+		return done, c.busyUntil
+	}
+	want, wantLedger := replay(1)
+	for _, runLen := range []int{2, 64, 256, len(costs)} {
+		got, ledger := replay(runLen)
+		if !ledger.Equal(wantLedger) {
+			t.Fatalf("runs of %d leave the ledger at %v, single charges at %v", runLen, ledger.Sub(epoch), wantLedger.Sub(epoch))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("runs of %d: charge %d completes at %v, alone at %v", runLen, i, got[i].Sub(epoch), want[i].Sub(epoch))
+			}
+		}
+	}
+}
+
+// TestZeroChargeOnIdleLedgerCompletesNow: a charge that books nothing
+// has nothing to queue behind on an idle ledger, so it completes at
+// the wall clock — not the catch-up window in the past — while one
+// that finds the ledger ahead still completes behind the booked work.
+func TestZeroChargeOnIdleLedgerCompletesNow(t *testing.T) {
+	for name, charge := range map[string]func(*CPU, time.Duration) time.Time{
+		"Charge":      (*CPU).Charge,
+		"ChargeAsync": (*CPU).ChargeAsync,
+	} {
+		cpu := &CPU{}
+		before := time.Now()
+		if got := charge(cpu, 0); got.Before(before) {
+			t.Fatalf("%s(0) on a fresh ledger completed %v in the past", name, before.Sub(got))
+		}
+		busy := charge(cpu, 6*time.Millisecond) // leads the wall clock by ~2ms
+		if got := charge(cpu, 0); !got.Equal(busy) {
+			t.Fatalf("%s(0) behind booked work completed at %v, want the ledger's %v", name, got, busy)
+		}
+		time.Sleep(time.Until(busy) + time.Millisecond)
+		before = time.Now()
+		if got := charge(cpu, 0); got.Before(before) {
+			t.Fatalf("%s(0) on a drained ledger completed %v in the past", name, before.Sub(got))
+		}
 	}
 }

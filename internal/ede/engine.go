@@ -82,14 +82,56 @@ func New(cfg Config) *Engine {
 // State exposes the engine's operational state.
 func (en *Engine) State() *State { return en.state }
 
-// Process runs e through every rule, charges the event's CPU cost, and
-// returns the derived events (possibly none) plus the instant the
-// processing completes in the node's timeline (the emission time used
-// for update-delay measurement). Coalesced events are charged once but
-// counted by weight.
-func (en *Engine) Process(e *event.Event) ([]*event.Event, time.Time) {
-	done := en.cpu.Charge(en.model.EventCost(len(e.Payload)))
+// chargeChunk bounds how many events' costs ProcessRun prices and books
+// at a time; the scratch lives on the caller's stack, so the engine
+// keeps no per-run state and stays safe for concurrent callers.
+const chargeChunk = 64
 
+// Process applies one event: ProcessRun for a run of one. It returns
+// the derived events (possibly none) plus the instant the processing
+// completes in the node's timeline (the emission time used for
+// update-delay measurement).
+func (en *Engine) Process(e *event.Event) (derived []*event.Event, done time.Time) {
+	one := [1]*event.Event{e}
+	en.ProcessRun(one[:], func(_ int, d []*event.Event, at time.Time) { derived, done = d, at })
+	return derived, done
+}
+
+// ProcessRun applies a run of events in order. Each event runs through
+// every rule and is charged its CPU cost (coalesced events are charged
+// once but counted by weight); the moment run[i] has been applied —
+// before run[i+1] is touched — emit is called with i, the events it
+// derived, and the instant its processing completes in the node's
+// timeline. The run's cost is booked in as few ledger operations as the
+// one-event-at-a-time pacing allows (costmodel.CPU.ChargeRun), with
+// every completion instant the one a Process call per event would have
+// returned; the progress watermark still advances per event, so
+// checkpoint replies and replica-freshness readers see each event as
+// soon as it is applied. As with Process, run[i] must not be read once
+// emit(i) is running: its timestamp is in the watermark by then and a
+// checkpoint commit may recycle the slab it borrows from.
+func (en *Engine) ProcessRun(run []*event.Event, emit func(i int, derived []*event.Event, done time.Time)) {
+	var costs [chargeChunk]time.Duration
+	for base := 0; base < len(run); base += chargeChunk {
+		chunk := run[base:min(base+chargeChunk, len(run))]
+		for i, e := range chunk {
+			costs[i] = en.model.EventCost(len(e.Payload))
+		}
+		for i := 0; i < len(chunk); {
+			done, n := en.cpu.ChargeRun(costs[i:len(chunk)])
+			for end := i + n; ; done = done.Add(costs[i]) {
+				emit(base+i, en.apply(chunk[i]), done)
+				if i++; i == end {
+					break
+				}
+			}
+		}
+	}
+}
+
+// apply runs e through the rules (or installs the recovery transfer it
+// carries) and folds its timestamp into the progress watermark.
+func (en *Engine) apply(e *event.Event) []*event.Event {
 	// Recovery snapshots replace the whole state rather than passing
 	// through the rules: the payload is a serialized snapshot and the
 	// VT is its consistency cut. Rules and the processed counter are
@@ -98,7 +140,7 @@ func (en *Engine) Process(e *event.Event) ([]*event.Event, time.Time) {
 	if e.Type == event.TypeRecoveryState {
 		if len(e.Payload) > 0 {
 			if err := en.state.Install(e.Payload); err != nil {
-				return nil, done
+				return nil
 			}
 		}
 		if e.VT != nil {
@@ -110,7 +152,7 @@ func (en *Engine) Process(e *event.Event) ([]*event.Event, time.Time) {
 		// serve deltas after promotion; an installed snapshot replaces
 		// history the journal never saw, so coverage restarts here.
 		en.state.RebaseJournal(e.VT)
-		return nil, done
+		return nil
 	}
 
 	// Recovery deltas are the incremental form: the payload holds
@@ -121,7 +163,7 @@ func (en *Engine) Process(e *event.Event) ([]*event.Event, time.Time) {
 	if e.Type == event.TypeRecoveryDelta {
 		if len(e.Payload) > 0 {
 			if err := en.state.ApplyDeltaAbsolute(e.Payload); err != nil {
-				return nil, done
+				return nil
 			}
 		}
 		if e.VT != nil {
@@ -132,7 +174,7 @@ func (en *Engine) Process(e *event.Event) ([]*event.Event, time.Time) {
 		// Same as the snapshot path: overwritten flights carry no
 		// journal entries for the span the delta covered.
 		en.state.RebaseJournal(e.VT)
-		return nil, done
+		return nil
 	}
 
 	// Lock only the shard owning the event's flight: applies to other
@@ -161,7 +203,7 @@ func (en *Engine) Process(e *event.Event) ([]*event.Event, time.Time) {
 		en.lastProcessed = en.lastProcessed.MergeInto(e.VT)
 		en.mu.Unlock()
 	}
-	return derived, done
+	return derived
 }
 
 // LastProcessed returns the highest event timestamp processed so far.

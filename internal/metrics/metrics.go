@@ -127,33 +127,45 @@ func NewHistogram(capSamples int) *Histogram {
 
 // Record adds one duration sample.
 func (h *Histogram) Record(d time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sum += d
-	if d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
-	if len(h.samples) < h.cap {
-		h.samples = append(h.samples, d)
-		h.sorted = false
+	one := [1]time.Duration{d}
+	h.RecordBatch(one[:])
+}
+
+// RecordBatch adds the samples of ds in order under one lock; the
+// histogram ends up exactly as after a Record call per sample.
+func (h *Histogram) RecordBatch(ds []time.Duration) {
+	if len(ds) == 0 {
 		return
 	}
-	// Reservoir step: keep the new sample with probability cap/count,
-	// evicting a uniformly random retained one.
-	if h.rng == 0 {
-		h.rng = 0x9e3779b97f4a7c15
+	h.mu.Lock()
+	for _, d := range ds {
+		h.count++
+		h.sum += d
+		if d < h.min {
+			h.min = d
+		}
+		if d > h.max {
+			h.max = d
+		}
+		if len(h.samples) < h.cap {
+			h.samples = append(h.samples, d)
+			h.sorted = false
+			continue
+		}
+		// Reservoir step: keep the new sample with probability
+		// cap/count, evicting a uniformly random retained one.
+		if h.rng == 0 {
+			h.rng = 0x9e3779b97f4a7c15
+		}
+		h.rng ^= h.rng << 13
+		h.rng ^= h.rng >> 7
+		h.rng ^= h.rng << 17
+		if j := h.rng % h.count; j < uint64(len(h.samples)) {
+			h.samples[j] = d
+			h.sorted = false
+		}
 	}
-	h.rng ^= h.rng << 13
-	h.rng ^= h.rng >> 7
-	h.rng ^= h.rng << 17
-	if j := h.rng % h.count; j < uint64(len(h.samples)) {
-		h.samples[j] = d
-		h.sorted = false
-	}
+	h.mu.Unlock()
 }
 
 // Count returns the number of recorded samples.

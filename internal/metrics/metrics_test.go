@@ -373,3 +373,50 @@ func TestHistogramConcurrentReadWrite(t *testing.T) {
 		t.Fatalf("Count = %d, want 8000", h.Count())
 	}
 }
+
+// TestHistogramRecordBatchMatchesRecord: a batch leaves the histogram
+// exactly as one Record per sample would — count, sum, min, max and,
+// past the cap, the same reservoir (the sampler draws once per sample
+// either way).
+func TestHistogramRecordBatchMatchesRecord(t *testing.T) {
+	const capSamples = 64
+	one, batched := NewHistogram(capSamples), NewHistogram(capSamples)
+	samples := make([]time.Duration, 1000)
+	x := uint64(12345)
+	for i := range samples {
+		x = x*6364136223846793005 + 1442695040888963407
+		samples[i] = time.Duration(x>>40) - time.Duration(1<<22) // some negative
+	}
+	for _, d := range samples {
+		one.Record(d)
+	}
+	batched.RecordBatch(nil)
+	for at, n := 0, 1; at < len(samples); at, n = at+n, n*2+1 {
+		end := at + n
+		if end > len(samples) {
+			end = len(samples)
+		}
+		batched.RecordBatch(samples[at:end])
+	}
+	if one.Count() != batched.Count() || one.Sum() != batched.Sum() ||
+		one.Min() != batched.Min() || one.Max() != batched.Max() {
+		t.Fatalf("batched count/sum/min/max = %d/%v/%v/%v, want %d/%v/%v/%v",
+			batched.Count(), batched.Sum(), batched.Min(), batched.Max(),
+			one.Count(), one.Sum(), one.Min(), one.Max())
+	}
+	ps := []float64{0, 1, 25, 50, 75, 90, 99, 100}
+	got, want := batched.Quantiles(ps...), one.Quantiles(ps...)
+	for i := range ps {
+		if got[i] != want[i] {
+			t.Fatalf("p%v = %v batched, %v one at a time: the reservoirs differ", ps[i], got[i], want[i])
+		}
+	}
+	if len(batched.samples) != capSamples {
+		t.Fatalf("batched reservoir holds %d samples, want the cap %d", len(batched.samples), capSamples)
+	}
+	for i := range one.samples {
+		if one.samples[i] != batched.samples[i] {
+			t.Fatalf("reservoir slot %d = %v batched, %v one at a time", i, batched.samples[i], one.samples[i])
+		}
+	}
+}

@@ -18,12 +18,14 @@ const (
 	// StageReadyWait is ingress (receiving-task timestamping) until the
 	// sending task removes the event from the ready queue.
 	StageReadyWait Stage = iota
-	// StageForward is ready-queue removal until the event is handed to
-	// the local main unit (includes the filter/overwrite decision and
-	// main-queue back-pressure).
+	// StageForward is ready-queue removal until the run the event
+	// travels in is handed to the local main unit (the forwarding
+	// decision; one stamp per run).
 	StageForward
-	// StageApply is main-unit queueing plus EDE rule processing, ending
-	// at the emission instant on the node's virtual timeline.
+	// StageApply is main-unit queueing — including the wait for room in
+	// its bounded queue, the back-pressure on the sending task — plus
+	// EDE rule processing, ending at the emission instant on the node's
+	// virtual timeline.
 	StageApply
 	// StageFanoutEnqueue is ready-queue removal until the filtered
 	// batch has been handed to every mirror link's outbox.
@@ -95,8 +97,30 @@ func (t *Tracer) Observe(s Stage, d time.Duration) {
 	t.hists[s].Record(d)
 }
 
-// ObserveCentralPath decomposes one centrally processed event's update
-// delay into ready_wait/forward/apply from its stamps: ingress and
+// ObserveBatch records a run of latency samples for a stage under one
+// histogram lock. Negative durations are clamped to zero, in place.
+func (t *Tracer) ObserveBatch(s Stage, ds []time.Duration) {
+	if t == nil || s >= numStages {
+		return
+	}
+	for i, d := range ds {
+		if d < 0 {
+			ds[i] = 0
+		}
+	}
+	t.hists[s].RecordBatch(ds)
+}
+
+// CentralPath buffers the central-path decomposition of a run of
+// events, so the main unit books a run's ready_wait/forward/apply
+// samples with three histogram locks instead of three per event. The
+// zero value is ready to use.
+type CentralPath struct {
+	readyWait, forward, apply []time.Duration
+}
+
+// Add decomposes one centrally processed event's update delay into
+// ready_wait/forward/apply from its stamps: ingress and
 // readyAt/forwardAt (UnixNano, 0 when the event skipped that stage)
 // and the EDE emission instant. The stage boundaries are clamped into
 // the delay interval [ingress, done], so the three stages telescope
@@ -107,9 +131,10 @@ func (t *Tracer) Observe(s Stage, d time.Duration) {
 // stage boundary stamped after the virtual emission instant
 // contributes all of its remaining time to the earlier stages and
 // none to the later ones, keeping the decomposition an accounting of
-// the delay metric rather than of host scheduling noise.
-func (t *Tracer) ObserveCentralPath(ingress, readyAt, forwardAt int64, done time.Time) {
-	if t == nil || ingress == 0 {
+// the delay metric rather than of host scheduling noise. Events that
+// never passed a receiving task (ingress 0) are skipped.
+func (p *CentralPath) Add(ingress, readyAt, forwardAt int64, done time.Time) {
+	if ingress == 0 {
 		return
 	}
 	t0 := ingress
@@ -131,9 +156,20 @@ func (t *Tracer) ObserveCentralPath(ingress, readyAt, forwardAt int64, done time
 	if t2 > t3 {
 		t2 = t3
 	}
-	t.hists[StageReadyWait].Record(time.Duration(t1 - t0))
-	t.hists[StageForward].Record(time.Duration(t2 - t1))
-	t.hists[StageApply].Record(time.Duration(t3 - t2))
+	p.readyWait = append(p.readyWait, time.Duration(t1-t0))
+	p.forward = append(p.forward, time.Duration(t2-t1))
+	p.apply = append(p.apply, time.Duration(t3-t2))
+}
+
+// ObserveCentralPath records the buffered decompositions, in the order
+// they were added, and empties p for the next run.
+func (t *Tracer) ObserveCentralPath(p *CentralPath) {
+	if t != nil {
+		t.hists[StageReadyWait].RecordBatch(p.readyWait)
+		t.hists[StageForward].RecordBatch(p.forward)
+		t.hists[StageApply].RecordBatch(p.apply)
+	}
+	p.readyWait, p.forward, p.apply = p.readyWait[:0], p.forward[:0], p.apply[:0]
 }
 
 // StageHist exposes one stage's histogram (nil on a nil tracer).

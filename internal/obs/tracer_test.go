@@ -6,10 +6,18 @@ import (
 	"time"
 )
 
+// observeOne records one event's central-path decomposition through
+// the batch form.
+func observeOne(tr *Tracer, ingress, readyAt, forwardAt int64, done time.Time) {
+	var p CentralPath
+	p.Add(ingress, readyAt, forwardAt, done)
+	tr.ObserveCentralPath(&p)
+}
+
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Observe(StageApply, time.Millisecond)
-	tr.ObserveCentralPath(1, 2, 3, time.Now())
+	observeOne(tr, 1, 2, 3, time.Now())
 	if tr.Breakdown() != nil {
 		t.Fatal("nil tracer Breakdown should be nil")
 	}
@@ -28,7 +36,7 @@ func TestTracerTelescoping(t *testing.T) {
 	t1 := base.Add(2 * time.Millisecond).UnixNano()
 	t2 := base.Add(5 * time.Millisecond).UnixNano()
 	done := base.Add(11 * time.Millisecond)
-	tr.ObserveCentralPath(t0, t1, t2, done)
+	observeOne(tr, t0, t1, t2, done)
 
 	if got := tr.StageHist(StageReadyWait).Max(); got != 2*time.Millisecond {
 		t.Errorf("ready_wait = %v, want 2ms", got)
@@ -50,7 +58,7 @@ func TestTracerClampsNonMonotone(t *testing.T) {
 	// readyAt/forwardAt zero (event skipped stamping) and done before
 	// ingress (virtual-time skew): everything must clamp, never go
 	// negative, and still telescope.
-	tr.ObserveCentralPath(base.UnixNano(), 0, 0, base.Add(-time.Millisecond))
+	observeOne(tr, base.UnixNano(), 0, 0, base.Add(-time.Millisecond))
 	for s := StageReadyWait; s <= StageApply; s++ {
 		if got := tr.StageHist(s).Min(); got < 0 {
 			t.Errorf("stage %s recorded negative duration %v", s, got)
@@ -66,7 +74,7 @@ func TestTracerClampsNonMonotone(t *testing.T) {
 
 func TestTracerIgnoresUnstampedEvents(t *testing.T) {
 	tr := NewTracer(nil)
-	tr.ObserveCentralPath(0, 1, 2, time.Now())
+	observeOne(tr, 0, 1, 2, time.Now())
 	if got := tr.StageHist(StageApply).Count(); got != 0 {
 		t.Fatalf("unstamped event recorded %d samples, want 0", got)
 	}
@@ -112,5 +120,35 @@ func TestTracerBreakdownOrder(t *testing.T) {
 	}
 	if bd[1].Max != 0 {
 		t.Errorf("negative observation should clamp to 0, got %v", bd[1].Max)
+	}
+}
+
+// TestTracerBatchForms: a run's samples land in order under the batch
+// forms, negatives clamp like Observe, and a flushed CentralPath is
+// empty for the next run.
+func TestTracerBatchForms(t *testing.T) {
+	tr := NewTracer(nil)
+	tr.ObserveBatch(StageMirrorApply, []time.Duration{3 * time.Millisecond, -time.Millisecond, time.Millisecond})
+	h := tr.StageHist(StageMirrorApply)
+	if h.Count() != 3 || h.Min() != 0 || h.Max() != 3*time.Millisecond || h.Sum() != 4*time.Millisecond {
+		t.Fatalf("mirror_apply count/min/max/sum = %d/%v/%v/%v", h.Count(), h.Min(), h.Max(), h.Sum())
+	}
+
+	base := time.Now()
+	var p CentralPath
+	for i := 1; i <= 4; i++ {
+		ms := time.Duration(i) * time.Millisecond
+		p.Add(base.UnixNano(), base.Add(ms).UnixNano(), base.Add(2*ms).UnixNano(), base.Add(3*ms))
+	}
+	p.Add(0, 1, 2, base) // unstamped: skipped
+	tr.ObserveCentralPath(&p)
+	tr.ObserveCentralPath(&p) // already flushed: records nothing
+	for s := StageReadyWait; s <= StageApply; s++ {
+		if h := tr.StageHist(s); h.Count() != 4 || h.Sum() != 10*time.Millisecond {
+			t.Errorf("stage %s count/sum = %d/%v, want 4/10ms", s, h.Count(), h.Sum())
+		}
+	}
+	if got, want := tr.CentralStageSum(), 7500*time.Microsecond; got != want {
+		t.Errorf("stage sum = %v, want %v (mean end-to-end delay)", got, want)
 	}
 }

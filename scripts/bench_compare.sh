@@ -44,10 +44,15 @@ out="${1:-bench_compare_$(git rev-parse --short HEAD 2>/dev/null || echo wip).tx
 # Fig5/Fig6 sweep the mirror fan-out directly; FanoutBatch and
 # CodecBatchWrite isolate the batch pipeline and the wire framing;
 # ServeInitStorm and SnapshotRebuild isolate the sharded/epoch-cached
-# init-state serving path.
+# init-state serving path. ApplyPath (internal/core) is the apply half:
+# main-unit queue hop, EDE, delay and stage histograms, client stream,
+# per event at runs of 1, 8 and 256.
 pattern='BenchmarkFig5MirrorCountOverhead|BenchmarkFig6MirrorsUnderLoad|BenchmarkFanoutBatch|BenchmarkCodecBatchWrite|BenchmarkServeInitStorm|BenchmarkSnapshotRebuild'
 
-echo "running: -bench '$pattern' -count=$count -> $out" >&2
-go test -run xxx -bench "$pattern" -benchmem -count="$count" -timeout 60m . | tee "$out"
+echo "running: -bench '$pattern|BenchmarkApplyPath' -count=$count -> $out" >&2
+{
+    go test -run xxx -bench "$pattern" -benchmem -count="$count" -timeout 60m .
+    go test -run xxx -bench 'BenchmarkApplyPath' -benchmem -count="$count" -timeout 30m ./internal/core
+} | tee "$out"
 
 echo "wrote $out (feed two such files to benchstat to compare)" >&2
