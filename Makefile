@@ -7,8 +7,10 @@ all: ci
 build:
 	$(GO) build ./...
 
+# go vet plus formatting: an unformatted file fails the gate.
 vet:
 	$(GO) vet ./...
+	@fmt="$$(gofmt -l .)"; test -z "$$fmt" || { echo "gofmt -l . is not clean:"; echo "$$fmt"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -17,7 +19,8 @@ race:
 	$(GO) test -race ./...
 
 # Boots a cluster, serves its registry over HTTP, scrapes /metrics,
-# and validates Prometheus-text conformance plus required coverage.
+# and validates Prometheus-text conformance plus the declarations:
+# every declared family present with its TYPE and HELP, none undeclared.
 metrics-lint:
 	$(GO) run ./cmd/metricslint
 
@@ -36,10 +39,11 @@ takeover-smoke:
 	$(GO) test -race -count=1 -run 'TestWireTakeover' ./internal/site
 
 # Repeats the timing-sensitive suites under the race detector: the
-# site runtime, the figure smoke shapes, core, and the cluster tests
-# that run over the site runtime or pin chaos replay.
+# site runtime, the figure smoke shapes, core, the registry's concurrent
+# get-or-create, and the cluster tests that run over the site runtime or
+# pin chaos replay.
 flake:
-	$(GO) test -race -count=10 ./internal/site ./internal/figures ./internal/core
+	$(GO) test -race -count=10 ./internal/site ./internal/figures ./internal/core ./internal/obs
 	$(GO) test -race -count=10 -run 'TestCluster|TestDataLink|TestChaosDeterministicReplay' ./internal/cluster
 
 # Builds the frozen wall-clock benchmark (bench/, a nested module that

@@ -1,6 +1,6 @@
 // Command benchgate is a self-contained statistical gate over `go test
 // -bench` output — a minimal stand-in for benchstat that needs no
-// installation. It has two modes, composable in one invocation:
+// installation:
 //
 //	benchgate -compare old.txt new.txt
 //	    Pair benchmarks by name and compare their ns/op samples with a
@@ -14,10 +14,6 @@
 //	benchgate -compare f.txt f.txt -old-sub legacy -new-sub columnar
 //	    Compares BenchmarkX/legacy/... in f.txt against
 //	    BenchmarkX/columnar/... in the same file.
-//
-//	benchgate -assert-zero-allocs regexp file.txt
-//	    Every benchmark matching the pattern must report 0 allocs/op in
-//	    every sample.
 //
 // Exit status 0 = gate passed, 1 = gate failed, 2 = usage/parse error.
 package main
@@ -36,16 +32,13 @@ import (
 
 // sample is one benchmark result line.
 type sample struct {
-	nsPerOp     float64
-	allocsPerOp float64
-	hasAllocs   bool
+	nsPerOp float64
 	// fields holds every unit-suffixed value on the line ("B/op",
 	// custom b.ReportMetric units like "bytes_shipped/op", ...).
 	fields map[string]float64
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)$`)
-var allocsField = regexp.MustCompile(`([\d.]+) allocs/op`)
 var metricField = regexp.MustCompile(`([\d.]+(?:[eE][+-]?\d+)?) (\S+)`)
 
 // parseFile reads `go test -bench` output into name → samples.
@@ -68,10 +61,6 @@ func parseFile(path string) (map[string][]sample, error) {
 			continue
 		}
 		s := sample{nsPerOp: ns}
-		if am := allocsField.FindStringSubmatch(m[3]); am != nil {
-			s.allocsPerOp, _ = strconv.ParseFloat(am[1], 64)
-			s.hasAllocs = true
-		}
 		for _, fm := range metricField.FindAllStringSubmatch(m[3], -1) {
 			if v, err := strconv.ParseFloat(fm[1], 64); err == nil {
 				if s.fields == nil {
@@ -198,48 +187,33 @@ func main() {
 		alpha      = flag.Float64("alpha", 0.05, "significance level for the U test")
 		maxRegress = flag.Float64("max-regress", 0, "tolerated median slowdown in percent before a significant regression fails the gate")
 		minRuns    = flag.Int("min-runs", 5, "minimum samples per side for a statistical verdict")
-		zeroAllocs = flag.String("assert-zero-allocs", "", "regexp of benchmarks that must report 0 allocs/op (args: file.txt)")
 		ratioMet   = flag.String("ratio-metric", "", "with -compare: a reported metric unit (e.g. bytes_shipped/op) whose old/new median ratio is gated")
 		minRatio   = flag.Float64("min-ratio", 1, "with -ratio-metric: minimum required old/new median ratio")
 	)
 	flag.Parse()
 	args := flag.Args()
 
-	fail := false
-	switch {
-	case *compare:
-		if len(args) < 2 {
-			fmt.Fprintln(os.Stderr, "benchgate: -compare needs old.txt new.txt")
-			os.Exit(2)
-		}
-		oldSet, err := parseFile(args[0])
-		if err == nil {
-			var newSet map[string][]sample
-			newSet, err = parseFile(args[1])
-			if err == nil {
-				oldR, newR := remap(oldSet, *oldSub), remap(newSet, *newSub)
-				fail = runCompare(oldR, newR, *alpha, *maxRegress, *minRuns)
-				if *ratioMet != "" {
-					fail = runRatio(oldR, newR, *ratioMet, *minRatio) || fail
-				}
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		if *zeroAllocs != "" {
-			fail = runZeroAllocs(*zeroAllocs, args[1]) || fail
-		}
-	case *zeroAllocs != "":
-		if len(args) < 1 {
-			fmt.Fprintln(os.Stderr, "benchgate: -assert-zero-allocs needs a bench output file")
-			os.Exit(2)
-		}
-		fail = runZeroAllocs(*zeroAllocs, args[0])
-	default:
+	if !*compare {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if len(args) < 2 {
+		fmt.Fprintln(os.Stderr, "benchgate: -compare needs old.txt new.txt")
+		os.Exit(2)
+	}
+	oldSet, err := parseFile(args[0])
+	var newSet map[string][]sample
+	if err == nil {
+		newSet, err = parseFile(args[1])
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		os.Exit(2)
+	}
+	oldR, newR := remap(oldSet, *oldSub), remap(newSet, *newSub)
+	fail := runCompare(oldR, newR, *alpha, *maxRegress, *minRuns)
+	if *ratioMet != "" {
+		fail = runRatio(oldR, newR, *ratioMet, *minRatio) || fail
 	}
 	if fail {
 		os.Exit(1)
@@ -326,46 +300,6 @@ func runRatio(oldSet, newSet map[string][]sample, metric string, minRatio float6
 			fail = true
 		}
 		fmt.Printf("%-50s %14.1f %14.1f %7.1fx  %s\n", name, om, nm, ratio, verdict)
-	}
-	return fail
-}
-
-func runZeroAllocs(pattern, path string) (fail bool) {
-	re, err := regexp.Compile(pattern)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-	set, err := parseFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-	matched := false
-	for name, ss := range set {
-		if !re.MatchString(name) {
-			continue
-		}
-		matched = true
-		for _, s := range ss {
-			if !s.hasAllocs {
-				fmt.Printf("%s: no allocs/op field (run with -benchmem)\n", name)
-				fail = true
-				break
-			}
-			if s.allocsPerOp != 0 {
-				fmt.Printf("%s: %g allocs/op, want 0\n", name, s.allocsPerOp)
-				fail = true
-				break
-			}
-		}
-	}
-	if !matched {
-		fmt.Fprintf(os.Stderr, "benchgate: no benchmark matches %q\n", pattern)
-		return true
-	}
-	if !fail {
-		fmt.Printf("zero-alloc assertion passed for %q\n", pattern)
 	}
 	return fail
 }

@@ -247,41 +247,47 @@ func (c *Controller) SetAudit(a *obs.AuditLog) {
 	c.mu.Unlock()
 }
 
+// The adaptation families. adapt_regime_id is labeled site="..." (the
+// controller reports the central's, each applier its own site's);
+// adapt_engage_total is labeled var="<monitored variable>".
+var (
+	famEngages     = obs.Declare("adapt_engages_total", obs.KindCounter, "Transitions into the degraded regime.")
+	famReverts     = obs.Declare("adapt_reverts_total", obs.KindCounter, "Transitions back to the baseline regime.")
+	famEngaged     = obs.Declare("adapt_engaged", obs.KindGauge, "1 while the degraded regime is installed.")
+	famRegimeID    = obs.Declare("adapt_regime_id", obs.KindGauge, "ID of the mirroring regime installed at this site.")
+	famEngageByVar = obs.Declare("adapt_engage_total", obs.KindCounter, "Transitions into a degraded regime, by triggering monitored variable.")
+
+	famDirectiveStale     = obs.Declare("adapt_directive_stale_total", obs.KindCounter, "Regime directives discarded as duplicate or out-of-order.")
+	famDirectiveInvalid   = obs.Declare("adapt_directive_invalid_total", obs.KindCounter, "Regime directives rejected as truncated or corrupted.")
+	famDirectiveInstalled = obs.Declare("adapt_directives_installed_total", obs.KindCounter, "Regime directives newly installed at this site.")
+)
+
 // RegisterMetrics exposes the controller's transition counters,
 // engagement state, and installed regime ID on r.
 func (c *Controller) RegisterMetrics(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	r.Describe("adapt_engages_total", "Transitions into the degraded regime.")
-	r.CounterFunc("adapt_engages_total", func() float64 {
+	r.Func(famEngages, func() float64 {
 		e, _ := c.Transitions()
 		return float64(e)
 	})
-	r.Describe("adapt_reverts_total", "Transitions back to the baseline regime.")
-	r.CounterFunc("adapt_reverts_total", func() float64 {
+	r.Func(famReverts, func() float64 {
 		_, rv := c.Transitions()
 		return float64(rv)
 	})
-	r.Describe("adapt_engaged", "1 while the degraded regime is installed.")
-	r.GaugeFunc("adapt_engaged", func() float64 {
+	r.Func(famEngaged, func() float64 {
 		if c.Engaged() {
 			return 1
 		}
 		return 0
 	})
-	r.Describe("adapt_regime_id", "ID of the mirroring regime installed at this site.")
-	r.GaugeFunc("adapt_regime_id", func() float64 {
+	r.Func(famRegimeID, func() float64 {
 		return float64(c.Current().ID)
 	}, obs.L("site", "central"))
-	r.Describe("adapt_engage_total", "Transitions into a degraded regime, by triggering monitored variable.")
 	for v := Var(0); v < numVars; v++ {
-		vv := v
-		r.CounterFunc("adapt_engage_total", func() float64 {
+		r.Func(famEngageByVar, func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			return float64(c.engagesByVar[vv])
-		}, obs.L("var", vv.String()))
+			return float64(c.engagesByVar[v])
+		}, obs.L("var", v.String()))
 	}
 }
 

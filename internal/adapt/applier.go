@@ -113,30 +113,23 @@ func (a *Applier) Stats() (installed, stale, invalid uint64) {
 // RegisterMetrics exposes the applier's regime gauge and discard
 // counters on r under the given site label.
 func (a *Applier) RegisterMetrics(r *obs.Registry, site string) {
-	if r == nil {
-		return
-	}
 	l := obs.L("site", site)
-	r.Describe("adapt_regime_id", "ID of the mirroring regime installed at this site.")
-	r.GaugeFunc("adapt_regime_id", func() float64 {
+	r.Func(famRegimeID, func() float64 {
 		reg, _, ok := a.Current()
 		if !ok {
 			return 0
 		}
 		return float64(reg.ID)
 	}, l)
-	r.Describe("adapt_directive_stale_total", "Regime directives discarded as duplicate or out-of-order.")
-	r.CounterFunc("adapt_directive_stale_total", func() float64 {
+	r.Func(famDirectiveStale, func() float64 {
 		_, stale, _ := a.Stats()
 		return float64(stale)
 	}, l)
-	r.Describe("adapt_directive_invalid_total", "Regime directives rejected as truncated or corrupted.")
-	r.CounterFunc("adapt_directive_invalid_total", func() float64 {
+	r.Func(famDirectiveInvalid, func() float64 {
 		_, _, invalid := a.Stats()
 		return float64(invalid)
 	}, l)
-	r.Describe("adapt_directives_installed_total", "Regime directives newly installed at this site.")
-	r.CounterFunc("adapt_directives_installed_total", func() float64 {
+	r.Func(famDirectiveInstalled, func() float64 {
 		installed, _, _ := a.Stats()
 		return float64(installed)
 	}, l)

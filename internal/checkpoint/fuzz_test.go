@@ -30,9 +30,9 @@ import (
 //	6 duplicate the oldest pending reply (deliver twice)
 //	7 corrupt the oldest pending reply's payload, then deliver it
 func FuzzCheckpointControl(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 2, 3, 4, 4, 4})          // clean round, everyone replies
-	f.Add([]byte{0, 1, 3, 6, 6, 6, 0, 2, 3, 4, 4}) // duplicated replies must not commit early
-	f.Add([]byte{0, 1, 3, 6, 5, 4})                // dup fast site + drop slow site = subset commit if dedup breaks
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 4, 4})                // clean round, everyone replies
+	f.Add([]byte{0, 1, 3, 6, 6, 6, 0, 2, 3, 4, 4})       // duplicated replies must not commit early
+	f.Add([]byte{0, 1, 3, 6, 5, 4})                      // dup fast site + drop slow site = subset commit if dedup breaks
 	f.Add([]byte{0, 0, 0, 1, 1, 2, 3, 5, 3, 4, 4, 4, 4}) // dropped reply, subsuming round
 	f.Add([]byte{0, 1, 2, 3, 7, 7, 7, 0, 3, 4, 4, 4})    // corrupted payloads
 	f.Add([]byte{3, 3, 3, 0, 3, 4, 1, 4, 2, 4, 4, 0, 0, 3, 4, 4, 4, 6, 5})

@@ -68,8 +68,8 @@ func FuzzPromotionHandshake(f *testing.F) {
 			pending   []*event.Event // in-flight CHKPT_REP queue
 			prev      vclock.VC      // last committed cut, across all epochs
 			epoch     uint64
-			lastRound uint64          // highest round stamped on any CHKPT/directive
-			published []*event.Event  // payload-carrying broadcasts, for stale replay
+			lastRound uint64         // highest round stamped on any CHKPT/directive
+			published []*event.Event // payload-carrying broadcasts, for stale replay
 			appliers  [sites]*adapt.Applier
 			expRound  [sites]uint64 // model: highest directive round delivered per site
 			expID     [sites]uint8  // model: that directive's regime ID

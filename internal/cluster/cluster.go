@@ -192,26 +192,28 @@ func (s counterSink) Submit(e *event.Event) error {
 	return nil
 }
 
+// The cluster-level families: one unlabeled series each, fed by the
+// central site.
+var (
+	famUpdateDelay   = obs.Declare("update_delay_seconds", obs.KindSummary, "Central update delay, ingress to EDE emission.")
+	famClientUpdates = obs.Declare("client_updates_total", obs.KindCounter, "State updates emitted to regular clients.")
+)
+
 // New builds and starts a cluster.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Streams <= 0 {
 		cfg.Streams = 2
 	}
+	reg := obs.NewRegistry()
 	cl := &Cluster{
-		DelayHist:   metrics.NewHistogram(0),
-		RequestHist: metrics.NewHistogram(0),
-		Updates:     &metrics.Counter{},
-		Obs:         obs.NewRegistry(),
+		DelayHist:   reg.Histogram(famUpdateDelay),
+		RequestHist: reg.Histogram(core.FamRequestLatency),
+		Updates:     reg.Counter(famClientUpdates),
+		Obs:         reg,
+		Tracer:      obs.NewTracer(reg),
 		start:       time.Now(),
 	}
-	cl.Tracer = obs.NewTracer(cl.Obs)
-	cl.Obs.Describe("update_delay_seconds", "Central update delay, ingress to EDE emission.")
-	cl.Obs.RegisterHistogram("update_delay_seconds", cl.DelayHist)
-	cl.Obs.Describe("request_latency_seconds", "Init-state request latency, enqueue to response, all sites.")
-	cl.Obs.RegisterHistogram("request_latency_seconds", cl.RequestHist)
-	cl.Obs.Describe("client_updates_total", "State updates emitted to regular clients.")
-	cl.Obs.RegisterCounter("client_updates_total", cl.Updates)
-	site.RegisterSlabMetrics(cl.Obs)
+	site.RegisterSlabMetrics(reg)
 	if cfg.SeriesBin > 0 {
 		cl.DelaySeries = metrics.NewSeries(cl.start, cfg.SeriesBin)
 	}

@@ -81,8 +81,6 @@ type CentralConfig struct {
 	// mirroring" baseline of Figure 4): events are only forwarded to
 	// the local main unit.
 	NoMirror bool
-	// IngestBuffer bounds the inbound raw-event buffer (default 8192).
-	IngestBuffer int
 	// SendBatch bounds how many ready events the sending task removes
 	// per iteration when coalescing is off (default DefaultSendBatch).
 	// When coalescing is on, MaxCoalesce bounds the batch instead, so
@@ -213,13 +211,15 @@ type Central struct {
 	closeOnce sync.Once
 }
 
+// ingestBuffer is the depth of the channel between Ingest callers and
+// the receiving task. It smooths bursts and bounds nothing: the
+// receiving task empties it into the unbounded ready queue.
+const ingestBuffer = 8192
+
 // NewCentral builds and starts a central site.
 func NewCentral(cfg CentralConfig) *Central {
 	if cfg.Streams <= 0 {
 		cfg.Streams = 1
-	}
-	if cfg.IngestBuffer <= 0 {
-		cfg.IngestBuffer = 8192
 	}
 	if cfg.AuxCPU == nil {
 		cfg.AuxCPU = cfg.CPU
@@ -244,15 +244,13 @@ func NewCentral(cfg CentralConfig) *Central {
 	cfg.Main.Obs = cfg.Obs
 	cfg.Main.Site = cfg.Site
 	cfg.Main.Tracer = cfg.Tracer
-	cfg.Main.EDE.Obs = cfg.Obs
-	cfg.Main.EDE.Site = cfg.Site
 	c := &Central{
 		cfg:    cfg,
 		sem:    NewSemantics(),
 		params: newParamBox(cfg.Params),
 		ready:  queue.NewReady(0),
 		backup: queue.NewBackup(),
-		in:     make(chan *event.Event, cfg.IngestBuffer),
+		in:     make(chan *event.Event, ingestBuffer),
 		// Deep buffer: the sending task can mirror hundreds of events
 		// between scheduler yields, and every earned checkpoint round
 		// must eventually run (frequency is defined in events, not
@@ -380,69 +378,37 @@ func NewCentral(cfg CentralConfig) *Central {
 }
 
 // registerMetrics exposes the site's counters, queue depths, and
-// checkpoint instrumentation on the configured registry. With no
-// registry the only cost is a nil RoundLatency hook.
+// checkpoint instrumentation on the configured registry (a nil one
+// ignores them), and hooks the round latency into registry and tracer.
 func (c *Central) registerMetrics() {
 	r := c.cfg.Obs
 	tracer := c.cfg.Tracer
-	if r != nil {
-		site := obs.L("site", c.cfg.Site)
-		r.Describe("central_received_total", "Raw events admitted by the receiving task.")
-		r.CounterFunc("central_received_total", func() float64 { return float64(c.received.Load()) }, site)
-		r.Describe("central_forwarded_total", "Events delivered to the central main unit.")
-		r.CounterFunc("central_forwarded_total", func() float64 { return float64(c.forwarded.Load()) }, site)
-		r.Describe("central_mirrored_total", "Events handed to the mirror fan-out.")
-		r.CounterFunc("central_mirrored_total", func() float64 { return float64(c.mirrored.Load()) }, site)
-		r.Describe("central_mirrored_weight_total", "Raw events represented by mirrored ones.")
-		r.CounterFunc("central_mirrored_weight_total", func() float64 { return float64(c.mirroredW.Load()) }, site)
-		r.Describe("queue_ready_depth", "Ready-queue depth (adaptation-monitored).")
-		r.GaugeFunc("queue_ready_depth", func() float64 { return float64(c.ready.Len()) }, site)
-		r.Describe("queue_backup_depth", "Backup-queue depth (adaptation-monitored).")
-		r.GaugeFunc("queue_backup_depth", func() float64 { return float64(c.backup.Len()) }, site)
-		r.Describe("checkpoint_rounds_total", "Checkpoint rounds initiated.")
-		r.CounterFunc("checkpoint_rounds_total", func() float64 {
-			rounds, _ := c.coord.Stats()
-			return float64(rounds)
-		}, site)
-		r.Describe("checkpoint_commits_total", "Checkpoint rounds committed.")
-		r.CounterFunc("checkpoint_commits_total", func() float64 {
-			_, commits := c.coord.Stats()
-			return float64(commits)
-		}, site)
-		r.Describe("checkpoint_trimmed_events_total", "Backup-queue events released by checkpoint commits.")
-		r.CounterFunc("checkpoint_trimmed_events_total", func() float64 {
-			n, _ := c.backup.Trimmed()
-			return float64(n)
-		}, site)
-		r.Describe("checkpoint_trimmed_bytes_total", "Backup-queue payload bytes released by checkpoint commits.")
-		r.CounterFunc("checkpoint_trimmed_bytes_total", func() float64 {
-			_, n := c.backup.Trimmed()
-			return float64(n)
-		}, site)
-		r.Describe("rejoin_mode_total", "Completed mirror recovery transfers by state-transfer mode.")
-		r.CounterFunc("rejoin_mode_total",
-			func() float64 { return float64(c.rejoinSnapshots.Load()) }, site, obs.L("mode", "snapshot"))
-		r.CounterFunc("rejoin_mode_total",
-			func() float64 { return float64(c.rejoinDeltas.Load()) }, site, obs.L("mode", "delta"))
-		r.Describe("rejoin_bytes_total", "Recovery-transfer payload bytes shipped, by state-transfer mode.")
-		r.CounterFunc("rejoin_bytes_total",
-			func() float64 { return float64(c.rejoinSnapshotBytes.Load()) }, site, obs.L("mode", "snapshot"))
-		r.CounterFunc("rejoin_bytes_total",
-			func() float64 { return float64(c.rejoinDeltaBytes.Load()) }, site, obs.L("mode", "delta"))
-		r.Describe("statedelta_journal_flights", "Flights tracked by the central mutation journal.")
-		r.GaugeFunc("statedelta_journal_flights",
-			func() float64 { return float64(c.main.Engine().State().JournalFlights()) }, site)
-		r.Describe("promotion_total", "Warm-standby promotions this central performed (1 when it took over from a failed central).")
-		r.CounterFunc("promotion_total", func() float64 { return float64(c.promotions) }, site)
-		r.Describe("promotion_replayed_events_total", "Backup-queue events replayed from the last committed cut during promotion.")
-		r.CounterFunc("promotion_replayed_events_total", func() float64 { return float64(c.promotionReplayed) }, site)
-		r.Describe("central_epoch", "Promotion epoch this central stamps checkpoint rounds in (0 = original central).")
-		r.GaugeFunc("central_epoch", func() float64 { return float64(c.epoch) }, site)
-	}
-	roundHist := r.Histogram("checkpoint_round_seconds", obs.L("site", c.cfg.Site))
-	if r != nil {
-		r.Describe("checkpoint_round_seconds", "CHKPT to COMMIT latency per checkpoint round.")
-	}
+	site := obs.L("site", c.cfg.Site)
+	snapshot, delta := obs.L("mode", "snapshot"), obs.L("mode", "delta")
+	r.Func(famCentralReceived, obs.Load(&c.received), site)
+	r.Func(famCentralForwarded, obs.Load(&c.forwarded), site)
+	r.Func(famCentralMirrored, obs.Load(&c.mirrored), site)
+	r.Func(famCentralMirroredW, obs.Load(&c.mirroredW), site)
+	r.Func(famReadyDepth, func() float64 { return float64(c.ready.Len()) }, site)
+	registerBackup(r, c.backup, site)
+	r.Func(famCheckpointRounds, func() float64 {
+		rounds, _ := c.coord.Stats()
+		return float64(rounds)
+	}, site)
+	r.Func(famCheckpointCommits, func() float64 {
+		_, commits := c.coord.Stats()
+		return float64(commits)
+	}, site)
+	r.Func(famRejoinMode, obs.Load(&c.rejoinSnapshots), site, snapshot)
+	r.Func(famRejoinMode, obs.Load(&c.rejoinDeltas), site, delta)
+	r.Func(famRejoinBytes, obs.Load(&c.rejoinSnapshotBytes), site, snapshot)
+	r.Func(famRejoinBytes, obs.Load(&c.rejoinDeltaBytes), site, delta)
+	r.Func(famJournalFlights,
+		func() float64 { return float64(c.main.Engine().State().JournalFlights()) }, site)
+	r.Func(famPromotions, func() float64 { return float64(c.promotions) }, site)
+	r.Func(famPromotionReplayed, func() float64 { return float64(c.promotionReplayed) }, site)
+	r.Func(famCentralEpoch, func() float64 { return float64(c.epoch) }, site)
+	roundHist := r.Histogram(famCheckpointRound, site)
 	if r != nil || tracer != nil {
 		c.coord.RoundLatency = func(d time.Duration) {
 			roundHist.Record(d)

@@ -93,7 +93,7 @@ type linkSender struct {
 	filtered  *metrics.Counter
 	dropped   *metrics.Counter
 	depth     *metrics.Gauge
-	stall     metrics.DurationCounter
+	stall     *metrics.DurationCounter
 
 	// batchEvents/batchBytes sample each wire submission's event count
 	// and payload bytes (value histograms, not durations).
@@ -123,28 +123,16 @@ func newLinkSender(idx int, link MirrorLink, depth int, aux *costmodel.CPU, mode
 		tracer: tracer,
 	}
 	mirror := obs.L("mirror", strconv.Itoa(idx))
-	s.enqueued = reg.Counter("link_enqueued_total", mirror)
-	s.sent = reg.Counter("link_sent_total", mirror)
-	s.sentBytes = reg.Counter("link_wire_bytes_total", mirror)
-	s.filtered = reg.Counter("link_filtered_total", mirror)
-	s.dropped = reg.Counter("link_dropped_total", mirror)
-	s.depth = reg.Gauge("link_outbox_depth", mirror)
-	s.batchEvents = reg.ValueHistogram("wire_batch_events", mirror)
-	s.batchBytes = reg.ValueHistogram("wire_batch_bytes", mirror)
-	if reg != nil {
-		reg.Describe("link_enqueued_total", "Events accepted into the link outbox.")
-		reg.Describe("link_sent_total", "Events submitted on the mirror link.")
-		reg.Describe("link_wire_bytes_total", "Payload bytes submitted on the mirror link.")
-		reg.Describe("link_filtered_total", "Events suppressed by the per-link filter.")
-		reg.Describe("link_dropped_total", "Events shed on outbox overflow.")
-		reg.Describe("link_outbox_depth", "Current outbox depth per mirror link.")
-		reg.Describe("link_outbox_depth_max", "Outbox depth high-water mark per mirror link (windowed: resets at each telemetry tick).")
-		reg.GaugeFunc("link_outbox_depth_max", func() float64 { return float64(s.depth.Max()) }, mirror)
-		reg.Describe("link_stall_seconds_total", "Wall-clock time the link sender spent blocked in submission.")
-		reg.RegisterDurationCounter("link_stall_seconds_total", &s.stall, mirror)
-		reg.Describe("wire_batch_events", "Events per wire batch submission (value summary).")
-		reg.Describe("wire_batch_bytes", "Payload bytes per wire batch submission (value summary).")
-	}
+	s.enqueued = reg.Counter(famLinkEnqueued, mirror)
+	s.sent = reg.Counter(famLinkSent, mirror)
+	s.sentBytes = reg.Counter(famLinkWireBytes, mirror)
+	s.filtered = reg.Counter(famLinkFiltered, mirror)
+	s.dropped = reg.Counter(famLinkDropped, mirror)
+	s.depth = reg.Gauge(famLinkDepth, mirror)
+	s.stall = reg.DurationCounter(famLinkStall, mirror)
+	s.batchEvents = reg.Histogram(famBatchEvents, mirror)
+	s.batchBytes = reg.Histogram(famBatchBytes, mirror)
+	reg.Func(famLinkDepthMax, func() float64 { return float64(s.depth.Max()) }, mirror)
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }

@@ -57,8 +57,8 @@ type MainConfig struct {
 	// is full, back-pressuring the feeding task to the EDE's pace.
 	// 0 leaves the queue unbounded.
 	QueueCap int
-	// Obs, when non-nil, exports the unit's queue depth and serving
-	// counters, labeled with Site.
+	// Obs, when non-nil, exports the unit's queue depth, serving and
+	// snapshot-cache counters, labeled with Site.
 	Obs  *obs.Registry
 	Site string
 	// Tracer, when non-nil, receives lifecycle stage latencies: the
@@ -126,10 +126,6 @@ func NewMainUnit(cfg MainConfig) *MainUnit {
 	if cfg.RequestWorkers <= 0 {
 		cfg.RequestWorkers = DefaultRequestWorkers
 	}
-	if cfg.EDE.Obs == nil {
-		cfg.EDE.Obs = cfg.Obs
-		cfg.EDE.Site = cfg.Site
-	}
 	m := &MainUnit{
 		engine: ede.New(cfg.EDE),
 		cfg:    cfg,
@@ -138,19 +134,14 @@ func NewMainUnit(cfg MainConfig) *MainUnit {
 	}
 	if r := cfg.Obs; r != nil {
 		site := obs.L("site", cfg.Site)
-		r.Describe("main_queue_depth", "Main-unit inbound event queue depth.")
-		r.GaugeFunc("main_queue_depth", func() float64 { return float64(m.in.Len()) }, site)
-		r.Describe("pending_requests", "Client init-state requests buffered (adaptation-monitored).")
-		r.GaugeFunc("pending_requests", func() float64 { return float64(m.PendingRequests()) }, site)
-		r.Describe("requests_served_total", "Client init-state requests answered.")
-		r.CounterFunc("requests_served_total", func() float64 { return float64(m.servedReqs.Load()) }, site)
-		r.Describe("events_processed_total", "Weighted events applied by the EDE.")
-		r.CounterFunc("events_processed_total", func() float64 { return float64(m.Processed()) }, site)
-		r.Describe("updates_emitted_total", "State updates emitted to clients.")
-		r.CounterFunc("updates_emitted_total", func() float64 { return float64(m.emitted.Load()) }, site)
+		m.engine.State().RegisterMetrics(r, cfg.Site)
+		r.Func(famMainQueueDepth, func() float64 { return float64(m.in.Len()) }, site)
+		r.Func(famPendingRequests, func() float64 { return float64(m.PendingRequests()) }, site)
+		r.Func(famRequestsServed, obs.Load(&m.servedReqs), site)
+		r.Func(famEventsProcessed, func() float64 { return float64(m.Processed()) }, site)
+		r.Func(famUpdatesEmitted, obs.Load(&m.emitted), site)
 		if m.cfg.RequestHist == nil {
-			r.Describe("request_latency_seconds", "Init-state request latency, enqueue to response.")
-			m.cfg.RequestHist = r.Histogram("request_latency_seconds", site)
+			m.cfg.RequestHist = r.Histogram(FamRequestLatency, site)
 		}
 	}
 	m.procWG.Add(1)
@@ -164,6 +155,9 @@ func NewMainUnit(cfg MainConfig) *MainUnit {
 
 // Engine exposes the unit's EDE.
 func (m *MainUnit) Engine() *ede.Engine { return m.engine }
+
+// Site returns the site label the unit's series carry.
+func (m *MainUnit) Site() string { return m.cfg.Site }
 
 // Deliver hands one forwarded event to the unit: DeliverBatch for a
 // run of one.

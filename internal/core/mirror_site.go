@@ -8,6 +8,7 @@ import (
 
 	"adaptmirror/internal/checkpoint"
 	"adaptmirror/internal/costmodel"
+	"adaptmirror/internal/ede"
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/obs"
 	"adaptmirror/internal/queue"
@@ -47,18 +48,15 @@ type MirrorSiteConfig struct {
 	// Promote the adopted state can serve cut-anchored rejoin deltas to
 	// surviving mirrors exactly as the old central did.
 	Standby bool
-	// StandbyHorizon bounds the standby journal in committed cuts
-	// (0 uses ede.DefaultJournalHorizon).
-	StandbyHorizon int
 }
 
 // MirrorSite is a secondary mirror: its auxiliary unit receives
 // mirrored events, retains them in a backup queue until checkpoint
-// commit, and forwards them to the local main unit, whose replicated
-// state serves client initialization requests.
+// commit, and delivers them to the local main unit, whose replicated
+// state serves client initialization requests. The main unit's inbound
+// queue is the site's ready queue — the one place its backlog waits.
 type MirrorSite struct {
 	cfg    MirrorSiteConfig
-	ready  *queue.Ready
 	backup *queue.Backup
 	main   *MainUnit
 	aux    *checkpoint.Mirror
@@ -81,7 +79,10 @@ type MirrorSite struct {
 	// batchMu serializes the owned-batch apply path so its scratch
 	// slices survive across the dedupMu window (queue bookings happen
 	// after dedupMu is dropped, so dedupMu alone cannot guard them).
+	// It also guards closed, which Drain sets: a batch is either booked
+	// whole before the site drains or refused whole.
 	batchMu       sync.Mutex
+	closed        bool
 	scratchBackup []*event.Event
 	scratchReady  []*event.Event
 	scratchDirs   []*event.Event
@@ -101,11 +102,9 @@ type MirrorSite struct {
 	lastRound atomic.Uint64
 
 	// detached flips when Promote hands the main unit to a new central;
-	// Close then leaves the unit alone (its new owner closes it).
+	// Drain and Close then leave the unit alone (its new owner keeps
+	// delivering into it, and closes it).
 	detached atomic.Bool
-
-	wg        sync.WaitGroup
-	closeOnce sync.Once
 }
 
 // NewMirrorSite builds and starts a mirror site.
@@ -118,11 +117,8 @@ func NewMirrorSite(cfg MirrorSiteConfig) *MirrorSite {
 	cfg.Main.Site = cfg.Site
 	cfg.Main.Tracer = cfg.Tracer
 	cfg.Main.TraceMirror = true
-	cfg.Main.EDE.Obs = cfg.Obs
-	cfg.Main.EDE.Site = cfg.Site
 	m := &MirrorSite{
 		cfg:    cfg,
-		ready:  queue.NewReady(0),
 		backup: queue.NewBackup(),
 		main:   NewMainUnit(cfg.Main),
 	}
@@ -130,29 +126,13 @@ func NewMirrorSite(cfg MirrorSiteConfig) *MirrorSite {
 		// Warm standby: journal mutations from the first event so the
 		// state adopted at promotion can serve rejoin deltas. Seals are
 		// added as this site learns commits (the Commit closure below).
-		m.main.Engine().State().EnableJournal(cfg.StandbyHorizon, nil)
+		m.main.Engine().State().EnableJournal(ede.DefaultJournalHorizon, nil)
 	}
-	if r := cfg.Obs; r != nil {
-		site := obs.L("site", cfg.Site)
-		r.Describe("queue_ready_depth", "Ready-queue depth (adaptation-monitored).")
-		r.GaugeFunc("queue_ready_depth", func() float64 { return float64(m.ready.Len()) }, site)
-		r.Describe("queue_backup_depth", "Backup-queue depth (adaptation-monitored).")
-		r.GaugeFunc("queue_backup_depth", func() float64 { return float64(m.backup.Len()) }, site)
-		r.Describe("mirror_received_total", "Mirrored events accepted from the central site.")
-		r.CounterFunc("mirror_received_total", func() float64 { return float64(m.received.Load()) }, site)
-		r.Describe("mirror_apply_lag_micros", "Smoothed mirror-apply lag (central ingress to replica EDE emission), microseconds.")
-		r.GaugeFunc("mirror_apply_lag_micros", func() float64 { return float64(m.main.ApplyLagMicros()) }, site)
-		r.Describe("checkpoint_trimmed_events_total", "Backup-queue events released by checkpoint commits.")
-		r.CounterFunc("checkpoint_trimmed_events_total", func() float64 {
-			n, _ := m.backup.Trimmed()
-			return float64(n)
-		}, site)
-		r.Describe("checkpoint_trimmed_bytes_total", "Backup-queue payload bytes released by checkpoint commits.")
-		r.CounterFunc("checkpoint_trimmed_bytes_total", func() float64 {
-			_, n := m.backup.Trimmed()
-			return float64(n)
-		}, site)
-	}
+	site := obs.L("site", cfg.Site)
+	cfg.Obs.Func(famReadyDepth, func() float64 { return float64(m.main.QueueLen()) }, site)
+	registerBackup(cfg.Obs, m.backup, site)
+	cfg.Obs.Func(famMirrorReceived, obs.Load(&m.received), site)
+	cfg.Obs.Func(famMirrorApplyLag, func() float64 { return float64(m.main.ApplyLagMicros()) }, site)
 	mainPart := &checkpoint.Main{
 		LastProcessed: m.main.LastProcessed,
 	}
@@ -182,9 +162,6 @@ func NewMirrorSite(cfg MirrorSiteConfig) *MirrorSite {
 	// state machine (Figure 3: main sends chkpt_rep to aux, aux
 	// forwards to central).
 	mainPart.Reply = func(e *event.Event) { m.aux.OnControl(e) }
-
-	m.wg.Add(1)
-	go m.forwardTask()
 	return m
 }
 
@@ -275,21 +252,25 @@ func (m *MirrorSite) HandleData(e *event.Event) {
 //
 // With a non-nil ref the events are pooled views borrowing from slabs
 // it guards. No payload is copied: admitted events enter the backup
-// and ready queues as-is, and the backup queue takes a retained
-// reference that it drops when a checkpoint commit trims past the
-// batch. That trim is the proof the views are dead — the commit cut
+// queue and the main unit's queue as-is, and the backup queue takes a
+// retained reference that it drops when a checkpoint commit trims past
+// the batch. That trim is the proof the views are dead — the commit cut
 // folds in this site's own last-processed reply, so everything trimmed
-// has already cleared the ready queue and the EDE. Nothing would pin a
-// recovery transfer's slab while it waits in ready, so it is
+// has already cleared the main unit's queue and the EDE. Nothing would
+// pin a recovery transfer's slab while it waits there, so it is
 // deep-cloned off it (a cold path — recovery only). With a nil ref the
 // events are heap-owned and are queued as they are. Either way the
-// site retains events, never the slice.
+// site retains events, never the slice. After Drain it returns
+// ErrUnitClosed and books nothing.
 func (m *MirrorSite) HandleOwnedBatch(events []*event.Event, ref event.Ref) error {
 	if len(events) == 0 {
 		return nil
 	}
 	m.batchMu.Lock()
 	defer m.batchMu.Unlock()
+	if m.closed {
+		return ErrUnitClosed
+	}
 	toBackup := m.scratchBackup[:0]
 	toReady := m.scratchReady[:0]
 	dirs := m.scratchDirs[:0]
@@ -322,9 +303,9 @@ func (m *MirrorSite) HandleOwnedBatch(events []*event.Event, ref event.Ref) erro
 	if rebase != nil {
 		m.backup.Rebase(rebase)
 	}
-	// Backup first: once the forward task can see an event it must
-	// already be backed up, or a crash between the two bookings would
-	// lose acknowledged history.
+	// Backup first: once the main unit can see an event it must already
+	// be backed up, or a crash between the two bookings would lose
+	// acknowledged history.
 	if len(toBackup) > 0 {
 		if ref != nil {
 			ref.Retain()
@@ -333,10 +314,7 @@ func (m *MirrorSite) HandleOwnedBatch(events []*event.Event, ref event.Ref) erro
 			m.backup.AppendBatch(toBackup)
 		}
 	}
-	var err error
-	if len(toReady) > 0 {
-		err = m.ready.PutBatch(toReady)
-	}
+	err := m.main.DeliverBatch(toReady)
 	// Counted only now: whoever waits on Received() before draining the
 	// site must find the events already queued, not about to be.
 	m.received.Add(uint64(len(events)))
@@ -376,35 +354,12 @@ func (m *MirrorSite) HandleControl(e *event.Event) {
 	m.aux.OnControl(e)
 }
 
-// forwardTask moves mirrored events from the ready queue to the local
-// main unit, a run (whatever is queued, up to applyRun) per hop. Its
-// exit path drains the unit shut — unless the site was detached by a
-// promotion, in which case the unit now belongs to the adopting central
-// and must keep accepting that central's deliveries.
-func (m *MirrorSite) forwardTask() {
-	defer m.wg.Done()
-	defer func() {
-		if !m.detached.Load() {
-			m.main.DrainEvents()
-		}
-	}()
-	run := make([]*event.Event, 0, applyRun)
-	for {
-		var err error
-		run, err = m.ready.GetAppend(run[:0], applyRun)
-		if err != nil {
-			return
-		}
-		_ = m.main.DeliverBatch(run)
-		clear(run)
-	}
-}
-
 // Sample returns the site's monitored variables, including the
-// smoothed apply lag the site piggybacks to central adaptation.
+// smoothed apply lag the site piggybacks to central adaptation. Ready
+// is the whole backlog of admitted events the EDE has not applied.
 func (m *MirrorSite) Sample() Sample {
 	return Sample{
-		Ready:    m.ready.Len(),
+		Ready:    m.main.QueueLen(),
 		Backup:   m.backup.Len(),
 		Pending:  m.main.PendingRequests(),
 		ApplyLag: m.main.ApplyLagMicros(),
@@ -441,20 +396,23 @@ func (m *MirrorSite) Processed() uint64 { return m.main.Processed() }
 
 // Drain stops accepting data events and blocks until every received
 // event has been processed by the EDE. Control handling and request
-// serving stay available until Close.
+// serving stay available until Close. A site whose main unit was
+// adopted by a promoted central (Promote) only stops accepting: the
+// unit must keep taking its new owner's deliveries.
 func (m *MirrorSite) Drain() {
-	m.ready.Close()
-	m.wg.Wait()
+	m.batchMu.Lock()
+	m.closed = true
+	m.batchMu.Unlock()
+	if !m.detached.Load() {
+		m.main.DrainEvents()
+	}
 }
 
-// Close drains the site and shuts its main unit down. A site whose
-// main unit was adopted by a promoted central (Promote) leaves the
-// unit to its new owner.
+// Close drains the site and shuts its main unit down, unless the unit
+// was adopted (Promote) and belongs to its new owner. It is idempotent.
 func (m *MirrorSite) Close() {
-	m.closeOnce.Do(func() {
-		m.Drain()
-		if !m.detached.Load() {
-			m.main.Close()
-		}
-	})
+	m.Drain()
+	if !m.detached.Load() {
+		m.main.Close()
+	}
 }

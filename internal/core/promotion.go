@@ -80,15 +80,13 @@ type ResumeState struct {
 // must already be isolated from live traffic (its central is down);
 // after Promote it serves no further purpose beyond being dropped.
 func (m *MirrorSite) Promote() ResumeState {
-	// Detach before draining: the forward task's exit path would
-	// otherwise close the main unit's inbound queue for good, and the
-	// adopting central must keep delivering into it.
+	// Stop admitting, then quiesce the main unit without closing it
+	// (detached: the adopting central keeps delivering into it). The
+	// captured state must reflect every admitted event, or the resumed
+	// clock (arrivalHigh) would run ahead of the adopted state's
+	// processed watermark; the barrier runs on the processing goroutine
+	// after everything delivered before it.
 	m.detached.Store(true)
-	// Drain the site's plumbing, then quiesce the main unit without
-	// closing it: the captured state must reflect every admitted
-	// event, or the resumed clock (arrivalHigh) would run ahead of the
-	// adopted state's processed watermark. The barrier runs on the
-	// processing goroutine after everything delivered before it.
 	m.Drain()
 	_ = m.main.Barrier(func() {})
 	return ResumeState{
@@ -316,14 +314,9 @@ type TakeoverStats struct {
 // (nil-safe) and returns the stats sink the runtime increments.
 func RegisterTakeoverMetrics(r *obs.Registry, site string) *TakeoverStats {
 	s := &TakeoverStats{}
-	if r != nil {
-		l := obs.L("site", site)
-		r.Describe("takeover_fired_total", "Central-failure declarations by the wire-takeover monitor.")
-		r.CounterFunc("takeover_fired_total", func() float64 { return float64(s.Fired.Load()) }, l)
-		r.Describe("uplink_repoint_total", "Control-uplink swings to a promoted central's address.")
-		r.CounterFunc("uplink_repoint_total", func() float64 { return float64(s.Repoints.Load()) }, l)
-		r.Describe("election_claims_total", "Central-election claims sent or received.")
-		r.CounterFunc("election_claims_total", func() float64 { return float64(s.Claims.Load()) }, l)
-	}
+	l := obs.L("site", site)
+	r.Func(famTakeoverFired, obs.Load(&s.Fired), l)
+	r.Func(famUplinkRepoints, obs.Load(&s.Repoints), l)
+	r.Func(famElectionClaims, obs.Load(&s.Claims), l)
 	return s
 }

@@ -7,7 +7,6 @@ import (
 
 	"adaptmirror/internal/costmodel"
 	"adaptmirror/internal/event"
-	"adaptmirror/internal/obs"
 	"adaptmirror/internal/statedelta"
 	"adaptmirror/internal/vclock"
 )
@@ -43,10 +42,6 @@ type Config struct {
 	// Shards is the flight-table lock-stripe count, rounded up to a
 	// power of two (0 uses ede.DefaultShards).
 	Shards int
-	// Obs, when non-nil, exports the engine's snapshot-cache counters,
-	// labeled with Site.
-	Obs  *obs.Registry
-	Site string
 }
 
 // Engine applies business rules to incoming events, maintains
@@ -69,14 +64,12 @@ func New(cfg Config) *Engine {
 	if rules == nil {
 		rules = DefaultRules()
 	}
-	en := &Engine{
+	return &Engine{
 		model: cfg.Model,
 		cpu:   cfg.CPU,
 		rules: rules,
 		state: NewStateSharded(cfg.StatePadding, cfg.Shards),
 	}
-	en.state.RegisterMetrics(cfg.Obs, cfg.Site)
-	return en
 }
 
 // State exposes the engine's operational state.

@@ -36,11 +36,19 @@ type snapCache struct {
 	// would spuriously match a never-mutated shard's epoch 0.
 	primed bool
 
-	hits      metrics.Counter
-	misses    metrics.Counter
-	rebuilds  metrics.Counter // segments rebuilt, not requests
-	rebuildNs metrics.DurationCounter
+	hits      *metrics.Counter
+	misses    *metrics.Counter
+	rebuilds  *metrics.Counter // segments rebuilt, not requests
+	rebuildNs *metrics.DurationCounter
 }
+
+// The snapshot cache's families, labeled site="...".
+var (
+	famCacheHits        = obs.Declare("snapshot_cache_hits_total", obs.KindCounter, "Init-state snapshots served from the warm cache.")
+	famCacheMisses      = obs.Declare("snapshot_cache_misses_total", obs.KindCounter, "Init-state snapshots that rebuilt at least one segment.")
+	famCacheRebuilds    = obs.Declare("snapshot_cache_rebuilds_total", obs.KindCounter, "Snapshot segments rebuilt.")
+	famCacheRebuildTime = obs.Declare("snapshot_cache_rebuild_seconds_total", obs.KindSeconds, "Cumulative snapshot segment rebuild time.")
+)
 
 func (c *snapCache) init(shards int) {
 	c.segs = make([][]byte, shards)
@@ -147,21 +155,15 @@ func (s *State) CacheStats() (hits, misses, rebuilds uint64, rebuildTime time.Du
 	return c.hits.Value(), c.misses.Value(), c.rebuilds.Value(), c.rebuildNs.Value()
 }
 
-// RegisterMetrics exposes the snapshot cache's counters on r under the
-// snapshot_cache_* families, labeled with site. A nil registry is a
-// no-op — the counters keep working privately.
+// RegisterMetrics makes the snapshot cache count on r's
+// snapshot_cache_* series for site (on private instruments when r is
+// nil). It replaces the instruments, so it belongs to construction,
+// before the state is shared.
 func (s *State) RegisterMetrics(r *obs.Registry, site string) {
-	if r == nil {
-		return
-	}
 	c := &s.cache
 	l := obs.L("site", site)
-	r.Describe("snapshot_cache_hits_total", "Init-state snapshots served from the warm cache.")
-	r.RegisterCounter("snapshot_cache_hits_total", &c.hits, l)
-	r.Describe("snapshot_cache_misses_total", "Init-state snapshots that rebuilt at least one segment.")
-	r.RegisterCounter("snapshot_cache_misses_total", &c.misses, l)
-	r.Describe("snapshot_cache_rebuilds_total", "Snapshot segments rebuilt.")
-	r.RegisterCounter("snapshot_cache_rebuilds_total", &c.rebuilds, l)
-	r.Describe("snapshot_cache_rebuild_seconds_total", "Cumulative snapshot segment rebuild time.")
-	r.RegisterDurationCounter("snapshot_cache_rebuild_seconds_total", &c.rebuildNs, l)
+	c.hits = r.Counter(famCacheHits, l)
+	c.misses = r.Counter(famCacheMisses, l)
+	c.rebuilds = r.Counter(famCacheRebuilds, l)
+	c.rebuildNs = r.DurationCounter(famCacheRebuildTime, l)
 }

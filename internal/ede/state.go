@@ -93,15 +93,10 @@ type State struct {
 	cache snapCache
 }
 
-// NewState returns an empty state with DefaultShards lock stripes;
-// paddingPerFlight inflates snapshot sizes to model the paper's
-// multi-gigabyte operational state.
-func NewState(paddingPerFlight int) *State {
-	return NewStateSharded(paddingPerFlight, 0)
-}
-
 // NewStateSharded returns an empty state with the given shard count,
-// rounded up to a power of two (0 uses DefaultShards).
+// rounded up to a power of two (0 uses DefaultShards); paddingPerFlight
+// inflates snapshot sizes to model the paper's multi-gigabyte
+// operational state.
 func NewStateSharded(paddingPerFlight, shards int) *State {
 	if paddingPerFlight < 0 {
 		paddingPerFlight = 0
@@ -118,6 +113,7 @@ func NewStateSharded(paddingPerFlight, shards int) *State {
 		s.shards[i].flights = make(map[event.FlightID]*FlightState)
 	}
 	s.cache.init(n)
+	s.RegisterMetrics(nil, "")
 	return s
 }
 

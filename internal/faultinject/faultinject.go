@@ -57,12 +57,13 @@ type Plane struct {
 	links map[string]*Link
 }
 
-// NewPlane returns a fault plane. reg, when non-nil, receives
-// fault_injected_total counters labeled by link and fault class.
+// famInjected counts injected faults, labeled link="<name>" and
+// class="drop|duplicate|reorder|corrupt|partition".
+var famInjected = obs.Declare("fault_injected_total", obs.KindCounter, "Faults injected by the fault plane, by link and class.")
+
+// NewPlane returns a fault plane. reg, when non-nil, receives the
+// fault_injected_total counters.
 func NewPlane(seed int64, reg *obs.Registry) *Plane {
-	if reg != nil {
-		reg.Describe("fault_injected_total", "Faults injected by the fault plane, by link and class.")
-	}
 	return &Plane{seed: seed, reg: reg, links: make(map[string]*Link)}
 }
 
@@ -118,11 +119,11 @@ func (p *Plane) wrap(name string, next core.Sender, data core.DataSender, f Faul
 		rng:    rand.New(rand.NewSource(int64(splitmix64(uint64(p.seed) ^ fnv64a(name))))),
 	}
 	link := obs.L("link", name)
-	l.dropped = p.reg.Counter("fault_injected_total", link, obs.L("class", "drop"))
-	l.duplicated = p.reg.Counter("fault_injected_total", link, obs.L("class", "duplicate"))
-	l.reordered = p.reg.Counter("fault_injected_total", link, obs.L("class", "reorder"))
-	l.corrupted = p.reg.Counter("fault_injected_total", link, obs.L("class", "corrupt"))
-	l.partitioned = p.reg.Counter("fault_injected_total", link, obs.L("class", "partition"))
+	l.dropped = p.reg.Counter(famInjected, link, obs.L("class", "drop"))
+	l.duplicated = p.reg.Counter(famInjected, link, obs.L("class", "duplicate"))
+	l.reordered = p.reg.Counter(famInjected, link, obs.L("class", "reorder"))
+	l.corrupted = p.reg.Counter(famInjected, link, obs.L("class", "corrupt"))
+	l.partitioned = p.reg.Counter(famInjected, link, obs.L("class", "partition"))
 	p.links[name] = l
 	return l
 }

@@ -55,6 +55,16 @@ type Front struct {
 	updates  atomic.Uint64
 }
 
+// The front's own families, labeled with the main unit's site so the
+// fronts of several sites can share one registry.
+var (
+	famRequests = obs.Declare("http_requests_total", obs.KindCounter, "Init-state requests answered over HTTP.")
+	famUpdates  = obs.Declare("http_updates_total", obs.KindCounter, "Client-generated updates accepted over HTTP.")
+	famBusy     = obs.Declare("http_busy_total", obs.KindCounter, "Init-state requests rejected with the buffer full.")
+	famBytes    = obs.Declare("http_bytes_total", obs.KindCounter, "Init-state bytes served over HTTP.")
+	famUptime   = obs.Declare("http_uptime_seconds", obs.KindGauge, "Seconds since the front started.")
+)
+
 // New builds a front for the given main unit (not yet listening) with
 // a private metrics registry serving only the front's own counters.
 func New(main *core.MainUnit) *Front {
@@ -66,18 +76,12 @@ func New(main *core.MainUnit) *Front {
 // Pass the site's shared registry so one scrape covers the whole site.
 func NewWithRegistry(main *core.MainUnit, reg *obs.Registry) *Front {
 	f := &Front{main: main, reg: reg, start: time.Now()}
-	if reg != nil {
-		reg.Describe("http_requests_total", "Init-state requests answered over HTTP.")
-		reg.CounterFunc("http_requests_total", func() float64 { return float64(f.requests.Load()) })
-		reg.Describe("http_updates_total", "Client-generated updates accepted over HTTP.")
-		reg.CounterFunc("http_updates_total", func() float64 { return float64(f.updates.Load()) })
-		reg.Describe("http_busy_total", "Init-state requests rejected with the buffer full.")
-		reg.CounterFunc("http_busy_total", func() float64 { return float64(f.busy.Load()) })
-		reg.Describe("http_bytes_total", "Init-state bytes served over HTTP.")
-		reg.CounterFunc("http_bytes_total", func() float64 { return float64(f.bytes.Load()) })
-		reg.Describe("http_uptime_seconds", "Seconds since the front started.")
-		reg.GaugeFunc("http_uptime_seconds", func() float64 { return time.Since(f.start).Seconds() })
-	}
+	site := obs.L("site", main.Site())
+	reg.Func(famRequests, obs.Load(&f.requests), site)
+	reg.Func(famUpdates, obs.Load(&f.updates), site)
+	reg.Func(famBusy, obs.Load(&f.busy), site)
+	reg.Func(famBytes, obs.Load(&f.bytes), site)
+	reg.Func(famUptime, func() float64 { return time.Since(f.start).Seconds() }, site)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/init", f.handleInit)
 	mux.HandleFunc("/update", f.handleUpdate)

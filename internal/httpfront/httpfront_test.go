@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -279,7 +280,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	out := string(body)
 	for _, want := range []string{
-		"http_requests_total 0",
+		`http_requests_total{site="central"} 0`,
 		`pending_requests{site="central"} 0`,
 		`snapshot_cache_misses_total{site="central"} 1`,
 		`requests_served_total{site="central"} 1`,
@@ -290,6 +291,37 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if err := obs.LintPrometheus(strings.NewReader(out)); err != nil {
 		t.Fatalf("scrape fails lint: %v\n%s", err, out)
+	}
+}
+
+// Two fronts sharing one registry keep their own http_* series: each is
+// labeled with its main unit's site.
+func TestFrontsShareRegistryBySite(t *testing.T) {
+	reg := obs.NewRegistry()
+	var fronts []*Front
+	for _, site := range []string{"mirror0", "mirror1"} {
+		m := core.NewMainUnit(core.MainConfig{Obs: reg, Site: site})
+		defer m.Close()
+		fronts = append(fronts, NewWithRegistry(m, reg))
+	}
+	rec := httptest.NewRecorder()
+	fronts[0].Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/init", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /init = %d", rec.Code)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`http_requests_total{site="mirror0"} 1`,
+		`http_requests_total{site="mirror1"} 0`,
+		`http_uptime_seconds{site="mirror0"}`,
+		`http_uptime_seconds{site="mirror1"}`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("shared registry missing %q:\n%s", want, b.String())
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
-// Package metrics provides the measurement primitives the experiment
-// harness uses: counters, duration histograms with percentiles, and
-// time-binned series (Figure 9 plots update delay against wall time).
+// Package metrics holds the storage types behind internal/obs, which
+// declares, creates and exports them: counters, gauges, cumulative
+// durations, duration histograms with percentiles, and time-binned
+// series (Figure 9 plots update delay against wall time). It imports
+// nothing from the repo.
 package metrics
 
 import (

@@ -205,39 +205,30 @@ func (s *Sampler) MaxOutboxDepth() int {
 	return max
 }
 
+// The smoothed per-link families, labeled mirror="<index>".
+var (
+	famBytesPerRound  = obs.Declare("link_wire_bytes_per_round", obs.KindGauge, "EWMA of wire payload bytes shipped per checkpoint round, per mirror link.")
+	famEventsPerRound = obs.Declare("link_wire_events_per_round", obs.KindGauge, "EWMA of events shipped per checkpoint round, per mirror link.")
+	famStallPerRound  = obs.Declare("link_stall_seconds_per_round", obs.KindGauge, "EWMA of sender stall time per checkpoint round, per mirror link.")
+	famBandwidth      = obs.Declare("link_est_bandwidth_bytes_per_second", obs.KindGauge, "Estimated achieved payload bandwidth per mirror link (EWMA of bytes/wall-second between telemetry ticks).")
+)
+
 // Register exports the smoothed per-link telemetry through r (nil-safe
 // like the registry itself), one series per link labelled by mirror
 // index.
 func (s *Sampler) Register(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	r.Describe("link_wire_bytes_per_round", "EWMA of wire payload bytes shipped per checkpoint round, per mirror link.")
-	r.Describe("link_wire_events_per_round", "EWMA of events shipped per checkpoint round, per mirror link.")
-	r.Describe("link_stall_seconds_per_round", "EWMA of sender stall time per checkpoint round, per mirror link.")
-	r.Describe("link_est_bandwidth_bytes_per_second", "Estimated achieved payload bandwidth per mirror link (EWMA of bytes/wall-second between telemetry ticks).")
 	for i := range s.links {
-		idx := i
 		l := obs.L("mirror", strconv.Itoa(i))
-		r.GaugeFunc("link_wire_bytes_per_round", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.links[idx].BytesPerRound
-		}, l)
-		r.GaugeFunc("link_wire_events_per_round", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.links[idx].EventsPerRound
-		}, l)
-		r.GaugeFunc("link_stall_seconds_per_round", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.links[idx].StallPerRound.Seconds()
-		}, l)
-		r.GaugeFunc("link_est_bandwidth_bytes_per_second", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.links[idx].BandwidthBps
-		}, l)
+		export := func(f *obs.Family, get func(*Link) float64) {
+			r.Func(f, func() float64 {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				return get(&s.links[i])
+			}, l)
+		}
+		export(famBytesPerRound, func(l *Link) float64 { return l.BytesPerRound })
+		export(famEventsPerRound, func(l *Link) float64 { return l.EventsPerRound })
+		export(famStallPerRound, func(l *Link) float64 { return l.StallPerRound.Seconds() })
+		export(famBandwidth, func(l *Link) float64 { return l.BandwidthBps })
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -11,31 +12,88 @@ import (
 // exposition: metric and label naming, HELP/TYPE placement, sample
 // syntax (including label-value escaping), family grouping, and
 // duplicate-series detection. It returns nil for a conforming
-// exposition, or an error listing every violation found — the
-// `make metrics-lint` gate scrapes a live /metrics endpoint through
-// this.
+// exposition, or an error listing every violation found.
 func LintPrometheus(r io.Reader) error {
-	data, err := io.ReadAll(r)
+	x, err := parseExposition(r)
 	if err != nil {
-		return fmt.Errorf("obs: lint: reading exposition: %w", err)
+		return err
+	}
+	return x.err()
+}
+
+// LintFamilies is LintPrometheus plus conformance to the declarations:
+// every family in the exposition is declared and carries its declared
+// TYPE and HELP, and every declared family has at least one series.
+// `make metrics-lint` scrapes a live /metrics endpoint through this
+// with Families().
+func LintFamilies(r io.Reader, declared []*Family) error {
+	x, err := parseExposition(r)
+	if err != nil {
+		return err
 	}
 	var errs []string
-	fail := func(line int, format string, args ...any) {
-		errs = append(errs, fmt.Sprintf("line %d: %s", line, fmt.Sprintf(format, args...)))
+	byName := make(map[string]*Family, len(declared))
+	for _, f := range declared {
+		byName[f.Name] = f
+		if !x.sampled[f.Name] {
+			errs = append(errs, fmt.Sprintf("declared family %s has no series", f.Name))
+		}
 	}
+	for name := range x.sampled {
+		f := byName[name]
+		switch {
+		case f == nil:
+			errs = append(errs, fmt.Sprintf("family %s is not declared", name))
+		case x.types[name] != f.Kind.Type():
+			errs = append(errs, fmt.Sprintf("family %s has TYPE %q, declared %s", name, x.types[name], f.Kind.Type()))
+		case x.helps[name] != escapeHelp(f.Help):
+			errs = append(errs, fmt.Sprintf("family %s has HELP %q, declared %q", name, x.helps[name], f.Help))
+		}
+	}
+	sort.Strings(errs) // map order is random; the report should not be
+	x.errs = append(x.errs, errs...)
+	return x.err()
+}
 
+// exposition is what the lint learns from one scrape.
+type exposition struct {
+	types   map[string]string // family → TYPE
+	helps   map[string]string // family → HELP text, still escaped
+	sampled map[string]bool   // families with at least one sample
+	errs    []string
+}
+
+func (x *exposition) err() error {
+	if len(x.errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("obs: lint: %d violation(s):\n  %s", len(x.errs), strings.Join(x.errs, "\n  "))
+}
+
+// parseExposition reads a scrape and collects its format violations.
+func parseExposition(r io.Reader) (*exposition, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("obs: lint: reading exposition: %w", err)
+	}
 	if len(data) == 0 {
-		return fmt.Errorf("obs: lint: empty exposition")
+		return nil, fmt.Errorf("obs: lint: empty exposition")
+	}
+	x := &exposition{
+		types:   make(map[string]string),
+		helps:   make(map[string]string),
+		sampled: make(map[string]bool),
+	}
+	fail := func(line int, format string, args ...any) {
+		x.errs = append(x.errs, fmt.Sprintf("line %d: %s", line, fmt.Sprintf(format, args...)))
 	}
 	if data[len(data)-1] != '\n' {
-		errs = append(errs, "exposition must end with a newline")
+		x.errs = append(x.errs, "exposition must end with a newline")
 	}
 
-	types := make(map[string]string) // family → TYPE
-	closed := make(map[string]bool)  // families whose sample block ended
-	series := make(map[string]bool)  // name+labels seen
-	sampled := make(map[string]bool) // families with at least one sample
-	current := ""                    // family currently emitting samples
+	closed := make(map[string]bool) // families whose sample block ended
+	series := make(map[string]bool) // name+labels seen
+	current := ""                   // family currently emitting samples
 
 	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	for i, line := range lines {
@@ -53,24 +111,28 @@ func LintPrometheus(r io.Reader) error {
 				fail(ln, "invalid metric name %q in %s line", name, fields[1])
 				continue
 			}
-			if fields[1] == "TYPE" {
-				if len(fields) != 4 {
-					fail(ln, "TYPE line for %s missing type", name)
-					continue
+			if fields[1] == "HELP" {
+				if len(fields) == 4 {
+					x.helps[name] = fields[3]
 				}
-				switch fields[3] {
-				case "counter", "gauge", "histogram", "summary", "untyped":
-				default:
-					fail(ln, "invalid type %q for %s", fields[3], name)
-				}
-				if _, dup := types[name]; dup {
-					fail(ln, "second TYPE line for %s", name)
-				}
-				if sampled[name] {
-					fail(ln, "TYPE line for %s after its samples", name)
-				}
-				types[name] = fields[3]
+				continue
 			}
+			if len(fields) != 4 {
+				fail(ln, "TYPE line for %s missing type", name)
+				continue
+			}
+			switch fields[3] {
+			case "counter", "gauge", "histogram", "summary", "untyped":
+			default:
+				fail(ln, "invalid type %q for %s", fields[3], name)
+			}
+			if _, dup := x.types[name]; dup {
+				fail(ln, "second TYPE line for %s", name)
+			}
+			if x.sampled[name] {
+				fail(ln, "TYPE line for %s after its samples", name)
+			}
+			x.types[name] = fields[3]
 			continue
 		}
 
@@ -82,8 +144,8 @@ func LintPrometheus(r io.Reader) error {
 			fail(ln, "invalid metric name %q", name)
 			continue
 		}
-		fam := familyOf(name, types)
-		sampled[fam] = true
+		fam := familyOf(name, x.types)
+		x.sampled[fam] = true
 		if fam != current {
 			if closed[fam] {
 				fail(ln, "samples of %s are not contiguous", fam)
@@ -106,11 +168,7 @@ func LintPrometheus(r io.Reader) error {
 			}
 		}
 	}
-
-	if len(errs) > 0 {
-		return fmt.Errorf("obs: lint: %d violation(s):\n  %s", len(errs), strings.Join(errs, "\n  "))
-	}
-	return nil
+	return x, nil
 }
 
 // familyOf maps a sample name to its metric family: summary and

@@ -95,3 +95,37 @@ func TestLintReportsAllViolations(t *testing.T) {
 		t.Fatalf("expected both violations reported, got: %v", err)
 	}
 }
+
+// LintFamilies holds a scrape to the declarations: what metricslint
+// fails on.
+func TestLintFamiliesAgainstDeclarations(t *testing.T) {
+	declared := []*Family{
+		{Name: "depth", Kind: KindGauge, Help: "Queue depth."},
+		{Name: "sent_total", Kind: KindCounter, Help: "Events sent."},
+	}
+	good := "# HELP depth Queue depth.\n# TYPE depth gauge\ndepth 1\n" +
+		"# HELP sent_total Events sent.\n# TYPE sent_total counter\nsent_total{mirror=\"0\"} 2\n"
+	if err := LintFamilies(strings.NewReader(good), declared); err != nil {
+		t.Fatalf("conforming scrape rejected: %v", err)
+	}
+
+	cases := []struct {
+		name, in, wantSub string
+	}{
+		{"undeclared family", good + "# HELP stray Stray.\n# TYPE stray gauge\nstray 1\n", "family stray is not declared"},
+		{"untyped family", "depth 1\n" + good[strings.Index(good, "# HELP sent_total"):], `family depth has TYPE ""`},
+		{"wrong type", strings.Replace(good, "depth gauge", "depth counter", 1), `family depth has TYPE "counter", declared gauge`},
+		{"no help", strings.Replace(good, "# HELP depth Queue depth.\n", "", 1), `family depth has HELP ""`},
+		{"other help", strings.Replace(good, "Queue depth.", "Depth of the queue.", 1), `family depth has HELP "Depth of the queue."`},
+		{"declared family missing", good[:strings.Index(good, "# HELP sent_total")], "declared family sent_total has no series"},
+		{"format violations still count", good + "9bad 1\n", "invalid metric name"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := LintFamilies(strings.NewReader(tc.in), declared)
+			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %v does not mention %q", err, tc.wantSub)
+			}
+		})
+	}
+}

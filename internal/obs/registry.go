@@ -1,9 +1,10 @@
-// Package obs is the observability layer: a process-wide metrics
-// registry with Prometheus text-format export, an event-lifecycle
-// tracer that decomposes the paper's "update delay" into per-stage
-// latencies, and an audit log recording every adaptation decision with
-// the monitored-variable values that caused it. Each site (central or
-// mirror) owns one Registry; the HTTP front exports it at /metrics.
+// Package obs is the observability layer: the catalog of metric family
+// declarations, a per-site metrics registry with Prometheus text-format
+// export, an event-lifecycle tracer that decomposes the paper's "update
+// delay" into per-stage latencies, and an audit log recording every
+// adaptation decision with the monitored-variable values that caused
+// it. Each site (central or mirror) owns one Registry; the HTTP front
+// exports it at /metrics.
 package obs
 
 import (
@@ -13,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adaptmirror/internal/metrics"
@@ -27,60 +29,33 @@ type Label struct {
 // L builds a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// kind is the Prometheus family type.
-type kind int
-
-const (
-	kindCounter kind = iota
-	kindGauge
-	kindSummary
-)
-
-func (k kind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "summary"
-	}
-}
-
-// series is one labeled instrument inside a family. Exactly one of the
-// instrument fields is set.
+// series is one labeled time series of a family: an instrument the
+// registry created, or a function read at scrape time. Every field is
+// guarded by Registry.mu; the instruments synchronize themselves.
 type series struct {
-	labels  []Label // sorted by key
-	key     string  // canonical rendering of labels (series identity)
-	counter *metrics.Counter
-	gauge   *metrics.Gauge
-	hist    *metrics.Histogram
-	rawHist bool           // hist samples are dimensionless values, not durations
-	fn      func() float64 // CounterFunc/GaugeFunc
+	labels []Label // sorted by key
+	key    string  // canonical rendering of labels (series identity)
+	inst   any     // *metrics.Counter, *Gauge, *DurationCounter or *Histogram; nil when fn-backed
+	fn     func() float64
 }
 
-// family groups every series sharing one metric name.
-type family struct {
-	name   string
-	help   string
-	kind   kind
-	typed  bool // kind has been fixed by an instrument registration
-	series []*series
-	byKey  map[string]*series
-}
-
-// Registry is a process-wide set of named, labeled instruments. All
-// methods are safe for concurrent use, and every method is a no-op (or
-// returns a fresh unregistered instrument) on a nil receiver, so
-// instrumented code never needs nil checks.
+// Registry is one site's set of labeled series, keyed by family
+// declaration. It creates every instrument it exports: asking twice for
+// the same (family, labels) returns the same pointer, so an owner
+// resolves its instruments once at construction and the hot path is the
+// instrument's own atomic. Using a family as another kind than it
+// declares is a programming error and panics. All methods are safe for
+// concurrent use, and on a nil receiver every method is a no-op or
+// returns a fresh unregistered instrument, so instrumented code never
+// needs nil checks.
 type Registry struct {
 	mu       sync.Mutex
-	families map[string]*family
+	families map[*Family]map[string]*series // by canonical label key
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{families: make(map[*Family]map[string]*series)}
 }
 
 // canonLabels sorts a copy of ls by key and renders the series
@@ -104,183 +79,113 @@ func canonLabels(ls []Label) ([]Label, string) {
 	return out, b.String()
 }
 
-// get returns (creating if needed) the series for (name, ls) in a
-// family of kind k. It returns nil when the registry is nil or the
-// name is already registered with a different kind.
-func (r *Registry) get(name string, k kind, ls []Label) *series {
+// update runs fn under r.mu on the series of f with labels ls, creating
+// the series first if needed. kindOK is the caller's check that it may
+// use f's kind.
+func (r *Registry) update(f *Family, kindOK bool, ls []Label, fn func(*series)) {
+	if !kindOK {
+		panic(fmt.Sprintf("obs: family %s is declared %s and was used as another kind", f.Name, f.Kind.Type()))
+	}
 	if r == nil {
-		return nil
+		return
 	}
 	labels, key := canonLabels(ls)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.families[name]
-	if f == nil {
-		f = &family{name: name, byKey: make(map[string]*series)}
-		r.families[name] = f
+	fam := r.families[f]
+	if fam == nil {
+		fam = make(map[string]*series)
+		r.families[f] = fam
 	}
-	if !f.typed {
-		f.kind, f.typed = k, true
-	} else if f.kind != k {
-		return nil
-	}
-	s := f.byKey[key]
+	s := fam[key]
 	if s == nil {
 		s = &series{labels: labels, key: key}
-		f.byKey[key] = s
-		f.series = append(f.series, s)
+		fam[key] = s
 	}
-	return s
+	fn(s)
 }
 
-// Counter returns (creating if needed) the counter named name with the
-// given labels. On a nil registry it returns a fresh unregistered
-// counter.
-func (r *Registry) Counter(name string, ls ...Label) *metrics.Counter {
-	s := r.get(name, kindCounter, ls)
-	if s == nil {
-		return &metrics.Counter{}
-	}
-	if s.counter == nil {
-		s.counter = &metrics.Counter{}
-		s.fn = nil
-	}
-	return s.counter
+// instrument is the one get-or-create: it returns the *T behind
+// (f, ls), installing a fresh one under r.mu the first time (or when
+// the series was function-backed), so every caller gets the same
+// pointer. On a nil registry the fresh one is the answer.
+func instrument[T any](r *Registry, f *Family, kindOK bool, ls []Label, mk func() *T) *T {
+	inst := mk()
+	r.update(f, kindOK, ls, func(s *series) {
+		if have, ok := s.inst.(*T); ok {
+			inst = have
+		} else {
+			s.inst, s.fn = inst, nil
+		}
+	})
+	return inst
 }
 
-// Gauge returns (creating if needed) the gauge named name with the
-// given labels. On a nil registry it returns a fresh unregistered
-// gauge.
-func (r *Registry) Gauge(name string, ls ...Label) *metrics.Gauge {
-	s := r.get(name, kindGauge, ls)
-	if s == nil {
-		return &metrics.Gauge{}
-	}
-	if s.gauge == nil {
-		s.gauge = &metrics.Gauge{}
-		s.fn = nil
-	}
-	return s.gauge
+func newHistogram() *metrics.Histogram { return metrics.NewHistogram(0) }
+
+// Counter returns the counter of a KindCounter family for the given
+// labels.
+func (r *Registry) Counter(f *Family, ls ...Label) *metrics.Counter {
+	return instrument(r, f, f.Kind == KindCounter, ls, func() *metrics.Counter { return new(metrics.Counter) })
 }
 
-// Histogram returns (creating if needed) the histogram named name with
-// the given labels, exported as a Prometheus summary. On a nil
-// registry it returns a fresh unregistered histogram.
-func (r *Registry) Histogram(name string, ls ...Label) *metrics.Histogram {
-	s := r.get(name, kindSummary, ls)
-	if s == nil {
-		return metrics.NewHistogram(0)
-	}
-	if s.hist == nil {
-		s.hist = metrics.NewHistogram(0)
-	}
-	return s.hist
+// Gauge returns the gauge of a KindGauge family for the given labels.
+func (r *Registry) Gauge(f *Family, ls ...Label) *metrics.Gauge {
+	return instrument(r, f, f.Kind == KindGauge, ls, func() *metrics.Gauge { return new(metrics.Gauge) })
 }
 
-// ValueHistogram returns (creating if needed) a histogram whose
-// samples are dimensionless values rather than durations: callers
-// record a value n as time.Duration(n), and the summary renders the
-// raw numbers instead of seconds. Size-style distributions (bytes per
-// frame, events per batch) use it. On a nil registry it returns a
-// fresh unregistered histogram.
+// DurationCounter returns the cumulative-duration counter of a
+// KindSeconds family for the given labels.
+func (r *Registry) DurationCounter(f *Family, ls ...Label) *metrics.DurationCounter {
+	return instrument(r, f, f.Kind == KindSeconds, ls, func() *metrics.DurationCounter { return new(metrics.DurationCounter) })
+}
+
+// Histogram returns the histogram of a KindSummary or KindValueSummary
+// family for the given labels.
+func (r *Registry) Histogram(f *Family, ls ...Label) *metrics.Histogram {
+	return instrument(r, f, f.Kind == KindSummary || f.Kind == KindValueSummary, ls, newHistogram)
+}
+
+// ValueHistogram resolves a declared KindValueSummary family by name:
+// the way in for callers outside the declaring package (the wall-clock
+// benchmark reads the link senders' batch-size histograms through it).
+// It returns the same histogram the owner records into.
 func (r *Registry) ValueHistogram(name string, ls ...Label) *metrics.Histogram {
-	s := r.get(name, kindSummary, ls)
-	if s == nil {
-		return metrics.NewHistogram(0)
+	catalog.Lock()
+	f := catalog.byName[name]
+	catalog.Unlock()
+	if f == nil {
+		panic(fmt.Sprintf("obs: family %s is used but not declared", name))
 	}
-	if s.hist == nil {
-		s.hist = metrics.NewHistogram(0)
-	}
-	s.rawHist = true
-	return s.hist
+	return instrument(r, f, f.Kind == KindValueSummary, ls, newHistogram)
 }
 
-// RegisterCounter exposes an existing counter under (name, labels).
-func (r *Registry) RegisterCounter(name string, c *metrics.Counter, ls ...Label) {
-	if s := r.get(name, kindCounter, ls); s != nil {
-		s.counter = c
-		s.fn = nil
-	}
+// Func exports a value that already lives elsewhere: fn is read at
+// scrape time as the series of a counter, gauge or seconds family
+// (monotonically non-decreasing for the first and last). Registering
+// the same (family, labels) again replaces the function, so a site
+// restarted under its old label takes its series over.
+func (r *Registry) Func(f *Family, fn func() float64, ls ...Label) {
+	r.update(f, f.Kind <= KindSeconds, ls, func(s *series) { s.fn, s.inst = fn, nil })
 }
 
-// RegisterGauge exposes an existing gauge under (name, labels).
-func (r *Registry) RegisterGauge(name string, g *metrics.Gauge, ls ...Label) {
-	if s := r.get(name, kindGauge, ls); s != nil {
-		s.gauge = g
-		s.fn = nil
-	}
-}
-
-// RegisterHistogram exposes an existing histogram under (name,
-// labels), exported as a Prometheus summary.
-func (r *Registry) RegisterHistogram(name string, h *metrics.Histogram, ls ...Label) {
-	if s := r.get(name, kindSummary, ls); s != nil {
-		s.hist = h
-	}
-}
-
-// CounterFunc registers a counter whose value is read from fn at
-// scrape time (for instruments that already live elsewhere as atomics).
-// fn must be monotonically non-decreasing.
-func (r *Registry) CounterFunc(name string, fn func() float64, ls ...Label) {
-	if s := r.get(name, kindCounter, ls); s != nil {
-		s.fn = fn
-		s.counter = nil
-	}
-}
-
-// GaugeFunc registers a gauge whose value is read from fn at scrape
-// time.
-func (r *Registry) GaugeFunc(name string, fn func() float64, ls ...Label) {
-	if s := r.get(name, kindGauge, ls); s != nil {
-		s.fn = fn
-		s.gauge = nil
-	}
-}
-
-// Describe attaches HELP text to a family. The family's kind stays
-// open until the first instrument registration fixes it.
-func (r *Registry) Describe(name, help string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f := r.families[name]; f != nil {
-		f.help = help
-		return
-	}
-	r.families[name] = &family{name: name, help: help, byKey: make(map[string]*series)}
-}
-
-// Families returns the number of registered metric families.
-func (r *Registry) Families() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.families)
+// Load adapts an owner's atomic count to Func.
+func Load(v *atomic.Uint64) func() float64 {
+	return func() float64 { return float64(v.Load()) }
 }
 
 // summaryQuantiles are the quantiles exported for histogram families.
 var summaryQuantiles = []float64{50, 90, 99}
 
-// escapeLabelValue escapes a label value per the Prometheus text
+// Escaping of label values and HELP text per the Prometheus text
 // exposition format.
-func escapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
-// escapeHelp escapes HELP text per the exposition format.
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
+func escapeLabelValue(v string) string { return labelEscaper.Replace(v) }
+func escapeHelp(v string) string       { return helpEscaper.Replace(v) }
 
 // renderLabels renders a label set (plus optional extra pairs) as
 // {k="v",...}, or "" when empty.
@@ -290,26 +195,14 @@ func renderLabels(ls []Label, extra ...Label) string {
 	}
 	var b strings.Builder
 	b.WriteByte('{')
-	n := 0
-	for _, l := range ls {
-		if n > 0 {
+	for i, l := range append(ls[:len(ls):len(ls)], extra...) {
+		if i > 0 {
 			b.WriteByte(',')
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
 		b.WriteString(escapeLabelValue(l.Value))
 		b.WriteByte('"')
-		n++
-	}
-	for _, l := range extra {
-		if n > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(l.Value))
-		b.WriteByte('"')
-		n++
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -319,57 +212,58 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus writes every registered family in the Prometheus
-// text exposition format (version 0.0.4): families sorted by name,
-// series by label set, histograms as summaries with q0.5/q0.9/q0.99
-// plus _sum (seconds) and _count.
+// WritePrometheus writes every family with at least one series in the
+// Prometheus text exposition format (version 0.0.4): families sorted by
+// name, each with its declared HELP and TYPE, series by label set,
+// histograms as summaries with q0.5/q0.9/q0.99 plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	// Copy the series out under the lock; values are read after it is
+	// dropped, because a Func may take its owner's locks.
+	type snapshot struct {
+		decl   *Family
+		series []series
+	}
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
+	fams := make([]snapshot, 0, len(r.families))
+	for decl, fam := range r.families {
+		srs := make([]series, 0, len(fam))
+		for _, s := range fam {
+			srs = append(srs, *s)
+		}
+		fams = append(fams, snapshot{decl: decl, series: srs})
 	}
 	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	sort.Slice(fams, func(i, j int) bool { return fams[i].decl.Name < fams[j].decl.Name })
 
 	for _, f := range fams {
-		// Snapshot the series list under the lock; instrument reads are
-		// individually synchronized by the instruments themselves.
-		r.mu.Lock()
-		srs := make([]*series, len(f.series))
-		copy(srs, f.series)
-		help := f.help
-		k := f.kind
-		r.mu.Unlock()
-		if len(srs) == 0 {
-			continue
-		}
-		sort.Slice(srs, func(i, j int) bool { return srs[i].key < srs[j].key })
-
-		if help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(help)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, k); err != nil {
+		name := f.decl.Name
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].key < f.series[j].key })
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
+			name, escapeHelp(f.decl.Help), name, f.decl.Kind.Type()); err != nil {
 			return err
 		}
-		for _, s := range srs {
-			var err error
-			switch {
-			case s.fn != nil:
-				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(s.labels), formatFloat(s.fn()))
-			case s.counter != nil:
-				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(s.labels), s.counter.Value())
-			case s.gauge != nil:
-				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(s.labels), s.gauge.Value())
-			case s.hist != nil:
-				err = writeSummary(w, f.name, s)
+		for i := range f.series {
+			s := &f.series[i]
+			var value string
+			switch inst := s.inst.(type) {
+			case nil:
+				value = formatFloat(s.fn())
+			case *metrics.Counter:
+				value = strconv.FormatUint(inst.Value(), 10)
+			case *metrics.Gauge:
+				value = strconv.FormatInt(inst.Value(), 10)
+			case *metrics.DurationCounter:
+				value = formatFloat(inst.Value().Seconds())
+			case *metrics.Histogram:
+				if err := writeSummary(w, f.decl, s.labels, inst); err != nil {
+					return err
+				}
+				continue
 			}
-			if err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %s\n", name, renderLabels(s.labels), value); err != nil {
 				return err
 			}
 		}
@@ -378,39 +272,27 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // writeSummary renders one histogram series as a Prometheus summary —
-// in seconds for duration histograms, as raw values for value
-// histograms (ValueHistogram).
-func writeSummary(w io.Writer, name string, s *series) error {
+// in seconds for a KindSummary family, as raw values for a
+// KindValueSummary one.
+func writeSummary(w io.Writer, f *Family, labels []Label, h *metrics.Histogram) error {
 	val := func(d time.Duration) float64 {
-		if s.rawHist {
+		if f.Kind == KindValueSummary {
 			return float64(d)
 		}
 		return d.Seconds()
 	}
-	qs := s.hist.Quantiles(summaryQuantiles...)
+	qs := h.Quantiles(summaryQuantiles...)
 	for i, p := range summaryQuantiles {
 		q := L("quantile", formatFloat(p/100))
 		if _, err := fmt.Fprintf(w, "%s%s %s\n",
-			name, renderLabels(s.labels, q), formatFloat(val(qs[i]))); err != nil {
+			f.Name, renderLabels(labels, q), formatFloat(val(qs[i]))); err != nil {
 			return err
 		}
 	}
 	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n",
-		name, renderLabels(s.labels), formatFloat(val(s.hist.Sum()))); err != nil {
+		f.Name, renderLabels(labels), formatFloat(val(h.Sum()))); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(s.labels), s.hist.Count())
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.Name, renderLabels(labels), h.Count())
 	return err
-}
-
-// secondsFunc adapts a DurationCounter-style accessor into a
-// CounterFunc reading seconds.
-func secondsFunc(v func() time.Duration) func() float64 {
-	return func() float64 { return v().Seconds() }
-}
-
-// RegisterDurationCounter exposes a cumulative duration counter as a
-// seconds-valued counter family.
-func (r *Registry) RegisterDurationCounter(name string, d *metrics.DurationCounter, ls ...Label) {
-	r.CounterFunc(name, secondsFunc(d.Value), ls...)
 }

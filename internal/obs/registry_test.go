@@ -3,185 +3,248 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"adaptmirror/internal/metrics"
 )
 
+// Families for the tests below, declared the way product code does.
+var fams = struct{ sent, depth, delay, stall, batch, uptime, weird *Family }{
+	sent:   Declare("obs_test_sent_total", KindCounter, "Events sent per mirror link."),
+	depth:  Declare("obs_test_queue_depth", KindGauge, "Queue depth."),
+	delay:  Declare("obs_test_delay_seconds", KindSummary, "Update delay."),
+	stall:  Declare("obs_test_stall_seconds_total", KindSeconds, "Time stalled."),
+	batch:  Declare("obs_test_batch_events", KindValueSummary, "Events per batch."),
+	uptime: Declare("obs_test_uptime", KindGauge, "Seconds up."),
+	weird:  Declare("obs_test_weird", KindCounter, "help with \\ and\nnewline"),
+}
+
+// mustPanic runs fn and returns what it panicked with.
+func mustPanic(t *testing.T, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected a panic")
+		}
+		msg = r.(string)
+	}()
+	fn()
+	return ""
+}
+
+func expose(t *testing.T, r *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("link_sent_total", L("mirror", "0"))
-	c2 := r.Counter("link_sent_total", L("mirror", "0"))
+	c1 := r.Counter(fams.sent, L("mirror", "0"))
+	c2 := r.Counter(fams.sent, L("mirror", "0"))
 	if c1 != c2 {
-		t.Fatal("same (name, labels) should return the same counter")
+		t.Fatal("same (family, labels) should return the same counter")
 	}
-	c3 := r.Counter("link_sent_total", L("mirror", "1"))
+	c3 := r.Counter(fams.sent, L("mirror", "1"))
 	if c1 == c3 {
 		t.Fatal("distinct label sets should return distinct counters")
 	}
-	if r.Families() != 1 {
-		t.Fatalf("Families() = %d, want 1", r.Families())
+	if r.DurationCounter(fams.stall) != r.DurationCounter(fams.stall) ||
+		r.Histogram(fams.batch) != r.Histogram(fams.batch) {
+		t.Fatal("every instrument kind is get-or-create")
+	}
+	if n := strings.Count(expose(t, r), "# TYPE "); n != 3 {
+		t.Fatalf("%d families exposed, want 3", n)
 	}
 }
 
 func TestRegistryLabelOrderCanonical(t *testing.T) {
 	r := NewRegistry()
-	a := r.Gauge("g", L("x", "1"), L("y", "2"))
-	b := r.Gauge("g", L("y", "2"), L("x", "1"))
+	a := r.Gauge(fams.depth, L("x", "1"), L("y", "2"))
+	b := r.Gauge(fams.depth, L("y", "2"), L("x", "1"))
 	if a != b {
 		t.Fatal("label order should not affect series identity")
 	}
 }
 
+// A family used as a kind other than its declared one is a programming
+// error the registry reports by panicking — on a nil registry too, so a
+// test without one still catches it — and nothing leaks into the output.
 func TestRegistryKindConflict(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("m")
-	c.Inc()
-	g := r.Gauge("m") // conflicting kind: must return unregistered instrument
-	g.Set(42)
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
+	r.Counter(fams.sent).Inc()
+	for name, misuse := range map[string]func(r *Registry){
+		"obs_test_sent_total":    func(r *Registry) { r.Gauge(fams.sent).Set(42) },
+		"obs_test_queue_depth":   func(r *Registry) { r.Histogram(fams.depth).Record(42 * time.Second) },
+		"obs_test_delay_seconds": func(r *Registry) { r.Func(fams.delay, func() float64 { return 42 }) },
+		"obs_test_batch_events":  func(r *Registry) { r.DurationCounter(fams.batch).Add(42 * time.Second) },
+	} {
+		for _, reg := range []*Registry{r, nil} {
+			if msg := mustPanic(t, func() { misuse(reg) }); !strings.Contains(msg, name) || !strings.Contains(msg, "another kind") {
+				t.Errorf("panic %q does not report a kind misuse of %s", msg, name)
+			}
+		}
 	}
-	if strings.Contains(b.String(), "42") {
-		t.Fatalf("conflicting-kind gauge leaked into output:\n%s", b.String())
+	if out := expose(t, r); strings.Contains(out, "42") || strings.Count(out, "# TYPE ") != 1 {
+		t.Fatalf("an instrument of the wrong kind leaked into the output:\n%s", out)
+	}
+}
+
+// A family is declared once: a second declaration — the way
+// request_latency_seconds once had two HELP texts — panics at package
+// initialization, which fails every binary that links both.
+func TestDeclareRejectsSecondDeclaration(t *testing.T) {
+	msg := mustPanic(t, func() { Declare("obs_test_sent_total", KindCounter, "Another text.") })
+	if !strings.Contains(msg, "declared twice") || !strings.Contains(msg, "Another text.") {
+		t.Fatalf("panic %q does not report both declarations", msg)
+	}
+	mustPanic(t, func() { Declare("obs_test_no_help_total", KindCounter, "") })
+	mustPanic(t, func() { Declare("bad name", KindGauge, "Help.") })
+	for _, f := range Families() {
+		if f.Name == "obs_test_sent_total" && f != fams.sent {
+			t.Fatal("the first declaration must stand")
+		}
+		if f.Name == "obs_test_no_help_total" || f.Name == "bad name" {
+			t.Fatalf("refused declaration %q is in the catalog", f.Name)
+		}
 	}
 }
 
 func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
-	r.Counter("c").Inc()
-	r.Gauge("g").Set(1)
-	r.Histogram("h").Record(time.Millisecond)
-	r.CounterFunc("cf", func() float64 { return 1 })
-	r.GaugeFunc("gf", func() float64 { return 1 })
-	r.RegisterCounter("rc", &metrics.Counter{})
-	r.Describe("c", "help")
-	if r.Families() != 0 {
-		t.Fatal("nil registry should report zero families")
-	}
-	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
-		t.Fatal(err)
+	r.Counter(fams.sent).Inc()
+	r.Gauge(fams.depth).Set(1)
+	r.Histogram(fams.delay).Record(time.Millisecond)
+	r.DurationCounter(fams.stall).Add(time.Second)
+	r.ValueHistogram("obs_test_batch_events").Record(1)
+	r.Func(fams.sent, func() float64 { return 1 })
+	if out := expose(t, r); out != "" {
+		t.Fatalf("nil registry exposed %q", out)
 	}
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Describe("link_sent_total", "Events sent per mirror link.")
-	r.Counter("link_sent_total", L("mirror", "0")).Add(5)
-	r.Counter("link_sent_total", L("mirror", "1")).Add(7)
-	r.Gauge("queue_depth", L("site", "central")).Set(3)
-	r.Histogram("update_delay_seconds").Record(10 * time.Millisecond)
-	r.Histogram("update_delay_seconds").Record(20 * time.Millisecond)
-	r.GaugeFunc("uptime", func() float64 { return 1.5 })
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	r.Counter(fams.sent, L("mirror", "0")).Add(5)
+	r.Counter(fams.sent, L("mirror", "1")).Add(7)
+	r.Gauge(fams.depth, L("site", "central")).Set(3)
+	r.Histogram(fams.delay).Record(10 * time.Millisecond)
+	r.Histogram(fams.delay).Record(20 * time.Millisecond)
+	r.DurationCounter(fams.stall, L("mirror", "0")).Add(2 * time.Second)
+	r.Histogram(fams.batch).Record(64)
+	r.Func(fams.uptime, func() float64 { return 1.5 })
+	out := expose(t, r)
 
 	for _, want := range []string{
-		"# HELP link_sent_total Events sent per mirror link.",
-		"# TYPE link_sent_total counter",
-		`link_sent_total{mirror="0"} 5`,
-		`link_sent_total{mirror="1"} 7`,
-		"# TYPE queue_depth gauge",
-		`queue_depth{site="central"} 3`,
-		"# TYPE update_delay_seconds summary",
-		`update_delay_seconds{quantile="0.5"}`,
-		`update_delay_seconds{quantile="0.99"}`,
-		"update_delay_seconds_sum 0.03",
-		"update_delay_seconds_count 2",
-		"uptime 1.5",
+		"# HELP obs_test_sent_total Events sent per mirror link.",
+		"# TYPE obs_test_sent_total counter",
+		`obs_test_sent_total{mirror="0"} 5`,
+		`obs_test_sent_total{mirror="1"} 7`,
+		"# TYPE obs_test_queue_depth gauge",
+		`obs_test_queue_depth{site="central"} 3`,
+		"# TYPE obs_test_delay_seconds summary",
+		`obs_test_delay_seconds{quantile="0.5"}`,
+		`obs_test_delay_seconds{quantile="0.99"}`,
+		"obs_test_delay_seconds_sum 0.03",
+		"obs_test_delay_seconds_count 2",
+		"# TYPE obs_test_stall_seconds_total counter",
+		`obs_test_stall_seconds_total{mirror="0"} 2`,
+		"# TYPE obs_test_batch_events summary",
+		"obs_test_batch_events_sum 64",
+		"obs_test_uptime 1.5",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if !strings.HasSuffix(out, "\n") {
-		t.Error("output must end with a newline")
-	}
-	// The exposition we write must pass our own lint.
-	if err := LintPrometheus(strings.NewReader(out)); err != nil {
+	// What we write passes our own lint, against our own declarations.
+	used := []*Family{fams.sent, fams.depth, fams.delay, fams.stall, fams.batch, fams.uptime}
+	if err := LintFamilies(strings.NewReader(out), used); err != nil {
 		t.Fatalf("self-lint failed: %v\n%s", err, out)
 	}
 }
 
 func TestWritePrometheusEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Describe("weird", "help with \\ and\nnewline")
-	r.Counter("weird", L("path", `a\b"c`+"\n")).Inc()
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	r.Counter(fams.weird, L("path", `a\b"c`+"\n")).Inc()
+	out := expose(t, r)
 	if !strings.Contains(out, `path="a\\b\"c\n"`) {
 		t.Errorf("label value not escaped:\n%s", out)
 	}
 	if !strings.Contains(out, `help with \\ and\nnewline`) {
 		t.Errorf("help not escaped:\n%s", out)
 	}
-	if err := LintPrometheus(strings.NewReader(out)); err != nil {
+	if err := LintFamilies(strings.NewReader(out), []*Family{fams.weird}); err != nil {
 		t.Fatalf("self-lint failed: %v\n%s", err, out)
 	}
 }
 
-func TestRegisterExisting(t *testing.T) {
+// A function-backed series belongs to whoever registered last: a site
+// restarted under its old label takes the series over.
+func TestFuncLastRegistrationWins(t *testing.T) {
 	r := NewRegistry()
-	var c metrics.Counter
-	c.Add(9)
-	r.RegisterCounter("pre_existing_total", &c, L("site", "m1"))
-	var g metrics.Gauge
-	g.Set(-4)
-	r.RegisterGauge("pre_gauge", &g)
-	h := metrics.NewHistogram(8)
-	h.Record(time.Second)
-	r.RegisterHistogram("pre_hist_seconds", h)
-	var d metrics.DurationCounter
-	d.Add(2 * time.Second)
-	r.RegisterDurationCounter("stall_seconds_total", &d, L("mirror", "0"))
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
+	var old, fresh atomic.Uint64
+	old.Store(9)
+	fresh.Store(2)
+	r.Func(fams.sent, Load(&old), L("site", "m1"))
+	r.Func(fams.sent, Load(&fresh), L("site", "m1"))
+	if out := expose(t, r); !strings.Contains(out, `obs_test_sent_total{site="m1"} 2`) || strings.Contains(out, " 9\n") {
+		t.Fatalf("the later function should be the one exported:\n%s", out)
 	}
-	out := b.String()
-	for _, want := range []string{
-		`pre_existing_total{site="m1"} 9`,
-		"pre_gauge -4",
-		"pre_hist_seconds_count 1",
-		`stall_seconds_total{mirror="0"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
+}
+
+// ValueHistogram resolves a declared family by name and hands out the
+// owner's histogram.
+func TestValueHistogramByName(t *testing.T) {
+	r := NewRegistry()
+	owner := r.Histogram(fams.batch, L("mirror", "0"))
+	if r.ValueHistogram("obs_test_batch_events", L("mirror", "0")) != owner {
+		t.Fatal("ValueHistogram must return the histogram the owner records into")
+	}
+	if msg := mustPanic(t, func() { r.ValueHistogram("pipeline_stage_seconds") }); !strings.Contains(msg, "another kind") {
+		t.Fatalf("a duration summary resolved as a value histogram: %q", msg)
+	}
+	if msg := mustPanic(t, func() { r.ValueHistogram("obs_test_never_declared") }); !strings.Contains(msg, "not declared") {
+		t.Fatalf("panic %q", msg)
 	}
 }
 
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
+	const workers, rounds = 8, 200
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	got := make([]*metrics.Counter, workers)
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				r.Counter("c", L("w", "x")).Inc()
-				r.Gauge("g").Add(1)
-				r.Histogram("h").Record(time.Microsecond)
+			got[i] = r.Counter(fams.sent, L("w", "x"))
+			for j := 0; j < rounds; j++ {
+				r.Counter(fams.sent, L("w", "x")).Inc()
+				r.Gauge(fams.depth).Add(1)
+				r.Histogram(fams.delay).Record(time.Microsecond)
+				r.Func(fams.depth, func() float64 { return 1 }, L("fn", "x"))
 				var b strings.Builder
 				if err := r.WritePrometheus(&b); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}()
+		}(i)
 	}
 	wg.Wait()
-	if got := r.Counter("c", L("w", "x")).Value(); got != 8*200 {
-		t.Fatalf("counter = %d, want %d", got, 8*200)
+	for i, c := range got {
+		if c != got[0] {
+			t.Fatalf("goroutine %d got a different *metrics.Counter for the same series", i)
+		}
+	}
+	if v := got[0].Value(); v != workers*rounds {
+		t.Fatalf("counter = %d, want %d", v, workers*rounds)
 	}
 }

@@ -70,17 +70,16 @@ type Tracer struct {
 	hists [numStages]*metrics.Histogram
 }
 
-// TracerFamily is the metric family name tracer stages register under.
-const TracerFamily = "pipeline_stage_seconds"
+// famStage is the family the tracer's stage histograms live in.
+var famStage = Declare("pipeline_stage_seconds", KindSummary, "Event-lifecycle latency by pipeline stage.")
 
 // NewTracer returns a tracer whose stage histograms are registered on
 // r as pipeline_stage_seconds{stage="..."} (r may be nil for an
 // unregistered tracer).
 func NewTracer(r *Registry) *Tracer {
-	r.Describe(TracerFamily, "Event-lifecycle latency by pipeline stage.")
 	t := &Tracer{}
 	for s := Stage(0); s < numStages; s++ {
-		t.hists[s] = r.Histogram(TracerFamily, L("stage", s.String()))
+		t.hists[s] = r.Histogram(famStage, L("stage", s.String()))
 	}
 	return t
 }

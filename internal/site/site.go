@@ -124,14 +124,17 @@ func RejoinCut(m *core.MirrorSite, anchor vclock.VC) vclock.VC {
 	return nil
 }
 
-// RegisterSlabMetrics exports the process-wide batch-frame slab-pool
-// counters on r (they are global to the event package, so every site of
-// one process reports the same values).
+// The batch-frame slab pool is global to the event package, so every
+// site of one process reports the same values.
+var (
+	famSlabHit      = obs.Declare("slab_pool_hit_total", obs.KindCounter, "Batch-frame slabs served from the pool.")
+	famSlabMiss     = obs.Declare("slab_pool_miss_total", obs.KindCounter, "Batch-frame slabs freshly allocated on pool miss.")
+	famSlabRetained = obs.Declare("slab_pool_retained_total", obs.KindCounter, "Batch-frame slabs returned to the pool for reuse.")
+)
+
+// RegisterSlabMetrics exports the process-wide slab-pool counters on r.
 func RegisterSlabMetrics(r *obs.Registry) {
-	r.Describe("slab_pool_hit_total", "Batch-frame slabs served from the pool.")
-	r.Describe("slab_pool_miss_total", "Batch-frame slabs freshly allocated on pool miss.")
-	r.Describe("slab_pool_retained_total", "Batch-frame slabs returned to the pool for reuse.")
-	r.CounterFunc("slab_pool_hit_total", func() float64 { h, _, _ := event.SlabPoolStats(); return float64(h) })
-	r.CounterFunc("slab_pool_miss_total", func() float64 { _, m, _ := event.SlabPoolStats(); return float64(m) })
-	r.CounterFunc("slab_pool_retained_total", func() float64 { _, _, r := event.SlabPoolStats(); return float64(r) })
+	r.Func(famSlabHit, func() float64 { h, _, _ := event.SlabPoolStats(); return float64(h) })
+	r.Func(famSlabMiss, func() float64 { _, m, _ := event.SlabPoolStats(); return float64(m) })
+	r.Func(famSlabRetained, func() float64 { _, _, r := event.SlabPoolStats(); return float64(r) })
 }

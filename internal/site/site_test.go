@@ -279,7 +279,7 @@ func TestDeployedMetricsEndpoints(t *testing.T) {
 		`requests_served_total{site="mirror0"}`,
 		`snapshot_cache_hits_total{site="mirror0"}`,
 		`pipeline_stage_seconds_count{stage="mirror_apply"}`,
-		`http_requests_total 1`,
+		`http_requests_total{site="mirror0"} 1`,
 		`takeover_fired_total{site="mirror0"} 0`,
 	} {
 		if !strings.Contains(mirrorText, want) {

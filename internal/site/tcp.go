@@ -260,9 +260,9 @@ type MirrorOptions struct {
 	// Config is the transport-independent part, supplied whole by the
 	// caller: cost model, CPU, registry, tracer, the main unit's
 	// configuration, SiteID (this mirror's index in the central site's
-	// mirror list, stamped on checkpoint replies), Standby and
-	// StandbyHorizon. CtrlUp and OnPiggyback are the runtime's. A
-	// promoted site's central inherits Model, CPU, Obs and Tracer.
+	// mirror list, stamped on checkpoint replies) and Standby. CtrlUp
+	// and OnPiggyback are the runtime's. A promoted site's central
+	// inherits Model, CPU, Obs and Tracer.
 	Config core.MirrorSiteConfig
 	// Listen is the event-channel address; HTTP the client front's
 	// ("" runs no front).
