@@ -34,17 +34,19 @@ status-smoke:
 # + survivor as TCP-connected sites of the runtime mirrord ships
 # (internal/site), kill the central, assert the standby promotes (or
 # the mirrors elect), the survivor redials, and the cluster converges
-# byte-exact in epoch 1.
+# byte-exact in epoch 1; plus the promoted status document, the idle
+# central the probe must spare, and the runtime's stop gate.
 takeover-smoke:
-	$(GO) test -race -count=1 -run 'TestWireTakeover' ./internal/site
+	$(GO) test -race -count=1 -run 'TestWireTakeover|TestTakeover|TestPromoted' ./internal/site
 
 # Repeats the timing-sensitive suites under the race detector: the
 # site runtime, the figure smoke shapes, core, the registry's concurrent
-# get-or-create, and the cluster tests that run over the site runtime or
-# pin chaos replay.
+# get-or-create, and the cluster tests that run over the site runtime,
+# pin chaos replay, or compare the chaos rig's promotion with the TCP
+# standby's (both drive the same takeover node).
 flake:
 	$(GO) test -race -count=10 ./internal/site ./internal/figures ./internal/core ./internal/obs
-	$(GO) test -race -count=10 -run 'TestCluster|TestDataLink|TestChaosDeterministicReplay' ./internal/cluster
+	$(GO) test -race -count=10 -run 'TestCluster|TestDataLink|TestChaosDeterministicReplay|TestPromotionEquivalence' ./internal/cluster
 
 # Builds the frozen wall-clock benchmark (bench/, a nested module that
 # `go build ./...` does not reach) against the working tree and runs

@@ -814,10 +814,9 @@ func (r *chaosRig) restartAndRejoin() int {
 
 // promoteCentral executes the central-crash schedule class: the
 // current central dies at its crash position and the warm-standby
-// mirror (the lowest-indexed live site) is promoted in its place. The
-// sequence mirrors a real deployment's failover path — detect via
-// missed rounds, adopt local state, restart the coordinator above the
-// old epoch, re-admit the survivors — with two harness-only additions:
+// mirror 0 is promoted in its place. The decisions are the deployed
+// ones: every site's core.Takeover node, stepped by direct calls (no
+// announcement consumes a fault decision). Two harness-only additions:
 // the pipeline is quiesced at the crash position first (so the
 // delivered-event set, and with it the replayed StateDigest, stays a
 // pure function of the seed), and a checkpoint commit is forced before
@@ -840,10 +839,10 @@ func (r *chaosRig) promoteCentral(fed uint64) *site.Promoted {
 		r.violatef("pre-crash: no checkpoint cut committed before the central crash")
 	}
 	r.preCrashCut = preCut
-	// Control faults may have spuriously excluded the standby; the
-	// promotion picks the lowest-indexed *live* mirror, and the chaos
-	// scenarios that follow assume a full quorum, so re-admit everyone
-	// while the old central is still alive to serve the transfer.
+	// Control faults may have spuriously excluded the standby, and the
+	// chaos scenarios that follow assume a full quorum, so re-admit
+	// everyone while the old central is still alive to serve the
+	// transfer.
 	r.rejoinAll("pre-crash")
 
 	// Crash. Drain first: the sending task's exit path flushes the
@@ -856,38 +855,33 @@ func (r *chaosRig) promoteCentral(fed uint64) *site.Promoted {
 	}
 	old.Close()
 
-	// The standby is the lowest-indexed live mirror.
-	standby := 0
-	for standby < len(r.mirrors) && !r.mem().Alive(standby) {
-		standby++
-	}
-	if standby >= len(r.mirrors) {
-		r.violatef("promotion: no live mirror left to promote")
-		return nil
-	}
+	// Failure detection: the standby's node sees no new round for its
+	// whole budget (the first tick baselines) and asks for a probe; the
+	// closed central fails it, and the node promotes.
+	const standby = 0
 	standbySite := r.mirrors[standby].Load()
-
-	// Failure detection: the standby's monitor sees no new round for
-	// its whole budget and declares the central dead. The first tick
-	// baselines (the site has observed rounds), the rest miss.
-	mon := core.NewStandbyMonitor(standbySite.Site.LastRound, r.cfg.MissedRounds)
-	fired := false
-	for t := 0; t < r.cfg.MissedRounds+2 && !fired; t++ {
-		fired = mon.Tick()
+	node := &core.Takeover{Site: standby, Peers: len(r.mirrors), Standby: true, Budget: r.cfg.MissedRounds}
+	lastRound := standbySite.Site.LastRound()
+	var promoted []core.TakeoverEffect
+	for t := 0; t < r.cfg.MissedRounds+2 && len(promoted) == 0; t++ {
+		if e := node.Step(core.TakeoverInput{Kind: core.TakeoverTick, LastRound: lastRound}); len(e) == 1 && e[0].Kind == core.TakeoverProbe {
+			promoted = node.Step(core.TakeoverInput{Kind: core.TakeoverProbed, LastRound: lastRound})
+		}
 	}
-	if !fired {
-		r.violatef("promotion: standby monitor never declared the central failed")
+	if len(promoted) != 2 || promoted[0].Kind != core.TakeoverPromote || promoted[1].Kind != core.TakeoverAnnounce {
+		r.violatef("promotion: the standby's takeover node never promoted")
 		return nil
 	}
+	epoch := promoted[0].Epoch
 
 	// Adopt: the shared adoption step builds the new central on the
-	// standby's local view, one epoch past the failed one, with every
-	// slot of a fresh Membership excluded.
+	// standby's local view in the node's epoch, with every slot of a
+	// fresh Membership excluded.
 	links := make([]core.MirrorLink, len(r.mirrors))
 	for i := range r.mirrors {
 		links[i] = core.MirrorLink{Data: r.data[i], Ctrl: r.ctrlDown[i]}
 	}
-	p := standbySite.Promote(old.Epoch()+1, core.CentralConfig{
+	p := standbySite.Promote(epoch, core.CentralConfig{
 		Model:   chaosModel,
 		CPU:     r.cpus[standby+1],
 		Mirrors: links,
@@ -922,10 +916,11 @@ func (r *chaosRig) promoteCentral(fed uint64) *site.Promoted {
 			checkpoint.EpochBase(nc.Epoch()), p.RoundFloor)
 	}
 
-	// Re-point the survivors: each is re-admitted through RejoinSince.
-	// The standby's own slot restarts as a fresh mirror (its main unit
-	// now belongs to the central) and takes the full transfer;
-	// survivors present the cut site.RejoinCut allows them.
+	// Re-point the survivors: the promoted node's announcement reaches
+	// every (still excluded) slot's node, and each follow effect is a
+	// rejoin from the cut site.RejoinCut allows. The standby's own slot
+	// restarts as a fresh mirror (its main unit now belongs to the
+	// central), whose empty cut takes the full transfer.
 	r.member.Store(nm)
 	for i := range r.mirrors {
 		r.setDown(i, false)
@@ -934,21 +929,22 @@ func (r *chaosRig) promoteCentral(fed uint64) *site.Promoted {
 	r.mirrors[standby].Store(r.newMirror(standby))
 	standbySite.Site.Close() // detached: stops aux plumbing only, the main unit lives on
 	r.prevCommitted[standby+1] = nil
+	ann := core.TakeoverAnnouncement{Epoch: epoch, Addr: standbySite.Name, Anchor: p.Anchor}
 	for i := range r.mirrors {
-		var cut vclock.VC
-		if i != standby {
-			cut = site.RejoinCut(r.mirror(i), p.Anchor)
-		}
-		if _, err := nm.RejoinSince(i, cut); err != nil {
+		follower := &core.Takeover{Site: i, Peers: len(r.mirrors), Budget: r.cfg.MissedRounds}
+		e := follower.Step(core.TakeoverInput{Kind: core.TakeoverAnnounced, LastRound: r.mirror(i).LastRound(), Ann: ann})
+		if len(e) != 1 || e[0].Kind != core.TakeoverFollow {
+			r.violatef("promotion: mirror %d did not follow the takeover announcement", i)
+		} else if _, err := nm.RejoinSince(i, site.RejoinCut(r.mirror(i), ann.Anchor)); err != nil {
 			r.violatef("promotion: rejoin mirror %d: %v", i, err)
 		}
 	}
 	r.check("promotion")
 	r.audit.Append(obs.AuditEntry{
 		Action:     "promotion",
-		Site:       fmt.Sprintf("mirror%d", standby),
+		Site:       standbySite.Name,
 		OldCentral: "central",
-		NewCentral: fmt.Sprintf("mirror%d", standby),
+		NewCentral: standbySite.Name,
 		Epoch:      nc.Epoch(),
 	})
 	return p

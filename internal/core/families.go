@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"adaptmirror/internal/obs"
 	"adaptmirror/internal/queue"
 )
@@ -80,4 +82,27 @@ func registerBackup(r *obs.Registry, b *queue.Backup, site obs.Label) {
 		_, n := b.Trimmed()
 		return float64(n)
 	}, site)
+}
+
+// TakeoverStats are the wire-takeover runtime's counters, registered
+// once per site via RegisterTakeoverMetrics so the series exist at zero
+// from boot.
+type TakeoverStats struct {
+	// Fired counts central-failure declarations by this site's monitor.
+	Fired atomic.Uint64
+	// Repoints counts ctrl.up uplink swings to a promoted address.
+	Repoints atomic.Uint64
+	// Claims counts election claims sent or received by this site.
+	Claims atomic.Uint64
+}
+
+// RegisterTakeoverMetrics exports a site's wire-takeover counters on r
+// (nil-safe) and returns the stats sink the runtime increments.
+func RegisterTakeoverMetrics(r *obs.Registry, site string) *TakeoverStats {
+	s := &TakeoverStats{}
+	l := obs.L("site", site)
+	r.Func(famTakeoverFired, obs.Load(&s.Fired), l)
+	r.Func(famUplinkRepoints, obs.Load(&s.Repoints), l)
+	r.Func(famElectionClaims, obs.Load(&s.Claims), l)
+	return s
 }

@@ -3,22 +3,19 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"adaptmirror/internal/checkpoint"
 	"adaptmirror/internal/event"
-	"adaptmirror/internal/obs"
 	"adaptmirror/internal/vclock"
 )
 
-// Warm-standby central promotion. The paper's architecture hangs every
-// mirror, the checkpoint coordinator, and the directive publisher off
-// one central site; this file implements the failover path that keeps
-// the cluster alive when that site dies. A designated standby mirror
-// (config-ordered: the lowest-indexed live mirror) detects the failure
-// through missed checkpoint rounds (StandbyMonitor), captures its local
-// view (MirrorSite.Promote), and a new Central built with
-// CentralConfig.Resume takes over:
+// Central failover. The paper hangs every mirror, the checkpoint
+// coordinator and the directive publisher off one central site; this
+// file keeps the cluster alive when it dies. Takeover (below) decides
+// when the central is dead and who replaces it — a pure state machine
+// that the TCP runtime (internal/site) and the chaos rig both drive.
+// The chosen mirror captures its local view (MirrorSite.Promote), and
+// a new Central built with CentralConfig.Resume takes over:
 //
 //   - the standby's main unit is adopted whole — EDE state, processed
 //     watermark, and (for a Standby-armed site) the mutation journal
@@ -33,8 +30,8 @@ import (
 //     directive appliers accept the new central's directives and
 //     stragglers addressed to the old coordinator are rejected;
 //   - survivors are re-pointed through a fresh Membership: everything
-//     starts excluded, then RejoinSince re-admits each survivor from
-//     its own committed cut.
+//     starts excluded, then RejoinSince re-admits each survivor that
+//     follows the announcement, from its own committed cut.
 
 // ResumeState is everything a promoted central takes over from the
 // standby mirror it is built on. MirrorSite.Promote captures the
@@ -98,77 +95,11 @@ func (m *MirrorSite) Promote() ResumeState {
 	}
 }
 
-// StandbyMonitor is the failure detector a standby mirror runs against
-// its own control path: the central is presumed failed after Budget+1
-// consecutive detection intervals without a new checkpoint round.
-// Drive Tick once per expected round interval — from a wall-clock
-// ticker in a deployment, or deterministically from a test harness.
-type StandbyMonitor struct {
-	// LastRound reads the observed round watermark (MirrorSite.LastRound).
-	LastRound func() uint64
-	// Budget is how many consecutive missed intervals are tolerated
-	// (<= 0 uses 1): one more declares failure. Align it with the
-	// Membership miss budget so the standby never declares a central
-	// dead faster than the central would declare a mirror dead.
-	Budget int
-
-	mu     sync.Mutex
-	prev   uint64
-	missed int
-	fired  bool
-}
-
-// NewStandbyMonitor returns a monitor polling lastRound with the given
-// miss budget.
-func NewStandbyMonitor(lastRound func() uint64, budget int) *StandbyMonitor {
-	if budget <= 0 {
-		budget = 1
-	}
-	return &StandbyMonitor{LastRound: lastRound, Budget: budget}
-}
-
-// Tick observes one detection interval and reports whether central
-// failure is (now or already) declared. An interval that saw a new
-// round resets the miss streak; one that did not extends it.
-func (s *StandbyMonitor) Tick() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fired {
-		return true
-	}
-	cur := s.LastRound()
-	if cur > s.prev {
-		s.prev = cur
-		s.missed = 0
-		return false
-	}
-	s.missed++
-	if s.missed > s.Budget {
-		s.fired = true
-	}
-	return s.fired
-}
-
-// Missed returns the current consecutive-miss streak.
-func (s *StandbyMonitor) Missed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.missed
-}
-
-// Fired reports whether failure has been declared.
-func (s *StandbyMonitor) Fired() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fired
-}
-
 // --- Wire takeover protocol ---------------------------------------------
 //
-// The in-process promotion above becomes a deployed-cluster protocol
-// with two control frames carried on the existing mirror-to-mirror
-// channels (every mirrord site exports a ctrl.down channel any peer can
-// dial):
+// Takeover nodes talk through two control frames carried on the
+// existing mirror-to-mirror channels (every mirrord site exports a
+// ctrl.down channel any peer can dial):
 //
 //   - TAKEOVER (event.TypeTakeover): the promoted central's
 //     announcement, retried on each survivor's ctrl.down until it
@@ -298,25 +229,263 @@ func (c ElectionClaim) Beats(o ElectionClaim) bool {
 	return c.Site < o.Site
 }
 
-// TakeoverStats are the wire-takeover runtime's counters, registered
-// once per site via RegisterTakeoverMetrics so the series exist at zero
-// from boot.
-type TakeoverStats struct {
-	// Fired counts central-failure declarations by this site's monitor.
-	Fired atomic.Uint64
-	// Repoints counts ctrl.up uplink swings to a promoted address.
-	Repoints atomic.Uint64
-	// Claims counts election claims sent or received by this site.
-	Claims atomic.Uint64
+// --- The takeover node ----------------------------------------------------
+
+// Takeover windows, in ticks: a candidate collects rival claims for
+// electTicks; a loser waits Budget+deferSlack ticks for the winner's
+// announcement before re-opening the election.
+const (
+	electTicks = 2
+	deferSlack = 3
+)
+
+// TakeoverAll addresses a claim to every peer, or an announcement to
+// every slot the promoted central still excludes.
+const TakeoverAll = -1
+
+// TakeoverInputKind names what a node reacts to: a detection interval,
+// a probe verdict (Alive), an announcement (Ann) or a claim (Claim).
+type TakeoverInputKind uint8
+
+const (
+	TakeoverTick TakeoverInputKind = iota
+	TakeoverProbed
+	TakeoverAnnounced
+	TakeoverClaimed
+)
+
+// TakeoverInput is one input, with the site's view when it is stepped:
+// its observed round watermark and its last committed cut.
+type TakeoverInput struct {
+	Kind      TakeoverInputKind
+	LastRound uint64
+	Cut       vclock.VC
+	Alive     bool
+	Ann       TakeoverAnnouncement
+	Claim     ElectionClaim
 }
 
-// RegisterTakeoverMetrics exports a site's wire-takeover counters on r
-// (nil-safe) and returns the stats sink the runtime increments.
-func RegisterTakeoverMetrics(r *obs.Registry, site string) *TakeoverStats {
-	s := &TakeoverStats{}
-	l := obs.L("site", site)
-	r.Func(famTakeoverFired, obs.Load(&s.Fired), l)
-	r.Func(famUplinkRepoints, obs.Load(&s.Repoints), l)
-	r.Func(famElectionClaims, obs.Load(&s.Claims), l)
-	return s
+// TakeoverEffectKind names what a node asks its driver to do: probe the
+// central and step the verdict back in; send Claim to peer To; adopt
+// the site's state as the central of Epoch; follow Ann — repoint the
+// uplink to Ann.Addr if Repoint, then request re-admission from the
+// site's rejoin cut; announce this promoted site to slot To. To may be
+// TakeoverAll.
+type TakeoverEffectKind uint8
+
+const (
+	TakeoverProbe TakeoverEffectKind = iota
+	TakeoverSendClaim
+	TakeoverPromote
+	TakeoverFollow
+	TakeoverAnnounce
+)
+
+// TakeoverEffect is one effect of a Takeover step.
+type TakeoverEffect struct {
+	Kind    TakeoverEffectKind
+	To      int
+	Epoch   uint64
+	Claim   ElectionClaim
+	Ann     TakeoverAnnouncement
+	Repoint bool
+}
+
+type takeoverRole uint8
+
+const (
+	roleFollower takeoverRole = iota
+	roleCandidate
+	rolePromoted
+)
+
+// Takeover is one mirror site's takeover state machine. Set Site, Peers
+// (the manifest size), Standby and Budget (ticks without a new round
+// tolerated before a liveness probe, <= 0 uses 1; align it with the
+// Membership miss budget) before the first Step. Drivers serialize
+// Step and Info.
+type Takeover struct {
+	Site, Peers int
+	Standby     bool
+	Budget      int
+
+	role   takeoverRole
+	prev   uint64 // round watermark at the last new round
+	missed int    // past the budget while a probe is out
+	// epoch/addr fence announcements: the first accepted per epoch wins.
+	epoch uint64
+	addr  string
+	// Candidacy: own claim, best rival claim and whether it was answered
+	// this tick per epoch, round watermark at failure, ticks to decide.
+	mine       ElectionClaim
+	best       map[uint64]ElectionClaim
+	replied    map[uint64]bool
+	firedRound uint64
+	wait       int
+	deferring  bool
+}
+
+// Step feeds one input to the node and returns the effects the driver
+// must carry out, in order.
+func (t *Takeover) Step(in TakeoverInput) []TakeoverEffect {
+	switch in.Kind {
+	case TakeoverTick:
+		clear(t.replied)
+		return t.tick(in)
+	case TakeoverProbed:
+		return t.probed(in)
+	case TakeoverAnnounced:
+		return t.announced(in)
+	case TakeoverClaimed:
+		return t.claimed(in)
+	}
+	return nil
+}
+
+// curEpoch is the highest central epoch the site knows: from accepted
+// announcements or from the epoch partition of its observed rounds.
+func (t *Takeover) curEpoch(lastRound uint64) uint64 {
+	return max(t.epoch, lastRound>>checkpoint.EpochShift)
+}
+
+// rearm restarts failure detection against the current central.
+func (t *Takeover) rearm() {
+	t.role, t.prev, t.missed = roleFollower, 0, 0
+}
+
+func (t *Takeover) tick(in TakeoverInput) []TakeoverEffect {
+	switch {
+	case t.role == rolePromoted:
+		// The re-admission heartbeat: a survivor excluded at any later
+		// time hears the announcement again.
+		return []TakeoverEffect{{Kind: TakeoverAnnounce, To: TakeoverAll}}
+	case t.role == roleCandidate:
+		return t.candidateTick(in)
+	case t.missed > max(t.Budget, 1) || (in.LastRound == 0 && t.epoch == 0):
+		// A probe is out, or there is no heartbeat to miss yet: mirrors
+		// start before the central exists.
+		return nil
+	case in.LastRound > t.prev:
+		t.prev, t.missed = in.LastRound, 0
+		return nil
+	}
+	if t.missed++; t.missed <= max(t.Budget, 1) {
+		return nil
+	}
+	// Rounds only advance with traffic: an idle central is told from a
+	// dead one by whether it still accepts connections.
+	return []TakeoverEffect{{Kind: TakeoverProbe}}
+}
+
+func (t *Takeover) probed(in TakeoverInput) []TakeoverEffect {
+	if t.role != roleFollower || t.missed <= max(t.Budget, 1) {
+		return nil // no probe is out: an announcement re-armed detection
+	}
+	if in.Alive {
+		t.rearm()
+		return nil
+	}
+	epoch := t.curEpoch(in.LastRound) + 1
+	if t.Standby {
+		return t.promote(epoch)
+	}
+	t.role, t.firedRound, t.wait, t.deferring = roleCandidate, in.LastRound, electTicks, false
+	t.mine = ElectionClaim{Epoch: epoch, Site: uint8(t.Site), Cut: in.Cut}
+	return []TakeoverEffect{{Kind: TakeoverSendClaim, To: TakeoverAll, Claim: t.mine}}
+}
+
+func (t *Takeover) candidateTick(in TakeoverInput) []TakeoverEffect {
+	// Rounds resuming in the pre-election epoch prove the central alive.
+	if in.LastRound > t.firedRound && in.LastRound>>checkpoint.EpochShift == t.mine.Epoch-1 {
+		t.rearm()
+		return nil
+	}
+	if t.wait--; t.wait > 0 {
+		return nil
+	}
+	if t.deferring {
+		// The better-placed rival never announced (it may have died
+		// too). Forget it — live rivals re-assert on seeing the new
+		// claim — and re-open the election.
+		delete(t.best, t.mine.Epoch)
+		t.mine.Cut, t.wait, t.deferring = in.Cut, electTicks, false
+		return []TakeoverEffect{{Kind: TakeoverSendClaim, To: TakeoverAll, Claim: t.mine}}
+	}
+	if rival, ok := t.best[t.mine.Epoch]; ok && !t.mine.Beats(rival) {
+		t.wait, t.deferring = max(t.Budget, 1)+deferSlack, true
+		return nil
+	}
+	return t.promote(t.mine.Epoch)
+}
+
+// promote takes the central role and announces it at once.
+func (t *Takeover) promote(epoch uint64) []TakeoverEffect {
+	t.role, t.epoch, t.addr = rolePromoted, epoch, ""
+	return []TakeoverEffect{{Kind: TakeoverPromote, Epoch: epoch}, {Kind: TakeoverAnnounce, To: TakeoverAll}}
+}
+
+// announced is the survivor side: fence the epoch, then follow.
+func (t *Takeover) announced(in TakeoverInput) []TakeoverEffect {
+	ann := in.Ann
+	switch {
+	case t.role == rolePromoted:
+		return nil
+	case ann.Epoch <= in.LastRound>>checkpoint.EpochShift || ann.Epoch < t.epoch:
+		return nil // stale: the site already runs in a same-or-newer epoch
+	case ann.Epoch == t.epoch && ann.Addr != t.addr:
+		return nil // split-brain fencing: the epoch has another central
+	case ann.Epoch == t.epoch:
+		// A retry of the accepted takeover: the first rejoin request
+		// may have been lost.
+		return []TakeoverEffect{{Kind: TakeoverFollow, Ann: ann}}
+	}
+	t.rearm()
+	t.epoch, t.addr = ann.Epoch, ann.Addr
+	return []TakeoverEffect{{Kind: TakeoverFollow, Ann: ann, Repoint: true}}
+}
+
+// claimed records a rival's claim and answers with this site's own
+// standing, at most once per epoch per tick, so a candidate's decision
+// sees every live peer even before that peer's own detector fires.
+func (t *Takeover) claimed(in TakeoverInput) []TakeoverEffect {
+	c := in.Claim
+	switch {
+	case int(c.Site) == t.Site:
+		return nil
+	case t.role == rolePromoted && c.Epoch <= t.epoch && int(c.Site) < t.Peers:
+		// A late candidate did not hear the takeover yet: answering with
+		// the announcement stands it down inside its election window.
+		return []TakeoverEffect{{Kind: TakeoverAnnounce, To: int(c.Site)}}
+	case t.role == rolePromoted || c.Epoch <= t.curEpoch(in.LastRound):
+		return nil
+	}
+	if t.best == nil {
+		t.best, t.replied = make(map[uint64]ElectionClaim), make(map[uint64]bool)
+	}
+	if best, ok := t.best[c.Epoch]; !ok || c.Beats(best) {
+		t.best[c.Epoch] = c
+	}
+	if int(c.Site) >= t.Peers || t.replied[c.Epoch] {
+		return nil
+	}
+	t.replied[c.Epoch] = true
+	reply := ElectionClaim{Epoch: c.Epoch, Site: uint8(t.Site), Cut: in.Cut}
+	return []TakeoverEffect{{Kind: TakeoverSendClaim, To: int(c.Site), Claim: reply}}
+}
+
+// TakeoverInfo is a node's status view. Role is "standby" or
+// "follower", "candidate" during an election, or "promoted".
+type TakeoverInfo struct {
+	Role           string
+	Budget, Missed int
+	Epoch          uint64
+}
+
+// Info returns the node's status view.
+func (t *Takeover) Info() TakeoverInfo {
+	role := [...]string{"follower", "candidate", "promoted"}[t.role]
+	if t.role == roleFollower && t.Standby {
+		role = "standby"
+	}
+	return TakeoverInfo{Role: role, Budget: t.Budget, Missed: t.missed, Epoch: t.epoch}
 }

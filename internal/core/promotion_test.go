@@ -103,7 +103,7 @@ func (r *promotionRig) commitThrough(t *testing.T, want uint64, sites ...*Mirror
 }
 
 // promoteStandby crashes the current central and runs the full
-// handover: the standby's monitor declares the failure, Promote
+// handover: the standby's takeover node declares the failure, Promote
 // captures its state, a resumed Central adopts it, and every surviving
 // mirror is re-admitted through a fresh membership — from its own
 // committed cut when its arrival watermark is covered by the adopted
@@ -118,16 +118,27 @@ func (r *promotionRig) promoteStandby(t *testing.T) {
 	old.Close()
 
 	standby := r.mirrors[0]
-	mon := NewStandbyMonitor(standby.LastRound, 2)
-	for i := 0; i < 4 && !mon.Fired(); i++ {
-		mon.Tick()
+	node := &Takeover{Site: 0, Peers: len(r.mirrors), Standby: true, Budget: 2}
+	var epoch uint64
+	for i := 0; i < 4 && epoch == 0; i++ {
+		for _, e := range node.Step(TakeoverInput{Kind: TakeoverTick, LastRound: standby.LastRound()}) {
+			if e.Kind != TakeoverProbe {
+				continue
+			}
+			// The central is closed: the probe answers dead.
+			for _, e := range node.Step(TakeoverInput{Kind: TakeoverProbed, LastRound: standby.LastRound()}) {
+				if e.Kind == TakeoverPromote {
+					epoch = e.Epoch
+				}
+			}
+		}
 	}
-	if !mon.Fired() {
-		t.Fatal("standby monitor did not declare the central dead")
+	if epoch != old.Epoch()+1 {
+		t.Fatalf("standby takeover node promoted in epoch %d, want %d", epoch, old.Epoch()+1)
 	}
 
 	state := standby.Promote()
-	state.Epoch = old.Epoch() + 1
+	state.Epoch = epoch
 
 	// Survivors keep their sites; the standby's slot is not replaced —
 	// the promoted central IS that site now. Slot i of the new central

@@ -1,15 +1,13 @@
 package site
 
-// Wire-level central takeover: a deployed cluster survives its central
-// over TCP by the same adoption step (Mirror.Promote, epoch-fenced
-// checkpoint rounds) the in-process failover uses. A ticker-driven
-// core.StandbyMonitor plus a TCP liveness probe detects the death; the
-// standby promotes directly, or the mirrors elect by committed cut
-// (ELECT claims on ctrl.down); the promoted site announces itself in
-// TAKEOVER frames until every survivor has repointed its uplink and
-// rejoined from its RejoinCut. First-accepted-address-per-epoch fencing
-// keeps two would-be centrals from splitting the cluster. The protocol
-// is specified in DESIGN.md, "Wire takeover".
+// Wire-level central takeover: the driver of one mirror site's
+// core.Takeover node. The node decides; this file feeds it ticks,
+// TAKEOVER announcements and ELECT claims, and carries its effects out
+// over TCP — the liveness probe, claims to peers' ctrl.down,
+// Mirror.Promote, announcements, and a survivor's uplink repoint plus
+// RECOVERY_REQ. The mutex is held only around Step, so a slow probe or
+// dial never blocks /cluster/status or frame handling. DESIGN.md,
+// "Central failover", specifies the protocol.
 
 import (
 	"fmt"
@@ -17,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"adaptmirror/internal/checkpoint"
 	"adaptmirror/internal/core"
 	"adaptmirror/internal/echo"
 	"adaptmirror/internal/event"
@@ -49,14 +46,6 @@ const (
 	promotedMissBudget = 256
 )
 
-// Takeover roles (status.Takeover.Role).
-const (
-	roleFollower  = "follower"
-	roleStandby   = "standby"
-	roleCandidate = "candidate"
-	rolePromoted  = "promoted"
-)
-
 // promotedCentral is everything a mirror site owns after winning a
 // takeover: the resumed central, its membership, and the downlinks to
 // the surviving mirrors.
@@ -80,39 +69,34 @@ func (pc *promotedCentral) Close() error {
 	return nil
 }
 
-// takeoverRuntime drives one mirror site's side of the wire-takeover
-// protocol.
+// announce sends the takeover announcement to slot to, or to every
+// still-excluded survivor (core.TakeoverAll). The node asks for the
+// latter every tick after promotion, so a survivor excluded at any
+// later time hears it again and re-enters the same rejoin path.
+func (pc *promotedCentral) announce(to int) {
+	frame := &event.Event{Type: event.TypeTakeover, Seq: pc.Ann.Epoch, Payload: pc.Ann.Encode()}
+	for i, ctrl := range pc.ctrl {
+		if ctrl != nil && (i == to || to == core.TakeoverAll && !pc.Member.Alive(i)) {
+			_ = ctrl.Submit(frame)
+		}
+	}
+}
+
+// takeoverRuntime drives one mirror site's takeover node.
 type takeoverRuntime struct {
 	s         *MirrorSite
 	peers     []string
 	self      int
-	standby   bool
-	budget    int
 	interval  time.Duration
 	advertise string
 
-	mu    sync.Mutex
-	mon   *core.StandbyMonitor
-	phase string
-	// seenEpoch/seenAddr fence announcements: the first accepted
-	// announcement per epoch wins, any other address is rejected.
-	seenEpoch uint64
-	seenAddr  string
-	// claims records rival election claims per contested epoch;
-	// lastReply throttles claim replies per epoch.
-	claims    map[uint64]map[uint8]core.ElectionClaim
-	lastReply map[uint64]time.Time
-	myClaim   core.ElectionClaim
-	// firedRound is the round watermark at failure declaration; rounds
-	// advancing past it in the same epoch prove the central alive and
-	// abort a candidacy.
-	firedRound     uint64
-	nextDecision   time.Time
-	awaitingWinner bool
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	// mu guards node and stopped, and is held only around Step.
+	mu      sync.Mutex
+	node    core.Takeover
+	stopped bool
+	stop    chan struct{}
+	// wg counts the ticker goroutine and every admitted piece of work.
+	wg sync.WaitGroup
 }
 
 // newTakeoverRuntime validates the manifest and builds the runtime
@@ -134,14 +118,9 @@ func newTakeoverRuntime(s *MirrorSite, opts MirrorOptions) (*takeoverRuntime, er
 		s:         s,
 		peers:     append([]string(nil), opts.Peers...),
 		self:      self,
-		standby:   opts.Config.Standby,
-		budget:    opts.TakeoverBudget,
 		interval:  interval,
 		advertise: advertise,
-		mon:       core.NewStandbyMonitor(s.Site.LastRound, opts.TakeoverBudget),
-		phase:     roleFollower,
-		claims:    make(map[uint64]map[uint8]core.ElectionClaim),
-		lastReply: make(map[uint64]time.Time),
+		node:      core.Takeover{Site: self, Peers: len(opts.Peers), Standby: opts.Config.Standby, Budget: opts.TakeoverBudget},
 		stop:      make(chan struct{}),
 	}, nil
 }
@@ -151,9 +130,28 @@ func (t *takeoverRuntime) start() {
 	go t.run()
 }
 
+// stopAndWait stops the ticker and waits for every admitted piece of
+// work; inputs arriving afterwards are dropped.
 func (t *takeoverRuntime) stopAndWait() {
-	t.stopOnce.Do(func() { close(t.stop) })
+	t.mu.Lock()
+	if !t.stopped {
+		t.stopped = true
+		close(t.stop)
+	}
+	t.mu.Unlock()
 	t.wg.Wait()
+}
+
+// admit registers one piece of work unless the runtime has stopped; an
+// admitted caller calls t.wg.Done when finished.
+func (t *takeoverRuntime) admit() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stopped {
+		return false
+	}
+	t.wg.Add(1)
+	return true
 }
 
 func (t *takeoverRuntime) run() {
@@ -165,119 +163,65 @@ func (t *takeoverRuntime) run() {
 		case <-t.stop:
 			return
 		case <-tk.C:
-			t.tick()
+			t.step(core.TakeoverInput{Kind: core.TakeoverTick})
 		}
 	}
 }
 
-// curEpochLocked is the highest central epoch this site knows: from
-// accepted announcements or from the epoch partition of its observed
-// rounds. Callers hold t.mu.
-func (t *takeoverRuntime) curEpochLocked() uint64 {
-	return max(t.seenEpoch, t.s.Site.LastRound()>>checkpoint.EpochShift)
-}
-
-func (t *takeoverRuntime) electWindow() time.Duration { return 2 * t.interval }
-
-func (t *takeoverRuntime) deferWindow() time.Duration {
-	return time.Duration(t.budget+3) * t.interval
-}
-
-// tick runs one detection interval.
-func (t *takeoverRuntime) tick() {
+// step feeds one input, completed with the site's view, to the node
+// and carries out the resulting effects after releasing the lock.
+func (t *takeoverRuntime) step(in core.TakeoverInput) {
+	if !t.admit() {
+		return
+	}
+	defer t.wg.Done()
+	in.LastRound, in.Cut = t.s.Site.LastRound(), t.s.Site.Backup().Committed()
 	t.mu.Lock()
-	switch t.phase {
-	case rolePromoted:
-		t.mu.Unlock()
-		return
-	case roleCandidate:
-		t.candidateTickLocked() // unlocks t.mu
-		return
-	}
-	// Before the first observed round there is no heartbeat to miss:
-	// the documented startup order brings mirrors up before the
-	// central exists.
-	if t.s.Site.LastRound() == 0 && t.seenEpoch == 0 {
-		t.mu.Unlock()
-		return
-	}
-	if !t.mon.Tick() {
-		t.mu.Unlock()
-		return
-	}
-	// Missed-round budget exhausted. Rounds only advance with traffic,
-	// so first distinguish "idle" from "dead": a live central still
-	// accepts TCP on its event-channel address.
-	if t.probeAlive(t.s.Uplink.Addr()) {
-		t.mon = core.NewStandbyMonitor(t.s.Site.LastRound, t.budget)
-		t.mu.Unlock()
-		return
-	}
-	t.s.Takeover.Fired.Add(1)
-	epoch := t.curEpochLocked() + 1
-	if t.standby {
-		fmt.Printf("mirrord: %s: central dead (missed-round budget %d exhausted) — standby takeover, epoch %d\n",
-			t.s.Name, t.budget, epoch)
-		t.promoteLocked(epoch)
-		t.mu.Unlock()
-		return
-	}
-	// No standby designated: open an election for the next epoch.
-	t.phase = roleCandidate
-	t.firedRound = t.s.Site.LastRound()
-	t.myClaim = core.ElectionClaim{Epoch: epoch, Site: uint8(t.self), Cut: t.s.Site.Backup().Committed()}
-	t.nextDecision = time.Now().Add(t.electWindow())
-	t.awaitingWinner = false
-	claim := t.myClaim
+	effects := t.node.Step(in)
 	t.mu.Unlock()
-	fmt.Printf("mirrord: %s: central dead — electing for epoch %d (cut %s)\n", t.s.Name, epoch, claim.Cut)
-	t.broadcastClaim(claim)
+	for _, e := range effects {
+		t.do(e)
+	}
 }
 
-// candidateTickLocked advances an open election. Called with t.mu held
-// and responsible for releasing it.
-func (t *takeoverRuntime) candidateTickLocked() {
-	// Rounds resuming in the pre-election epoch prove the central was
-	// alive after all: abort.
-	lr := t.s.Site.LastRound()
-	if lr > t.firedRound && lr>>checkpoint.EpochShift == t.myClaim.Epoch-1 {
-		t.phase = roleFollower
-		t.mon = core.NewStandbyMonitor(t.s.Site.LastRound, t.budget)
-		t.mu.Unlock()
-		return
-	}
-	if time.Now().Before(t.nextDecision) {
-		t.mu.Unlock()
-		return
-	}
-	epoch := t.myClaim.Epoch
-	if t.awaitingWinner {
-		// The better-placed rival never announced (it may have died
-		// too). Drop recorded rivals — live ones re-assert on seeing
-		// our claim — and re-open the election.
-		delete(t.claims, epoch)
-		t.awaitingWinner = false
-		t.myClaim.Cut = t.s.Site.Backup().Committed()
-		t.nextDecision = time.Now().Add(t.electWindow())
-		claim := t.myClaim
-		t.mu.Unlock()
-		t.broadcastClaim(claim)
-		return
-	}
-	for _, rival := range t.claims[epoch] {
-		if rival.Site == uint8(t.self) {
-			continue
+// do carries out one effect.
+func (t *takeoverRuntime) do(e core.TakeoverEffect) {
+	switch e.Kind {
+	case core.TakeoverProbe:
+		alive := t.probeAlive(t.s.Uplink.Addr())
+		if !alive {
+			t.s.Takeover.Fired.Add(1)
+			fmt.Printf("mirrord: %s: central dead (missed-round budget exhausted, probe refused)\n", t.s.Name)
 		}
-		if !t.myClaim.Beats(rival) {
-			t.awaitingWinner = true
-			t.nextDecision = time.Now().Add(t.deferWindow())
-			t.mu.Unlock()
-			return
+		t.step(core.TakeoverInput{Kind: core.TakeoverProbed, Alive: alive})
+	case core.TakeoverSendClaim:
+		if e.To == core.TakeoverAll {
+			fmt.Printf("mirrord: %s: electing for epoch %d (cut %s)\n", t.s.Name, e.Claim.Epoch, e.Claim.Cut)
 		}
+		for i, addr := range t.peers {
+			if i != t.self && (e.To == core.TakeoverAll || e.To == i) {
+				t.wg.Add(1)
+				go func() {
+					defer t.wg.Done()
+					t.sendClaim(addr, e.Claim)
+				}()
+			}
+		}
+	case core.TakeoverPromote:
+		fmt.Printf("mirrord: %s: taking over as central, epoch %d\n", t.s.Name, e.Epoch)
+		t.promote(e.Epoch)
+	case core.TakeoverAnnounce:
+		if pc := t.s.promoted.Load(); pc != nil {
+			pc.announce(e.To)
+		}
+	case core.TakeoverFollow:
+		if e.Repoint {
+			t.s.Takeover.Repoints.Add(1)
+			t.s.Uplink.Repoint(e.Ann.Addr)
+			fmt.Printf("mirrord: %s: takeover epoch %d — repointing uplink to %s\n", t.s.Name, e.Ann.Epoch, e.Ann.Addr)
+		}
+		_ = t.s.Uplink.Submit(&event.Event{Type: event.TypeRecoveryRequest, Seq: uint64(t.self), VT: RejoinCut(t.s.Site, e.Ann.Anchor)})
 	}
-	fmt.Printf("mirrord: %s: election won — promoting, epoch %d\n", t.s.Name, epoch)
-	t.promoteLocked(epoch)
-	t.mu.Unlock()
 }
 
 // probeAlive reports whether addr still accepts TCP connections. The
@@ -287,9 +231,6 @@ func (t *takeoverRuntime) candidateTickLocked() {
 // false death verdict (and a spurious election) against a live but
 // momentarily slow peer.
 func (t *takeoverRuntime) probeAlive(addr string) bool {
-	if addr == "" {
-		return false
-	}
 	conn, err := net.DialTimeout("tcp", addr, min(max(t.interval, time.Second), 5*time.Second))
 	if err != nil {
 		return false
@@ -298,11 +239,10 @@ func (t *takeoverRuntime) probeAlive(addr string) bool {
 	return true
 }
 
-// promoteLocked converts this mirror site into the epoch's central:
+// promote converts this mirror site into the epoch's central:
 // Mirror.Promote adopts the site's state with every survivor slot
-// excluded, and the announcement loop re-admits them as they redial.
-// Callers hold t.mu.
-func (t *takeoverRuntime) promoteLocked(epoch uint64) {
+// excluded, and announcements re-admit them as they redial.
+func (t *takeoverRuntime) promote(epoch uint64) {
 	s := t.s
 	// Downlinks to every survivor, indexed by ORIGINAL site ID so the
 	// SiteID survivors stamp on checkpoint replies keeps addressing
@@ -350,47 +290,7 @@ func (t *takeoverRuntime) promoteLocked(epoch uint64) {
 	if s.Front != nil {
 		s.Front.EnableUpdates(central.Ingest)
 	}
-
-	t.phase = rolePromoted
-	t.seenEpoch = epoch
-	t.seenAddr = t.advertise
 	s.promoted.Store(pc)
-	t.wg.Add(1)
-	go t.announceLoop(pc)
-}
-
-// announceLoop broadcasts the takeover on every still-excluded
-// survivor's ctrl.down. It never exits while the site runs: after the
-// initial convergence it keeps ticking as the re-admission heartbeat,
-// so a survivor the failure detector excludes later — a stall, a
-// crash-and-restart on the same address — hears the announcement
-// again, re-sends its rejoin request, and is re-admitted through the
-// same RejoinSince path. Converged ticks send nothing.
-func (t *takeoverRuntime) announceLoop(pc *promotedCentral) {
-	defer t.wg.Done()
-	frame := &event.Event{Type: event.TypeTakeover, Seq: pc.Ann.Epoch, Payload: pc.Ann.Encode()}
-	tk := time.NewTicker(t.interval)
-	defer tk.Stop()
-	converged := false
-	for {
-		pending := false
-		for i, ctrl := range pc.ctrl {
-			if ctrl == nil || pc.Member.Alive(i) {
-				continue
-			}
-			pending = true
-			_ = ctrl.Submit(frame)
-		}
-		if !pending && !converged {
-			fmt.Printf("mirrord: %s: takeover epoch %d converged — every survivor rejoined\n", t.s.Name, pc.Ann.Epoch)
-		}
-		converged = !pending
-		select {
-		case <-t.stop:
-			return
-		case <-tk.C:
-		}
-	}
 }
 
 // handleCtrlUp routes the promoted central's ctrl.up traffic:
@@ -398,17 +298,18 @@ func (t *takeoverRuntime) announceLoop(pc *promotedCentral) {
 // service (on their own goroutine — a state transfer must not block
 // the control channel's read loop).
 func (t *takeoverRuntime) handleCtrlUp(pc *promotedCentral, e *event.Event) {
-	if e.Type == event.TypeRecoveryRequest {
-		slot := int(e.Seq)
-		cut := e.VT.Clone()
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			t.serveRejoin(pc, slot, cut)
-		}()
+	if e.Type != event.TypeRecoveryRequest {
+		pc.Central.HandleControl(e)
 		return
 	}
-	pc.Central.HandleControl(e)
+	if !t.admit() {
+		return
+	}
+	slot, cut := int(e.Seq), e.VT.Clone()
+	go func() {
+		defer t.wg.Done()
+		t.serveRejoin(pc, slot, cut)
+	}()
 }
 
 // serveRejoin re-admits one survivor from its advertised cut.
@@ -434,116 +335,17 @@ func (t *takeoverRuntime) handleControl(e *event.Event) bool {
 	switch e.Type {
 	case event.TypeTakeover:
 		if ann, err := core.DecodeTakeoverAnnouncement(e.Payload); err == nil {
-			t.onAnnouncement(ann)
+			t.step(core.TakeoverInput{Kind: core.TakeoverAnnounced, Ann: ann})
 		}
 		return true
 	case event.TypeElect:
 		if c, err := core.DecodeElectionClaim(e.Payload); err == nil {
-			t.onClaim(c)
+			t.s.Takeover.Claims.Add(1)
+			t.step(core.TakeoverInput{Kind: core.TakeoverClaimed, Claim: c})
 		}
 		return true
 	}
 	return false
-}
-
-// onAnnouncement is the survivor side of a takeover: fence the epoch,
-// repoint the uplink, and request re-admission from the right cut.
-func (t *takeoverRuntime) onAnnouncement(ann core.TakeoverAnnouncement) {
-	t.mu.Lock()
-	if t.phase == rolePromoted {
-		t.mu.Unlock()
-		return
-	}
-	roundsEpoch := t.s.Site.LastRound() >> checkpoint.EpochShift
-	switch {
-	case ann.Epoch <= roundsEpoch || ann.Epoch < t.seenEpoch:
-		// Stale: this site already runs in a same-or-newer epoch.
-		t.mu.Unlock()
-		return
-	case ann.Epoch == t.seenEpoch:
-		if ann.Addr != t.seenAddr {
-			// Split-brain fencing: a second would-be central claiming
-			// an epoch we already accepted from someone else.
-			fmt.Printf("mirrord: %s: rejecting conflicting takeover claim for epoch %d from %s (accepted %s)\n",
-				t.s.Name, ann.Epoch, ann.Addr, t.seenAddr)
-			t.mu.Unlock()
-			return
-		}
-		// Retry of the accepted takeover: re-send the rejoin request
-		// below (the first one may have been lost).
-	default:
-		// Fresh takeover: accept, repoint, re-arm detection against
-		// the new central.
-		t.seenEpoch, t.seenAddr = ann.Epoch, ann.Addr
-		t.phase = roleFollower
-		t.mon = core.NewStandbyMonitor(t.s.Site.LastRound, t.budget)
-		t.s.Takeover.Repoints.Add(1)
-		t.s.Uplink.Repoint(ann.Addr)
-		fmt.Printf("mirrord: %s: takeover epoch %d — repointing uplink to %s\n", t.s.Name, ann.Epoch, ann.Addr)
-	}
-	cut := RejoinCut(t.s.Site, ann.Anchor)
-	t.mu.Unlock()
-	req := &event.Event{Type: event.TypeRecoveryRequest, Seq: uint64(t.self), VT: cut}
-	_ = t.s.Uplink.Submit(req)
-}
-
-// onClaim records a rival's election claim and answers with this
-// site's own standing (throttled), so a candidate's decision sees
-// every live peer even before that peer's own monitor fires.
-func (t *takeoverRuntime) onClaim(c core.ElectionClaim) {
-	t.s.Takeover.Claims.Add(1)
-	t.mu.Lock()
-	if int(c.Site) == t.self {
-		t.mu.Unlock()
-		return
-	}
-	if t.phase == rolePromoted {
-		// A late candidate did not hear the takeover yet: answer its
-		// claim with the announcement directly so it stands down
-		// before its election window closes.
-		pc := t.s.promoted.Load()
-		t.mu.Unlock()
-		if pc != nil && c.Epoch <= pc.Ann.Epoch && int(c.Site) < len(pc.ctrl) && pc.ctrl[c.Site] != nil {
-			_ = pc.ctrl[c.Site].Submit(&event.Event{Type: event.TypeTakeover, Seq: pc.Ann.Epoch, Payload: pc.Ann.Encode()})
-		}
-		return
-	}
-	if c.Epoch <= t.curEpochLocked() {
-		t.mu.Unlock()
-		return
-	}
-	m := t.claims[c.Epoch]
-	if m == nil {
-		m = make(map[uint8]core.ElectionClaim)
-		t.claims[c.Epoch] = m
-	}
-	m[c.Site] = c
-	var reply *core.ElectionClaim
-	var replyAddr string
-	if now := time.Now(); int(c.Site) < len(t.peers) && now.Sub(t.lastReply[c.Epoch]) >= t.interval {
-		t.lastReply[c.Epoch] = now
-		rc := core.ElectionClaim{Epoch: c.Epoch, Site: uint8(t.self), Cut: t.s.Site.Backup().Committed()}
-		reply, replyAddr = &rc, t.peers[c.Site]
-	}
-	t.mu.Unlock()
-	if reply != nil {
-		t.sendClaim(replyAddr, *reply)
-	}
-}
-
-// broadcastClaim sends an election claim to every peer concurrently.
-func (t *takeoverRuntime) broadcastClaim(c core.ElectionClaim) {
-	for i, addr := range t.peers {
-		if i == t.self {
-			continue
-		}
-		addr := addr
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			t.sendClaim(addr, c)
-		}()
-	}
 }
 
 // sendClaim delivers one claim over a transient link (peers may be
@@ -562,20 +364,7 @@ func (t *takeoverRuntime) sendClaim(addr string, c core.ElectionClaim) {
 // Info snapshots the runtime for /cluster/status.
 func (t *takeoverRuntime) Info() *status.Takeover {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	role := t.phase
-	if role == roleFollower && t.standby {
-		role = roleStandby
-	}
-	return &status.Takeover{
-		Armed:       true,
-		Role:        role,
-		Budget:      t.budget,
-		Missed:      t.mon.Missed(),
-		Fired:       t.s.Takeover.Fired.Load() > 0,
-		Epoch:       t.seenEpoch,
-		CentralAddr: t.s.Uplink.Addr(),
-		Claims:      t.s.Takeover.Claims.Load(),
-		Repoints:    t.s.Takeover.Repoints.Load(),
-	}
+	info := t.node.Info()
+	t.mu.Unlock()
+	return status.FromTakeover(info, t.s.Takeover, t.s.Uplink.Addr())
 }

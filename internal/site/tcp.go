@@ -280,8 +280,8 @@ type MirrorOptions struct {
 	// wire-takeover runtime; see takeover.go.
 	Peers []string
 	// TakeoverBudget is how many consecutive detection intervals
-	// without a new checkpoint round the site tolerates before
-	// declaring the central dead (0 disarms wire takeover).
+	// without a new checkpoint round the site tolerates before probing
+	// whether the central is dead (0 disarms wire takeover).
 	TakeoverBudget int
 	// TakeoverInterval is the detection ticker period (0 =
 	// DefaultTakeoverInterval). Align it with the expected checkpoint
@@ -409,14 +409,16 @@ func (s *MirrorSite) Status() status.Document {
 
 // Close tears the site down.
 func (s *MirrorSite) Close() error {
-	if s.takeover != nil {
-		s.takeover.stopAndWait()
-	}
+	// Inputs stop first: the takeover runtime then drops anything later
+	// and waits for its admitted work before the promoted central closes.
 	if s.Front != nil {
 		s.Front.Close()
 	}
 	if s.srv != nil {
 		s.srv.Close()
+	}
+	if s.takeover != nil {
+		s.takeover.stopAndWait()
 	}
 	if pc := s.promoted.Load(); pc != nil {
 		pc.Close()

@@ -130,6 +130,22 @@ type Takeover struct {
 	Repoints uint64 `json:"repoints"`
 }
 
+// FromTakeover builds an armed site's takeover block from its node's
+// view, its takeover counters, and its control uplink's address.
+func FromTakeover(info core.TakeoverInfo, stats *core.TakeoverStats, centralAddr string) *Takeover {
+	return &Takeover{
+		Armed:       true,
+		Role:        info.Role,
+		Budget:      info.Budget,
+		Missed:      info.Missed,
+		Fired:       stats.Fired.Load() > 0,
+		Epoch:       info.Epoch,
+		CentralAddr: centralAddr,
+		Claims:      stats.Claims.Load(),
+		Repoints:    stats.Repoints.Load(),
+	}
+}
+
 // Document is the /cluster/status payload. Mirror sites fill the
 // site-local fields only; the central site additionally aggregates
 // links, per-site rows, rejoin accounting, and the audit tail.
