@@ -41,11 +41,12 @@ takeover-smoke:
 
 # Repeats the timing-sensitive suites under the race detector: the
 # site runtime, the figure smoke shapes, core, the registry's concurrent
-# get-or-create, and the cluster tests that run over the site runtime,
-# pin chaos replay, or compare the chaos rig's promotion with the TCP
-# standby's (both drive the same takeover node).
+# get-or-create, the init-state storm and snapshot-immutability tests
+# of ede and httpfront, and the cluster tests that run over the site
+# runtime, pin chaos replay, or compare the chaos rig's promotion with
+# the TCP standby's (both drive the same takeover node).
 flake:
-	$(GO) test -race -count=10 ./internal/site ./internal/figures ./internal/core ./internal/obs
+	$(GO) test -race -count=10 ./internal/site ./internal/figures ./internal/core ./internal/obs ./internal/ede ./internal/httpfront
 	$(GO) test -race -count=10 -run 'TestCluster|TestDataLink|TestChaosDeterministicReplay|TestPromotionEquivalence' ./internal/cluster
 
 # Builds the frozen wall-clock benchmark (bench/, a nested module that

@@ -39,7 +39,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(state) == 0 {
+	if state.Len() == 0 {
 		t.Fatal("empty init state")
 	}
 }
@@ -170,7 +170,7 @@ func TestOnUpdateStreamDrivesThinClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Initialize(snap); err != nil {
+	if err := v.Initialize(snap.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

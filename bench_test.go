@@ -582,7 +582,7 @@ func BenchmarkServeInitStorm(b *testing.B) {
 							errs <- err
 							return
 						}
-						if len(state) == 0 {
+						if state.Len() == 0 {
 							errs <- errEmptyState
 							return
 						}
@@ -624,7 +624,7 @@ func BenchmarkSnapshotRebuild(b *testing.B) {
 					en.Process(event.NewPosition(event.FlightID(i%flights), uint64(i), 4, 5, 6, 64))
 					b.StartTimer()
 				}
-				if len(en.ServeInitState()) == 0 {
+				if en.ServeInitState().Len() == 0 {
 					b.Fatal("empty snapshot")
 				}
 			}

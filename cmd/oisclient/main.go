@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,8 +31,8 @@ func main() {
 		interval = flag.Duration("interval", time.Second, "summary print interval")
 	)
 	flag.Parse()
-	if *initURL == "" || *updates == "" {
-		fmt.Fprintln(os.Stderr, "oisclient: -init and -updates are required")
+	if err := checkFlags(*initURL, *updates, *padding); err != nil {
+		fmt.Fprintf(os.Stderr, "oisclient: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -84,6 +85,17 @@ func main() {
 			return
 		}
 	}
+}
+
+// checkFlags reports a usage error in the parsed command line.
+func checkFlags(initURL, updates string, padding int) error {
+	switch {
+	case initURL == "" || updates == "":
+		return errors.New("-init and -updates are required")
+	case padding < 0:
+		return fmt.Errorf("-padding must not be negative, got %d", padding)
+	}
+	return nil
 }
 
 // fetchInit performs the thin client's initialization request,

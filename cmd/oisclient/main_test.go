@@ -47,3 +47,24 @@ func TestFetchInitErrors(t *testing.T) {
 		t.Fatal("503 must surface as an error")
 	}
 }
+
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		name             string
+		initURL, updates string
+		padding          int
+		ok               bool
+	}{
+		{"valid", "http://h:8001", "h:7000", 64, true},
+		{"zero padding", "http://h:8001", "h:7000", 0, true},
+		{"missing init", "", "h:7000", 64, false},
+		{"missing updates", "http://h:8001", "", 64, false},
+		{"negative padding", "http://h:8001", "h:7000", -1, false},
+		{"zero record size", "http://h:8001", "h:7000", -47, false},
+	}
+	for _, c := range cases {
+		if err := checkFlags(c.initURL, c.updates, c.padding); (err == nil) != c.ok {
+			t.Errorf("%s: checkFlags = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}

@@ -125,7 +125,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("   and serves clients again: init state = %d bytes\n", len(state))
+	fmt.Printf("   and serves clients again: init state = %d bytes\n", state.Len())
 }
 
 type senderFunc func(*event.Event) error

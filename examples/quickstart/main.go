@@ -64,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := display.Initialize(state); err != nil {
+	if err := display.Initialize(state.Bytes()); err != nil {
 		log.Fatal(err)
 	}
 	mu.Lock()
@@ -73,7 +73,7 @@ func main() {
 	}
 	mu.Unlock()
 
-	fmt.Printf("client initialization state: %d bytes\n", len(state))
+	fmt.Printf("client initialization state: %d bytes\n", state.Len())
 	fs, _ := display.Flight(1)
 	fmt.Printf("display now tracks %d flights; flight 1 at %.2f,%.2f\n",
 		display.Flights(), fs.Lat, fs.Lon)

@@ -69,6 +69,10 @@ type Member struct {
 	closed    bool
 
 	deliver func(Message)
+	// outbox holds causally ordered messages awaiting the handler;
+	// delivering marks that some receive is draining it.
+	outbox     []Message
+	delivering bool
 
 	// stats
 	deliveredN uint64
@@ -123,13 +127,30 @@ func (m *Member) receive(msg Message) {
 		}
 	}
 	m.delayedN += uint64(len(m.pending))
-	handler := m.deliver
-	m.mu.Unlock()
-	if handler != nil {
-		for _, dm := range ready {
-			handler(dm)
-		}
+	if m.deliver == nil {
+		m.mu.Unlock()
+		return
 	}
+	// The handler runs outside the lock, so concurrent receives hand
+	// their batches to one delivering goroutine at a time: otherwise two
+	// callers could interleave their handler calls out of causal order.
+	m.outbox = append(m.outbox, ready...)
+	if m.delivering {
+		m.mu.Unlock()
+		return
+	}
+	m.delivering = true
+	for len(m.outbox) > 0 {
+		batch := m.outbox
+		m.outbox = nil
+		m.mu.Unlock()
+		for _, dm := range batch {
+			m.deliver(dm)
+		}
+		m.mu.Lock()
+	}
+	m.delivering = false
+	m.mu.Unlock()
 }
 
 // Pending returns the number of causally blocked messages.

@@ -465,7 +465,7 @@ func TestMainUnitRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(state) == 0 {
+	if state.Len() == 0 {
 		t.Fatal("empty init state")
 	}
 	if m.ServedRequests() != 1 {

@@ -75,9 +75,9 @@ type MainConfig struct {
 type InitRequest struct {
 	// EnqueuedAt is stamped when the request enters the buffer.
 	EnqueuedAt time.Time
-	// Resp receives the serialized initialization state; it is closed
-	// without a value if the unit shuts down first.
-	Resp chan []byte
+	// Resp receives the initialization state; it is closed without a
+	// value if the unit shuts down first.
+	Resp chan ede.Snapshot
 }
 
 // MainUnit hosts a site's EDE: it processes events forwarded by the
@@ -113,7 +113,7 @@ type MainUnit struct {
 
 // DefaultRequestWorkers is the request worker-pool size when
 // MainConfig.RequestWorkers is unset. A warm snapshot-cache hit is a
-// shared-buffer handout, so a small pool saturates the serving path;
+// shared-segment handout, so a small pool saturates the serving path;
 // more workers only add scheduling churn.
 const DefaultRequestWorkers = 4
 
@@ -382,14 +382,14 @@ func (m *MainUnit) Request(r *InitRequest) error {
 }
 
 // RequestInitState performs a synchronous init-state request.
-func (m *MainUnit) RequestInitState() ([]byte, error) {
-	r := &InitRequest{Resp: make(chan []byte, 1)}
+func (m *MainUnit) RequestInitState() (ede.Snapshot, error) {
+	r := &InitRequest{Resp: make(chan ede.Snapshot, 1)}
 	if err := m.Request(r); err != nil {
-		return nil, err
+		return ede.Snapshot{}, err
 	}
 	state, ok := <-r.Resp
 	if !ok {
-		return nil, ErrUnitClosed
+		return ede.Snapshot{}, ErrUnitClosed
 	}
 	return state, nil
 }

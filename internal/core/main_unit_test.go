@@ -33,7 +33,7 @@ func TestRequestStampPrecedesEnqueue(t *testing.T) {
 	m := NewMainUnit(MainConfig{})
 	defer m.Close()
 	before := time.Now()
-	r := &InitRequest{Resp: make(chan []byte, 1)}
+	r := &InitRequest{Resp: make(chan ede.Snapshot, 1)}
 	if err := m.Request(r); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRequestPoolServesConcurrently(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := ede.DecodeSnapshot(state, 0); err != nil {
+				if _, err := ede.DecodeSnapshot(state.Bytes(), 0); err != nil {
 					errs <- err
 					return
 				}

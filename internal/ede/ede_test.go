@@ -1,6 +1,7 @@
 package ede
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"adaptmirror/internal/event"
@@ -200,12 +201,41 @@ func TestDecodeSnapshotErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeSnapshotNegativePadding: a negative padding is an error,
+// never a division by a zero record size, an out-of-range read, or an
+// empty snapshot accepted by a meaningless size check.
+func TestDecodeSnapshotNegativePadding(t *testing.T) {
+	snap := func(flights uint64, body int) []byte {
+		return append(binary.LittleEndian.AppendUint64(nil, flights), make([]byte, body)...)
+	}
+	en := engine()
+	en.Process(event.NewPosition(1, 1, 0, 0, 0, 32))
+	cases := []struct {
+		name    string
+		padding int
+		buf     []byte
+	}{
+		{"zero record, empty", -flightRecordSize, snap(0, 0)},
+		{"zero record, one flight", -flightRecordSize, snap(1, flightRecordSize)},
+		{"short record", -40, snap(1, flightRecordSize-40)},
+		{"negative record", -100, snap(0, 0)},
+		{"minus one", -1, en.State().Snapshot()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := DecodeSnapshot(c.buf, c.padding); err == nil {
+				t.Fatalf("padding %d accepted", c.padding)
+			}
+		})
+	}
+}
+
 func TestServeInitState(t *testing.T) {
 	en := engine()
 	en.Process(event.NewPosition(1, 1, 0, 0, 0, 32))
 	snap := en.ServeInitState()
-	if len(snap) != en.State().SnapshotSize() {
-		t.Fatalf("init state %d bytes, want %d", len(snap), en.State().SnapshotSize())
+	if snap.Len() != en.State().SnapshotSize() {
+		t.Fatalf("init state %d bytes, want %d", snap.Len(), en.State().SnapshotSize())
 	}
 }
 

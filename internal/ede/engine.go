@@ -210,12 +210,13 @@ func (en *Engine) LastProcessed() vclock.VC {
 // from the epoch-cached snapshot, charging the request's CPU cost.
 // This is the expensive operation whose bursts the mirroring
 // framework offloads; the cache turns a storm of such requests into
-// one rebuild plus per-request copies, and the cost charge follows
-// suit — copied bytes are booked as request work, freshly rebuilt
-// segment bytes as serialization work (costmodel.Model.InitStateCost).
-func (en *Engine) ServeInitState() []byte {
+// one rebuild plus per-request handouts, and the cost charge follows
+// the paper's model — the response bytes are booked as request work,
+// freshly rebuilt segment bytes as serialization work
+// (costmodel.Model.InitStateCost).
+func (en *Engine) ServeInitState() Snapshot {
 	snap, rebuilt := en.state.CachedSnapshot()
-	en.cpu.Charge(en.model.InitStateCost(len(snap), rebuilt))
+	en.cpu.Charge(en.model.InitStateCost(snap.Len(), rebuilt))
 	return snap
 }
 

@@ -24,7 +24,8 @@ package ede
 // second event log.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -233,7 +234,7 @@ func (s *State) DeltaSince(cut vclock.VC) (recs []statedelta.Record, ok bool) {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].Flight < recs[b].Flight })
+	slices.SortFunc(recs, func(a, b statedelta.Record) int { return cmp.Compare(a.Flight, b.Flight) })
 	return recs, true
 }
 

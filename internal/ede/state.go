@@ -12,7 +12,7 @@ package ede
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -71,6 +71,11 @@ type shard struct {
 	// path can check cleanliness without touching the shard lock.
 	epoch atomic.Uint64
 
+	// members counts changes to the set of flights (a flight created,
+	// the table replaced by Install), guarded by mu. The snapshot cache
+	// re-sorts its cached flight order only when it moves.
+	members uint64
+
 	// Padding out to a cache line would be overkill here: shards are
 	// accessed through pointer-chasing maps whose buckets dominate any
 	// false sharing of the shard headers.
@@ -84,8 +89,10 @@ type State struct {
 	processed atomic.Uint64
 
 	// padding is appended per flight in snapshots to model richer
-	// per-flight state than this reproduction tracks explicitly.
+	// per-flight state than this reproduction tracks explicitly; pad is
+	// that many zero bytes, shared read-only by every encoder.
 	padding int
+	pad     []byte
 
 	// journal coordinates the per-shard mutation maps (journal.go).
 	journal journal
@@ -108,7 +115,7 @@ func NewStateSharded(paddingPerFlight, shards int) *State {
 	for n < shards {
 		n <<= 1
 	}
-	s := &State{shards: make([]shard, n), mask: uint32(n - 1), padding: paddingPerFlight}
+	s := &State{shards: make([]shard, n), mask: uint32(n - 1), padding: paddingPerFlight, pad: make([]byte, paddingPerFlight)}
 	for i := range s.shards {
 		s.shards[i].flights = make(map[event.FlightID]*FlightState)
 	}
@@ -134,6 +141,7 @@ func (s *State) flight(f event.FlightID) *FlightState {
 	if fs == nil {
 		fs = &FlightState{ID: f}
 		sh.flights[f] = fs
+		sh.members++
 	}
 	return fs
 }
@@ -174,9 +182,9 @@ func (s *State) SnapshotSize() int {
 func appendFlight(buf []byte, fs *FlightState, pad []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(fs.ID))
 	buf = append(buf, byte(fs.Status))
-	for _, v := range []float64{fs.Lat, fs.Lon, fs.Alt} {
-		buf = binary.LittleEndian.AppendUint64(buf, floatBits(v))
-	}
+	buf = binary.LittleEndian.AppendUint64(buf, floatBits(fs.Lat))
+	buf = binary.LittleEndian.AppendUint64(buf, floatBits(fs.Lon))
+	buf = binary.LittleEndian.AppendUint64(buf, floatBits(fs.Alt))
 	buf = binary.LittleEndian.AppendUint32(buf, fs.PaxExpected)
 	buf = binary.LittleEndian.AppendUint32(buf, fs.PaxBoarded)
 	buf = binary.LittleEndian.AppendUint64(buf, fs.PositionUpdates)
@@ -191,48 +199,34 @@ func appendFlight(buf []byte, fs *FlightState, pad []byte) []byte {
 	return append(buf, pad...)
 }
 
-// encodeShard serializes one shard's flights, sorted by flight ID so
-// the output is byte-stable for a given state (order-normalized wire
-// bytes are what makes cached segments and fresh builds comparable).
-// Caller must hold at least the shard's read lock. The segment carries
-// no header; the full-snapshot header is prepended at assembly.
-func (s *State) encodeShard(sh *shard) ([]byte, int) {
-	ids := make([]event.FlightID, 0, len(sh.flights))
-	for id := range sh.flights {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := make([]byte, 0, len(ids)*(flightRecordSize+s.padding))
-	pad := make([]byte, s.padding)
-	for _, id := range ids {
-		buf = appendFlight(buf, sh.flights[id], pad)
-	}
-	return buf, len(ids)
-}
-
 // Snapshot serializes the full state: the initialization view sent to
-// thin clients so they can interpret subsequent update events. The
-// snapshot is assembled shard by shard (each under its read lock), so
-// it is per-shard consistent; concurrent applies to other shards are
-// not blocked. Within each shard flights are encoded in ID order, so
-// the bytes are deterministic for a given state and shard count.
+// thin clients so they can interpret subsequent update events. It is
+// the uncached reference encoder (the serving path uses
+// CachedSnapshot, whose bytes must equal these). The snapshot is
+// built shard by shard, each under its read lock, so it is per-shard
+// consistent; concurrent applies to other shards are not blocked.
+// Within each shard flights are encoded in ID order, so the bytes are
+// deterministic for a given state and shard count: an 8-byte flight
+// count, then fixed-size records.
 func (s *State) Snapshot() []byte {
-	segs := make([][]byte, len(s.shards))
-	total, flights := 0, 0
+	buf := make([]byte, 8, s.SnapshotSize())
+	var ids []event.FlightID
+	flights := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		seg, n := s.encodeShard(sh)
+		ids = ids[:0]
+		for id := range sh.flights {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			buf = appendFlight(buf, sh.flights[id], s.pad)
+		}
 		sh.mu.RUnlock()
-		segs[i] = seg
-		total += len(seg)
-		flights += n
+		flights += len(ids)
 	}
-	buf := make([]byte, 0, 8+total)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(flights))
-	for _, seg := range segs {
-		buf = append(buf, seg...)
-	}
+	binary.LittleEndian.PutUint64(buf, uint64(flights))
 	return buf
 }
 
@@ -264,6 +258,7 @@ func (s *State) Install(buf []byte) error {
 		// The mutation journal describes the replaced state; whatever it
 		// tracked no longer corresponds to the installed flights.
 		sh.journal = nil
+		sh.members++
 		sh.epoch.Add(1)
 		sh.mu.Unlock()
 	}
@@ -271,8 +266,12 @@ func (s *State) Install(buf []byte) error {
 }
 
 // DecodeSnapshot parses a snapshot produced by Snapshot, returning the
-// flight states keyed by ID. paddingPerFlight must match the encoder's.
+// flight states keyed by ID. paddingPerFlight must match the encoder's
+// and cannot be negative.
 func DecodeSnapshot(buf []byte, paddingPerFlight int) (map[event.FlightID]FlightState, error) {
+	if paddingPerFlight < 0 {
+		return nil, fmt.Errorf("ede: negative snapshot padding %d", paddingPerFlight)
+	}
 	if len(buf) < 8 {
 		return nil, fmt.Errorf("ede: snapshot too short: %d bytes", len(buf))
 	}

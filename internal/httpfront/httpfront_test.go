@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"adaptmirror/internal/core"
+	"adaptmirror/internal/ede"
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/obs"
 	"adaptmirror/internal/status"
@@ -55,6 +56,42 @@ func TestInitServesState(t *testing.T) {
 	}
 	if got := f.Stats().Requests; got != 1 {
 		t.Fatalf("Requests = %d, want 1", got)
+	}
+}
+
+// TestInitContentLength: the init state goes out in one unchunked body
+// whose declared length is the snapshot's size, carrying exactly the
+// reference encoder's bytes.
+func TestInitContentLength(t *testing.T) {
+	_, addr, m := front(t, core.MainConfig{EDE: ede.Config{StatePadding: 64}})
+	// Well past net/http's 2 KB chunking threshold.
+	const flights = 200
+	for f := event.FlightID(0); f < flights; f++ {
+		m.Deliver(event.NewPosition(f, uint64(f+1), 1, 2, 3, 64))
+	}
+	if err := m.Barrier(func() {}); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + addr + "/init")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Transfer-Encoding = %v, want none", resp.TransferEncoding)
+	}
+	want := m.Engine().State().SnapshotSize()
+	if resp.ContentLength != int64(len(body)) || len(body) != want {
+		t.Fatalf("Content-Length %d, body %d bytes, SnapshotSize %d: want all equal",
+			resp.ContentLength, len(body), want)
+	}
+	if !bytes.Equal(body, m.Engine().State().Snapshot()) {
+		t.Fatal("served body differs from the reference snapshot")
 	}
 }
 

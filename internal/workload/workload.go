@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"adaptmirror/internal/core"
+	"adaptmirror/internal/ede"
 	"adaptmirror/internal/loadbal"
 	"adaptmirror/internal/metrics"
 )
@@ -122,7 +123,7 @@ func Run(cfg Config) Result {
 
 	dispatch := func() {
 		target := cfg.Targets[bal.Pick()%len(cfg.Targets)]
-		req := &core.InitRequest{Resp: make(chan []byte, 1)}
+		req := &core.InitRequest{Resp: make(chan ede.Snapshot, 1)}
 		sentAt := time.Now()
 		if err := target.Request(req); err != nil {
 			rejected.Add(1)
@@ -212,7 +213,7 @@ func Burst(targets []*core.MainUnit, bal loadbal.Balancer, n int, lat *metrics.H
 	var done atomic.Uint64
 	for i := 0; i < n; i++ {
 		target := targets[bal.Pick()%len(targets)]
-		req := &core.InitRequest{Resp: make(chan []byte, 1)}
+		req := &core.InitRequest{Resp: make(chan ede.Snapshot, 1)}
 		sentAt := time.Now()
 		if err := target.Request(req); err != nil {
 			continue
