@@ -12,6 +12,17 @@
 // the earlier one; and a commit naming an event no longer in a unit's
 // backup queue is simply ignored.
 //
+// Automatic rounds are paced by commits. The paper triggers a round
+// every N processed events; once a round trip outlasts N events of
+// traffic, starting every triggered round would abandon nearly all of
+// them before they commit. Coordinator.Due therefore keeps at most one
+// automatic round in flight: a trigger that finds a round open is
+// deferred, and the round's close starts the next one with the newest
+// proposal. Subsumption remains the rule for explicit rounds (Init
+// always starts one) and for deferral overflow: the trigger after
+// maxDeferred deferred ones abandons the open round, so a lost CHKPT or
+// reply still heals.
+//
 // The package provides the three state machines of Figure 3 —
 // Coordinator (central aux unit), Mirror (mirror aux unit), and Main
 // (main unit) — wired to their surroundings through callbacks, so the
@@ -49,6 +60,12 @@ const EpochShift = 32
 // epoch e. Epoch 0 is the original central; its rounds start at 1.
 func EpochBase(epoch uint64) uint64 { return epoch << EpochShift }
 
+// maxDeferred is how many automatic triggers an open round defers
+// before the next trigger abandons it. It equals the default miss
+// budget: a failure detector counting started rounds still sees one at
+// least every maxDeferred+1 triggers.
+const maxDeferred = 8
+
 // Coordinator runs at the central site's auxiliary unit. It initiates
 // rounds, collects CHKPT_REP replies, computes their minimum, and
 // issues COMMIT.
@@ -76,21 +93,81 @@ type Coordinator struct {
 	// CHKPT→COMMIT latency. Abandoned rounds report nothing — their
 	// time is folded into the subsuming round.
 	RoundLatency func(time.Duration)
+	// Start, when non-nil, starts the rounds automatic triggers call for
+	// (Due's, and an owed trigger's when Owed is nil), so the driver can
+	// run its round-start bookkeeping first; it must end in Init. Nil
+	// calls Init.
+	Start func() bool
+	// Owed, when non-nil, receives an owed trigger when the open round
+	// closes: the driver hands it back to whatever calls Due. Rounds close
+	// on the reply, shrink and NextRound paths, which may run under the
+	// driver's locks. Nil starts the owed round at once.
+	Owed func()
 
 	mu        sync.Mutex
 	round     uint64
 	floor     uint64 // rounds at or below this belong to a previous central
-	pending   int
+	pending   int    // replies the open round still needs; 0 = no round open
 	min       vclock.VC
 	replied   [4]uint64 // per-site reply bitset for the open round, keyed by Stream
 	commits   uint64
 	rounds    uint64
 	startedAt time.Time
+	deferred  int  // automatic triggers the open round has deferred
+	owed      bool // a deferred trigger waits for the open round to close
 }
 
-// Init starts a new checkpoint round. If a previous round is still
-// open it is abandoned: its eventual commit is subsumed by this one.
-// It reports whether a round was actually started.
+// Due registers one automatic checkpoint trigger and reports whether
+// it started a round. With no round open it starts one (through Start)
+// with the newest proposal. With one open it defers the trigger and
+// owes it: the round's close — a commit, a SetParticipants shrink that
+// completes or empties it, or NextRound — starts the next round. The
+// trigger that finds maxDeferred triggers already deferred abandons the
+// open round and starts a new one, as Init would.
+func (c *Coordinator) Due() bool {
+	c.mu.Lock()
+	if c.pending > 0 && c.deferred < maxDeferred {
+		c.deferred++
+		c.owed = true
+		c.mu.Unlock()
+		return false
+	}
+	// This trigger starts the round, so none is owed any more: a round
+	// closed by the driver's round-start bookkeeping must not start a
+	// second one.
+	c.owed = false
+	c.mu.Unlock()
+	return c.start()
+}
+
+func (c *Coordinator) start() bool {
+	if c.Start != nil {
+		return c.Start()
+	}
+	return c.Init()
+}
+
+// closeRound marks the open round closed and reports whether a trigger
+// was owed to it; caller holds c.mu and, when it was, calls release
+// after unlocking.
+func (c *Coordinator) closeRound() (owed bool) {
+	owed = c.owed
+	c.pending, c.owed = 0, false
+	return owed
+}
+
+// release hands an owed trigger on once its round has closed.
+func (c *Coordinator) release() {
+	if c.Owed != nil {
+		c.Owed()
+		return
+	}
+	c.start()
+}
+
+// Init starts a new checkpoint round, whatever is open. If a previous
+// round is still open it is abandoned: its eventual commit is subsumed
+// by this one. It reports whether a round was actually started.
 func (c *Coordinator) Init() bool {
 	proposal := c.Propose()
 	if proposal == nil {
@@ -105,6 +182,7 @@ func (c *Coordinator) Init() bool {
 	c.replied = [4]uint64{}
 	c.rounds++
 	c.startedAt = time.Now()
+	c.deferred, c.owed = 0, false
 	c.mu.Unlock()
 
 	ev := event.NewControl(event.TypeChkpt, proposal)
@@ -159,11 +237,15 @@ func (c *Coordinator) OnReply(e *event.Event) {
 	}
 	c.pending--
 	done := c.pending == 0
+	owed := done && c.closeRound()
 	round := c.round
 	commit := c.min.Clone()
 	c.mu.Unlock()
 	if done {
 		c.finish(round, commit)
+	}
+	if owed {
+		c.release()
 	}
 }
 
@@ -186,16 +268,21 @@ func (c *Coordinator) finish(round uint64, commit vclock.VC) {
 // NextRound allocates and returns a fresh round number for an
 // out-of-band control broadcast (a standalone adaptation directive
 // whose content changed after the last checkpoint stamped one). Any
-// open checkpoint round is abandoned exactly as a new Init would
-// abandon it — its late replies are ignored and a later round's
-// commit subsumes it — so round numbers stay globally monotone
-// across CHKPTs and directive re-broadcasts, which is what receiver
+// open checkpoint round is closed without a commit — its late replies
+// are ignored and a later round's commit subsumes it — and a trigger
+// it owed is released, so round numbers stay globally monotone across
+// CHKPTs and directive re-broadcasts, which is what receiver
 // watermarks rely on.
 func (c *Coordinator) NextRound() uint64 {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.round++
-	return c.round
+	round := c.round
+	owed := c.closeRound()
+	c.mu.Unlock()
+	if owed {
+		c.release()
+	}
+	return round
 }
 
 // Resume prepares a coordinator that takes over from a failed central
@@ -226,7 +313,8 @@ func (c *Coordinator) Resume(floor uint64) {
 // and without the adjustment the round would hang until subsumed (or,
 // with no further rounds, forever). If the shrink satisfies the open
 // round's remaining quorum, the round commits with the minimum of the
-// replies already received.
+// replies already received. Either way the close releases a trigger the
+// round owed.
 func (c *Coordinator) SetParticipants(n int) {
 	c.mu.Lock()
 	delta := n - c.Participants
@@ -235,11 +323,12 @@ func (c *Coordinator) SetParticipants(n int) {
 		finishRound  uint64
 		finishCommit vclock.VC
 		finishNow    bool
+		owed         bool
 	)
 	if delta < 0 && c.pending > 0 {
 		c.pending += delta
 		if c.pending <= 0 {
-			c.pending = 0
+			owed = c.closeRound()
 			if c.min != nil {
 				finishNow = true
 				finishRound = c.round
@@ -247,12 +336,15 @@ func (c *Coordinator) SetParticipants(n int) {
 			}
 			// With no replies received there is nothing to commit:
 			// the round simply closes (pending == 0 makes OnReply
-			// ignore any stragglers) and the next Init subsumes it.
+			// ignore any stragglers) and the next round subsumes it.
 		}
 	}
 	c.mu.Unlock()
 	if finishNow {
 		c.finish(finishRound, finishCommit)
+	}
+	if owed {
+		c.release()
 	}
 }
 

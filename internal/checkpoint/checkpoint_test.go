@@ -580,3 +580,162 @@ func BenchmarkCheckpointRound(b *testing.B) {
 		h.coord.Init()
 	}
 }
+
+// TestDuePacing drives automatic triggers through the coordinator's
+// commit pacing: at most one automatic round in flight, owed triggers
+// released by whatever closes the round, deferral overflow and explicit
+// rounds abandoning the open one.
+func TestDuePacing(t *testing.T) {
+	type step func(c *Coordinator, propose *uint64)
+	due := func(n int) step {
+		return func(c *Coordinator, _ *uint64) {
+			for i := 0; i < n; i++ {
+				c.Due()
+			}
+		}
+	}
+	propose := func(v uint64) step { return func(_ *Coordinator, p *uint64) { *p = v } }
+	vote := func(round uint64, site uint8) step {
+		return func(c *Coordinator, _ *uint64) { reply(c, round, site, 1) }
+	}
+	initRound := func(c *Coordinator, _ *uint64) { c.Init() }
+	nextRound := func(c *Coordinator, _ *uint64) { c.NextRound() }
+	shrink := func(n int) step { return func(c *Coordinator, _ *uint64) { c.SetParticipants(n) } }
+
+	cases := []struct {
+		name         string
+		participants int
+		steps        []step
+		// chkpts lists each CHKPT broadcast as {round, proposal}.
+		chkpts  [][2]uint64
+		commits int
+		open    bool
+	}{
+		{
+			name: "trigger with no round open starts one", participants: 2,
+			steps:  []step{propose(5), due(1)},
+			chkpts: [][2]uint64{{1, 5}}, open: true,
+		},
+		{
+			name: "trigger while a round is open defers it", participants: 2,
+			steps:  []step{propose(5), due(1), propose(9), due(maxDeferred)},
+			chkpts: [][2]uint64{{1, 5}}, open: true,
+		},
+		{
+			name: "commit with an owed trigger starts the next round with the newest proposal", participants: 1,
+			steps:  []step{propose(5), due(1), propose(9), due(3), vote(1, 0)},
+			chkpts: [][2]uint64{{1, 5}, {2, 9}}, commits: 1, open: true,
+		},
+		{
+			name: "commit with nothing owed leaves no round open", participants: 1,
+			steps:  []step{propose(5), due(1), vote(1, 0)},
+			chkpts: [][2]uint64{{1, 5}}, commits: 1,
+		},
+		{
+			name: "trigger after maxDeferred deferred ones abandons the open round", participants: 2,
+			steps:  []step{propose(5), due(1), propose(9), due(maxDeferred + 1), vote(1, 0), vote(1, 1)},
+			chkpts: [][2]uint64{{1, 5}, {2, 9}}, open: true,
+		},
+		{
+			name: "the abandoning round commits and clears the owed trigger", participants: 1,
+			steps:  []step{propose(5), due(maxDeferred + 2), vote(2, 0)},
+			chkpts: [][2]uint64{{1, 5}, {2, 5}}, commits: 1,
+		},
+		{
+			name: "Init always abandons the open round", participants: 1,
+			steps:  []step{propose(5), due(1), propose(9), initRound, vote(1, 0)},
+			chkpts: [][2]uint64{{1, 5}, {2, 9}}, open: true,
+		},
+		{
+			name: "Init satisfies an owed trigger", participants: 1,
+			steps:  []step{propose(5), due(2), propose(9), initRound, vote(2, 0)},
+			chkpts: [][2]uint64{{1, 5}, {2, 9}}, commits: 1,
+		},
+		{
+			name: "NextRound closes the round and releases the owed trigger", participants: 1,
+			steps:  []step{propose(5), due(2), propose(9), nextRound},
+			chkpts: [][2]uint64{{1, 5}, {3, 9}}, open: true,
+		},
+		{
+			name: "NextRound with nothing owed leaves no round open", participants: 1,
+			steps:  []step{propose(5), due(1), nextRound, vote(1, 0)},
+			chkpts: [][2]uint64{{1, 5}},
+		},
+		{
+			name: "a shrink that completes the round commits and releases the owed trigger", participants: 2,
+			steps:  []step{propose(5), due(2), vote(1, 0), propose(9), shrink(1)},
+			chkpts: [][2]uint64{{1, 5}, {2, 9}}, commits: 1, open: true,
+		},
+		{
+			name: "a shrink that empties the round releases the owed trigger", participants: 2,
+			steps:  []step{propose(5), due(2), propose(9), shrink(1), shrink(0)},
+			chkpts: [][2]uint64{{1, 5}, {2, 9}}, commits: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var proposal uint64
+			c, sent, committed := directCoord(tc.participants)
+			c.Propose = func() vclock.VC { return vclock.VC{proposal} }
+			for _, s := range tc.steps {
+				s(c, &proposal)
+			}
+			var chkpts [][2]uint64
+			for _, e := range *sent {
+				if e.Type == event.TypeChkpt {
+					chkpts = append(chkpts, [2]uint64{e.Seq, e.VT[0]})
+				}
+			}
+			if fmt.Sprint(chkpts) != fmt.Sprint(tc.chkpts) {
+				t.Errorf("CHKPTs {round proposal} = %v, want %v", chkpts, tc.chkpts)
+			}
+			if len(*committed) != tc.commits {
+				t.Errorf("commits = %d, want %d", len(*committed), tc.commits)
+			}
+			if open := c.pending > 0; open != tc.open {
+				t.Errorf("round open = %v, want %v", open, tc.open)
+			}
+			if c.owed && c.pending == 0 {
+				t.Error("a trigger is owed to a closed round")
+			}
+		})
+	}
+}
+
+// TestOwedHookReceivesReleasedTrigger: with Owed set, a closing round
+// hands its owed trigger to the driver instead of starting a round on
+// the closing caller's goroutine.
+func TestOwedHookReceivesReleasedTrigger(t *testing.T) {
+	c, sent, _ := directCoord(1)
+	owed := 0
+	c.Owed = func() { owed++ }
+	c.Due()
+	c.Due()
+	reply(c, 1, 0, 4)
+	if owed != 1 {
+		t.Fatalf("Owed called %d times, want 1", owed)
+	}
+	if len(*sent) != 2 { // CHKPT 1 and its COMMIT
+		t.Fatalf("broadcasts = %d, want 2 (no round started inline)", len(*sent))
+	}
+	if !c.Due() {
+		t.Fatal("the handed-back trigger did not start a round")
+	}
+}
+
+// TestDueStartsThroughStartHook: automatic rounds start through Start,
+// where the driver runs its round-start bookkeeping.
+func TestDueStartsThroughStartHook(t *testing.T) {
+	c, _, _ := directCoord(1)
+	starts := 0
+	c.Start = func() bool { starts++; return c.Init() }
+	c.Due()           // starts
+	c.Due()           // deferred, owed
+	reply(c, 1, 0, 4) // commit releases the owed trigger
+	if starts != 2 {
+		t.Fatalf("Start called %d times, want 2", starts)
+	}
+	if rounds, _ := c.Stats(); rounds != 2 {
+		t.Fatalf("rounds = %d, want 2", rounds)
+	}
+}

@@ -17,9 +17,13 @@ import (
 // no panic, committed cuts monotone, every commit at or below every
 // participant's processed progress (a violation is a silent
 // mis-commit — exactly what a duplicated reply used to cause), and
-// backup-queue invariants intact at all times.
+// backup-queue invariants intact at all times. Automatic triggers (op
+// 8) must keep to commit pacing: a trigger starts a round over an open
+// one only as deferral overflow, an owed trigger never waits behind a
+// closed round, and a round closing with a trigger owed starts the
+// next one at once.
 //
-// Op bytes, interpreted modulo 8:
+// Op bytes, interpreted modulo 9:
 //
 //	0 feed one event to all backup queues
 //	1 site 0 processes one pending event
@@ -29,6 +33,7 @@ import (
 //	5 drop the oldest pending reply
 //	6 duplicate the oldest pending reply (deliver twice)
 //	7 corrupt the oldest pending reply's payload, then deliver it
+//	8 an automatic trigger (Due)
 func FuzzCheckpointControl(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 4, 4})                // clean round, everyone replies
 	f.Add([]byte{0, 1, 3, 6, 6, 6, 0, 2, 3, 4, 4})       // duplicated replies must not commit early
@@ -36,6 +41,8 @@ func FuzzCheckpointControl(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 2, 3, 5, 3, 4, 4, 4, 4}) // dropped reply, subsuming round
 	f.Add([]byte{0, 1, 2, 3, 7, 7, 7, 0, 3, 4, 4, 4})    // corrupted payloads
 	f.Add([]byte{3, 3, 3, 0, 3, 4, 1, 4, 2, 4, 4, 0, 0, 3, 4, 4, 4, 6, 5})
+	f.Add([]byte{0, 1, 2, 8, 0, 8, 8, 4, 4, 4, 4, 4, 4})             // owed trigger starts the next round on commit
+	f.Add([]byte{0, 8, 5, 8, 8, 8, 8, 8, 8, 8, 8, 8, 4, 4, 4, 1, 2}) // dropped reply heals by deferral overflow
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const sites = 2
@@ -46,6 +53,8 @@ func FuzzCheckpointControl(f *testing.F) {
 			backups [sites]*queue.Backup
 			pending []*event.Event // in-flight CHKPT_REP queue
 			prev    vclock.VC      // last committed cut
+			chkpts  int            // CHKPT broadcasts so far
+			commits int            // commits so far
 		)
 		for i := range backups {
 			backups[i] = queue.NewBackup()
@@ -80,6 +89,7 @@ func FuzzCheckpointControl(f *testing.F) {
 		coord.OnCommit = func(cut vclock.VC) {
 			checkCommit(cut)
 			central.Commit(cut)
+			commits++
 		}
 
 		mirrors := make([]*Mirror, sites)
@@ -110,6 +120,9 @@ func FuzzCheckpointControl(f *testing.F) {
 			},
 		}
 		coord.Broadcast = func(e *event.Event) {
+			if e.Type == event.TypeChkpt {
+				chkpts++
+			}
 			for i := range mirrors {
 				mirrors[i].OnControl(e.Clone())
 			}
@@ -127,9 +140,18 @@ func FuzzCheckpointControl(f *testing.F) {
 			}
 		}
 
+		// pacing reads the coordinator's round state (same package).
+		pacing := func() (open bool, deferred int, owed bool) {
+			coord.mu.Lock()
+			defer coord.mu.Unlock()
+			return coord.pending > 0, coord.deferred, coord.owed
+		}
+
 		seq := uint64(0)
 		for _, op := range ops {
-			switch op % 8 {
+			wasOpen, deferred, owed := pacing()
+			chkptsBefore, commitsBefore := chkpts, commits
+			switch op % 9 {
 			case 0: // feed
 				seq++
 				vt := vclock.VC{seq}
@@ -141,7 +163,7 @@ func FuzzCheckpointControl(f *testing.F) {
 					backups[i].Append(e.Clone())
 				}
 			case 1, 2: // a mirror processes one event
-				s := int(op%8) - 1
+				s := int(op%9) - 1
 				if applied[s] < len(history) {
 					applied[s]++
 				}
@@ -153,7 +175,7 @@ func FuzzCheckpointControl(f *testing.F) {
 				}
 				e := pending[0]
 				pending = pending[1:]
-				switch op % 8 {
+				switch op % 9 {
 				case 5: // drop
 				case 6: // duplicate
 					coord.OnReply(e.Clone())
@@ -166,6 +188,26 @@ func FuzzCheckpointControl(f *testing.F) {
 				default:
 					coord.OnReply(e)
 				}
+			case 8:
+				started := coord.Due()
+				if started != (chkpts > chkptsBefore) {
+					t.Fatalf("Due reported started=%v with %d CHKPTs broadcast", started, chkpts-chkptsBefore)
+				}
+				switch {
+				case wasOpen && started && deferred < maxDeferred:
+					t.Fatalf("trigger abandoned an open round after %d deferrals, want %d", deferred, maxDeferred)
+				case wasOpen && !started && deferred >= maxDeferred && central.Last() != nil:
+					t.Fatalf("trigger deferred past %d deferrals", deferred)
+				case !wasOpen && !started && central.Last() != nil:
+					t.Fatal("trigger with no round open started none")
+				}
+			}
+			open, _, nowOwed := pacing()
+			if nowOwed && !open {
+				t.Fatal("owed trigger waits behind a closed round")
+			}
+			if owed && commits > commitsBefore && chkpts == chkptsBefore && central.Last() != nil {
+				t.Fatal("round closed with a trigger owed, but no next round started")
 			}
 			checkQueues()
 		}

@@ -446,6 +446,12 @@ func newChaosRig(cfg ChaosConfig, sched faultinject.Schedule) *chaosRig {
 
 	r.central.Store(core.NewCentral(core.CentralConfig{
 		Streams: 1,
+		// Manual rounds only: the driver sequences checkpoints against
+		// stream positions so the schedule is machine-speed independent.
+		// Set at construction: the sending task reads its parameters
+		// before waiting for a batch, so a later SetParams would miss the
+		// first one, whose default frequency can start a round of its own.
+		Params:  core.Params{MaxCoalesce: 1, CheckpointFreq: 1 << 30},
 		Model:   chaosModel,
 		CPU:     r.cpus[0],
 		Main:    core.MainConfig{DelayHist: r.hist},
@@ -454,9 +460,6 @@ func newChaosRig(cfg ChaosConfig, sched faultinject.Schedule) *chaosRig {
 			r.controller.ObserveSite(site, s)
 		},
 	}))
-	// Manual rounds only: the driver sequences checkpoints against
-	// stream positions so the schedule is machine-speed independent.
-	r.cen().SetParams(false, 1, 1<<30)
 	// Decision point: each round's CHKPT observes the central's own
 	// queues and piggybacks whatever regime is current, stamped with
 	// the round.

@@ -216,6 +216,10 @@ type Central struct {
 // receiving task empties it into the unbounded ready queue.
 const ingestBuffer = 8192
 
+// receiveRun bounds how many already-buffered events the receiving task
+// stamps and hands to the ready queue as one run.
+const receiveRun = 256
+
 // NewCentral builds and starts a central site.
 func NewCentral(cfg CentralConfig) *Central {
 	if cfg.Streams <= 0 {
@@ -252,9 +256,9 @@ func NewCentral(cfg CentralConfig) *Central {
 		backup: queue.NewBackup(),
 		in:     make(chan *event.Event, ingestBuffer),
 		// Deep buffer: the sending task can mirror hundreds of events
-		// between scheduler yields, and every earned checkpoint round
-		// must eventually run (frequency is defined in events, not
-		// wall time).
+		// between scheduler yields, and every earned trigger must reach
+		// the coordinator (frequency is defined in events, not wall
+		// time, and so is the open round's deferral budget).
 		chkptTrigger: make(chan struct{}, 4096),
 		ctrlStop:     make(chan struct{}),
 	}
@@ -351,6 +355,12 @@ func NewCentral(cfg CentralConfig) *Central {
 		},
 		Participants: len(cfg.Mirrors) + 1,
 		Piggyback:    c.takePiggyback,
+		// Automatic rounds start through runRound; a trigger owed to a
+		// closing round goes back to the control task, since rounds close
+		// on reply and shrink paths that must not broadcast under their
+		// callers' locks.
+		Start: c.runRound,
+		Owed:  c.trigger,
 	}
 	if res := cfg.Resume; res != nil {
 		// Rounds restart strictly above both the promotion epoch's base
@@ -436,7 +446,8 @@ func (c *Central) Ingest(e *event.Event) error {
 }
 
 // receivingTask timestamps incoming events and places them on the
-// ready queue (paper Section 3.1).
+// ready queue (paper Section 3.1). It takes what is already buffered as
+// one run: one ingress clock read and one ready-queue hop per run.
 func (c *Central) receivingTask() {
 	defer c.pipeWG.Done()
 	clock := vclock.New(c.cfg.Streams)
@@ -448,15 +459,26 @@ func (c *Central) receivingTask() {
 			clock[i] = res.Clock[i]
 		}
 	}
+	run := make([]*event.Event, 0, receiveRun)
 	for e := range c.in {
-		clock = clock.Tick(int(e.Stream))
-		e.VT = clock.Clone()
-		e.Ingress = time.Now().UnixNano()
-		if e.Coalesced == 0 {
-			e.Coalesced = 1
+		// Only this task receives, so everything len reports is there.
+		run = append(run[:0], e)
+		for n := min(len(c.in), receiveRun-1); n > 0; n-- {
+			run = append(run, <-c.in)
 		}
-		c.received.Add(1)
-		if c.ready.Put(e) != nil {
+		now := time.Now().UnixNano()
+		for _, e := range run {
+			clock = clock.Tick(int(e.Stream))
+			e.VT = clock.Clone()
+			e.Ingress = now
+			if e.Coalesced == 0 {
+				e.Coalesced = 1
+			}
+		}
+		c.received.Add(uint64(len(run)))
+		err := c.ready.PutBatch(run)
+		clear(run)
+		if err != nil {
 			return
 		}
 	}
@@ -546,10 +568,7 @@ func (c *Central) sendingTask() {
 		var due uint64
 		due, sinceCk = checkpointsDue(sinceCk, uint64(len(batch)), uint64(p.CheckpointFreq))
 		for ; due > 0; due-- {
-			select {
-			case c.chkptTrigger <- struct{}{}:
-			default:
-			}
+			c.trigger()
 		}
 
 		// Mirror path: shallow-copy the batch into a pooled slab of
@@ -788,27 +807,41 @@ func (c *Central) LinkStats() []LinkStats {
 	return out
 }
 
-// controlTask runs checkpoint rounds when the sending task signals
-// that the configured number of events has been mirrored.
+// trigger posts one automatic checkpoint trigger to the control task.
+// A full channel already holds more triggers than the open round can
+// defer, so dropping this one changes nothing.
+func (c *Central) trigger() {
+	select {
+	case c.chkptTrigger <- struct{}{}:
+	default:
+	}
+}
+
+// controlTask hands the coordinator a trigger each time the sending
+// task has forwarded the configured number of events (and each time a
+// closing round releases one it owed). The coordinator paces them by
+// commits: a trigger starts a round only when none is open.
 func (c *Central) controlTask() {
 	defer c.ctrlWG.Done()
 	for {
 		select {
 		case <-c.chkptTrigger:
-			// The coordinator's own work is the fixed round cost;
+			// The coordinator's own work is the fixed round cost, booked
+			// per trigger as the ledger figures are calibrated;
 			// participants charge their backup-queue scans locally.
 			c.cfg.AuxCPU.ChargeAsync(c.cfg.Model.CheckpointBase)
-			c.runRound()
+			c.coord.Due()
 		case <-c.ctrlStop:
 			return
 		}
 	}
 }
 
-// Checkpoint synchronously initiates one checkpoint round (the control
-// task triggers rounds automatically at the configured frequency; this
-// entry point serves final flushes and tests). It reports whether a
-// round ran.
+// Checkpoint synchronously initiates one checkpoint round, abandoning
+// any open one (the control task starts commit-paced rounds
+// automatically at the configured frequency; this entry point serves
+// final flushes, drivers that pace rounds by hand, and tests). It
+// reports whether a round ran.
 func (c *Central) Checkpoint() bool {
 	return c.runRound()
 }
@@ -816,6 +849,7 @@ func (c *Central) Checkpoint() bool {
 // runRound performs one checkpoint round with membership bookkeeping:
 // the round is counted against every live mirror before it starts, and
 // replies arriving during the round clear their site's miss counter.
+// Every round starts here, explicit or automatic.
 func (c *Central) runRound() bool {
 	if c.backup.Last() == nil {
 		return false

@@ -28,6 +28,13 @@ func (l *failableLink) SubmitOwned(es []*event.Event, ref event.Ref) error {
 	return l.fn.SubmitOwned(es, ref)
 }
 
+// manualRounds is a checkpoint frequency no test reaches: rounds run
+// only when the test calls Checkpoint. Rigs set it in CentralConfig:
+// the sending task reads its parameters before it waits for a batch,
+// so a SetParams issued after construction misses the first one, whose
+// default frequency can start a round of its own.
+const manualRounds = 1 << 30
+
 // membershipRig wires a central with two mirrors whose links can be
 // severed.
 type membershipRig struct {
@@ -48,7 +55,7 @@ func newMembershipRig(t *testing.T, missedRounds int) *membershipRig {
 		r.links = append(r.links, data, ctrl)
 		coreLinks = append(coreLinks, MirrorLink{Data: data, Ctrl: ctrl})
 	}
-	r.central = NewCentral(CentralConfig{Streams: 1, Mirrors: coreLinks})
+	r.central = NewCentral(CentralConfig{Streams: 1, Mirrors: coreLinks, Params: Params{CheckpointFreq: manualRounds}})
 	for i := 0; i < 2; i++ {
 		r.mirrors = append(r.mirrors, NewMirrorSite(MirrorSiteConfig{
 			SiteID: uint8(i),
@@ -85,9 +92,12 @@ func (r *membershipRig) feed(t *testing.T, from, n uint64) {
 }
 
 func (r *membershipRig) settle() {
-	// Give the asynchronous pipeline a moment to process.
+	// Wait until the sending task has taken every ingested event (none
+	// left in the ingest channel or the ready queue, all forwarded), then
+	// give it a moment to back them up and fan them out.
+	c := r.central
 	deadline := time.Now().Add(5 * time.Second)
-	for r.central.ready.Len() > 0 && time.Now().Before(deadline) {
+	for (len(c.in) > 0 || c.ready.Len() > 0 || c.forwarded.Load() < c.received.Load()) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(5 * time.Millisecond)
@@ -111,7 +121,6 @@ func TestHealthyClusterStaysAdmitted(t *testing.T) {
 
 func TestDeadMirrorExcludedAndCommitsResume(t *testing.T) {
 	r := newMembershipRig(t, 3)
-	r.central.SetParams(false, 1, 1<<30) // manual rounds only
 	r.feed(t, 1, 100)
 	r.settle()
 
@@ -141,7 +150,6 @@ func TestDeadMirrorExcludedAndCommitsResume(t *testing.T) {
 
 func TestExcludedMirrorReceivesNoTraffic(t *testing.T) {
 	r := newMembershipRig(t, 2)
-	r.central.SetParams(false, 1, 1<<30)
 	r.feed(t, 1, 50)
 	r.settle()
 	r.kill(1)
@@ -156,19 +164,17 @@ func TestExcludedMirrorReceivesNoTraffic(t *testing.T) {
 	r.revive(1)
 	before := r.mirrors[1].Received()
 	r.feed(t, 1000, 50)
+	// The live mirror keeps receiving; its link sender delivers on its
+	// own goroutine, so wait for the events rather than a fixed pause.
+	waitFor(t, "the live mirror to receive the new events", func() bool { return r.mirrors[0].Received() >= 100 })
 	r.settle()
 	if got := r.mirrors[1].Received(); got != before {
 		t.Fatalf("excluded mirror received %d new events", got-before)
-	}
-	// The live mirror keeps receiving.
-	if got := r.mirrors[0].Received(); got < 100 {
-		t.Fatalf("live mirror received only %d", got)
 	}
 }
 
 func TestRejoinRestoresReplicationAndQuorum(t *testing.T) {
 	r := newMembershipRig(t, 2)
-	r.central.SetParams(false, 1, 1<<30)
 	r.feed(t, 1, 60)
 	r.settle()
 	r.kill(1)
@@ -232,7 +238,7 @@ func TestMembershipCallbacks(t *testing.T) {
 	ctrl := &failableLink{fn: func(e *event.Event) error { r.mirrors[0].HandleControl(e); return nil }}
 	r.links = append(r.links, data, ctrl)
 	coreLinks = append(coreLinks, MirrorLink{Data: data, Ctrl: ctrl})
-	r.central = NewCentral(CentralConfig{Streams: 1, Mirrors: coreLinks})
+	r.central = NewCentral(CentralConfig{Streams: 1, Mirrors: coreLinks, Params: Params{CheckpointFreq: manualRounds}})
 	r.mirrors = append(r.mirrors, NewMirrorSite(MirrorSiteConfig{
 		SiteID: 0,
 		CtrlUp: senderFunc(func(e *event.Event) error { r.central.HandleControl(e); return nil }),
@@ -245,7 +251,6 @@ func TestMembershipCallbacks(t *testing.T) {
 	defer r.central.Close()
 	defer r.mirrors[0].Close()
 
-	r.central.SetParams(false, 1, 1<<30)
 	r.feed(t, 1, 20)
 	r.settle()
 	r.kill(0)
@@ -262,5 +267,36 @@ func TestMembershipCallbacks(t *testing.T) {
 	}
 	if rejoins.Load() != 1 {
 		t.Fatalf("rejoin callbacks = %d, want 1", rejoins.Load())
+	}
+}
+
+// deferLimit is checkpoint's deferral limit: an open round defers this
+// many automatic triggers and the next one abandons it.
+const deferLimit = 8
+
+// TestSilencedMirrorExcludedByAutomaticTriggers: automatic rounds are
+// paced by commits, yet a mirror whose control link is silenced is
+// still counted out by started rounds — each open round defers
+// deferLimit triggers and the next abandons it — so the default budget
+// of 8 missed rounds excludes it within (8+1)×(deferLimit+1) triggers.
+func TestSilencedMirrorExcludedByAutomaticTriggers(t *testing.T) {
+	r := newMembershipRig(t, 0)
+	// A backlog no round can commit once mirror 1 is silenced, so every
+	// trigger below finds events to propose.
+	r.feed(t, 1, 10)
+	r.settle()
+	r.links[3].dead.Store(true) // mirror 1's control link
+	// One trigger per forwarded event; the sending task reads the new
+	// frequency from its next batch on, so flush one batch through first.
+	r.central.SetParams(false, 1, 1)
+	r.feed(t, 50, 1)
+	r.settle()
+
+	const budget = 8 // MembershipConfig default
+	r.feed(t, 100, (budget+1)*(deferLimit+1))
+	r.central.Drain()
+	waitFor(t, "the silenced mirror's exclusion", func() bool { return len(r.member.Failed()) > 0 })
+	if failed := r.member.Failed(); len(failed) != 1 || failed[0] != 1 {
+		t.Fatalf("Failed = %v, want [1]", failed)
 	}
 }

@@ -39,8 +39,7 @@ func newPromotionRig(t *testing.T, nMirrors int, wrapUp func(i int, next senderF
 		r.links = append(r.links, data, ctrl)
 		coreLinks = append(coreLinks, MirrorLink{Data: data, Ctrl: ctrl})
 	}
-	c := NewCentral(CentralConfig{Streams: 1, Mirrors: coreLinks})
-	c.SetParams(false, 1, 1<<30) // manual checkpoints
+	c := NewCentral(CentralConfig{Streams: 1, Mirrors: coreLinks, Params: Params{CheckpointFreq: manualRounds}})
 	r.central.Store(c)
 	for i := 0; i < nMirrors; i++ {
 		up := senderFunc(func(e *event.Event) error { r.cen().HandleControl(e); return nil })
@@ -140,20 +139,22 @@ func (r *promotionRig) promoteStandby(t *testing.T) {
 	state := standby.Promote()
 	state.Epoch = epoch
 
-	// Survivors keep their sites; the standby's slot is not replaced —
-	// the promoted central IS that site now. Slot i of the new central
-	// serves r.mirrors[i+1].
-	var coreLinks []MirrorLink
+	// Survivors keep their sites and their slots: a reply carries the
+	// SiteID its mirror was built with, and membership reads it as the
+	// slot. The standby's own slot stays dead and excluded — the
+	// promoted central IS that site now.
+	coreLinks := make([]MirrorLink, len(r.mirrors))
 	var fresh []*failableLink
-	for i := 1; i < len(r.mirrors); i++ {
+	for i := range r.mirrors {
 		i := i
 		data := &failableLink{fn: func(e *event.Event) error { r.mirrors[i].HandleData(e); return nil }}
 		ctrl := &failableLink{fn: func(e *event.Event) error { r.mirrors[i].HandleControl(e); return nil }}
+		data.dead.Store(i == 0)
+		ctrl.dead.Store(i == 0)
 		fresh = append(fresh, data, ctrl)
-		coreLinks = append(coreLinks, MirrorLink{Data: data, Ctrl: ctrl})
+		coreLinks[i] = MirrorLink{Data: data, Ctrl: ctrl}
 	}
-	nc := NewCentral(CentralConfig{Streams: 1, Mirrors: coreLinks, Resume: &state})
-	nc.SetParams(false, 1, 1<<30)
+	nc := NewCentral(CentralConfig{Streams: 1, Mirrors: coreLinks, Resume: &state, Params: Params{CheckpointFreq: manualRounds}})
 	r.central.Store(nc)
 	r.links = fresh
 	standby.Close()
@@ -169,7 +170,7 @@ func (r *promotionRig) promoteStandby(t *testing.T) {
 		if high := r.mirrors[i].ArrivalHigh(); high.LessEq(anchor) {
 			cut = r.mirrors[i].Backup().Committed()
 		}
-		if _, err := nm.RejoinSince(i-1, cut); err != nil {
+		if _, err := nm.RejoinSince(i, cut); err != nil {
 			t.Fatalf("rejoining survivor %d: %v", i, err)
 		}
 	}

@@ -44,7 +44,6 @@ func excludeMirror(t *testing.T, r *membershipRig, i int) {
 // byte-identical to the central state.
 func TestRejoinMidStorm(t *testing.T) {
 	r := newMembershipRig(t, 2)
-	r.central.SetParams(false, 1, 1<<30)
 	r.feed(t, 1, 80)
 	r.settle()
 	excludeMirror(t, r, 1)
@@ -143,7 +142,7 @@ func TestRejoinDuringInFlightRound(t *testing.T) {
 		r.links = append(r.links, data, ctrl)
 		coreLinks = append(coreLinks, MirrorLink{Data: data, Ctrl: ctrl})
 	}
-	r.central = NewCentral(CentralConfig{Streams: 1, Mirrors: coreLinks})
+	r.central = NewCentral(CentralConfig{Streams: 1, Mirrors: coreLinks, Params: Params{CheckpointFreq: manualRounds}})
 	hold.next = func(e *event.Event) error { r.central.HandleControl(e); return nil }
 	// Mirror 0's replies pass through the holdable sender; mirror 1's
 	// go direct.
@@ -160,7 +159,6 @@ func TestRejoinDuringInFlightRound(t *testing.T) {
 		}
 	}()
 
-	r.central.SetParams(false, 1, 1<<30)
 	r.feed(t, 1, 60)
 	r.settle()
 	excludeMirror(t, r, 1)

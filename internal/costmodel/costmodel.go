@@ -200,7 +200,8 @@ const (
 // on a ledger that is not ahead of the wall clock: such work completes
 // now — there is nothing to queue behind and nothing to back-fill. It
 // takes no lock, so a node running the zero model pays one clock read
-// per charge. ok is false when d books work or the ledger is ahead.
+// per call (per run, through ChargeRun). ok is false when d books work
+// or the ledger is ahead.
 func (c *CPU) idleNow(d time.Duration) (now time.Time, ok bool) {
 	if d > 0 {
 		return time.Time{}, false
@@ -244,18 +245,30 @@ func (c *CPU) Charge(d time.Duration) time.Time {
 // ChargeRun books a run of consecutive charges in one ledger
 // operation. It returns the completion instant of costs[0] and the
 // number n >= 1 of charges booked; charge i < n completes at first
-// plus costs[1..i]. The instants, the ledger and the caller's pacing
-// are those of n Charge calls: the caller is paced on costs[0] exactly
-// as Charge paces it, and booking stops before the first later charge
-// that would itself have been paced, so the caller applies what was
-// booked and comes back for the rest.
+// plus costs[1..i].
+//
+// When the run starts with work (or finds the ledger ahead of the wall
+// clock), the instants, the ledger and the caller's pacing are those of
+// n Charge calls: the caller is paced on costs[0] exactly as Charge
+// paces it, and booking stops before the first later charge that would
+// itself have been paced, so the caller applies what was booked and
+// comes back for the rest.
+//
+// When the run starts with zero-cost charges on an idle ledger, the
+// whole leading run of them is booked with one clock read: each
+// completes at that instant, the same first-plus-costs rule with costs
+// of zero. n is that prefix's length, so a mixed run stops at its first
+// positive cost. Charged one by one they would read the clock once
+// each, at instants nanoseconds apart; the ledger is untouched either
+// way. A nil CPU likewise spins costs[0] and completes the zero-cost
+// charges after it at the same instant.
 func (c *CPU) ChargeRun(costs []time.Duration) (first time.Time, n int) {
 	if c == nil {
 		Spin(costs[0])
-		return time.Now(), 1
+		return time.Now(), zeroTail(costs)
 	}
 	if now, ok := c.idleNow(costs[0]); ok {
-		return now, 1
+		return now, zeroTail(costs)
 	}
 	c.mu.Lock()
 	now := time.Now()
@@ -266,6 +279,16 @@ func (c *CPU) ChargeRun(costs []time.Duration) (first time.Time, n int) {
 		time.Sleep(wait - catchUpWindow)
 	}
 	return first, n
+}
+
+// zeroTail returns 1 plus the number of zero-cost charges right after
+// costs[0]: the charges that complete at the instant costs[0] does.
+func zeroTail(costs []time.Duration) int {
+	n := 1
+	for n < len(costs) && costs[n] <= 0 {
+		n++
+	}
+	return n
 }
 
 // ChargeAsync books d of work on the CPU without pacing the caller.

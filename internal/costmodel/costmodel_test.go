@@ -334,3 +334,57 @@ func TestZeroChargeOnIdleLedgerCompletesNow(t *testing.T) {
 		}
 	}
 }
+
+// TestChargeRunBooksZeroCostPrefixAtOnce: on an idle ledger a run's
+// leading zero-cost charges are booked together with one clock read
+// and leave the ledger untouched; a mixed run stops at its first
+// positive cost, which the next call books on the ledger.
+func TestChargeRunBooksZeroCostPrefixAtOnce(t *testing.T) {
+	cpu := &CPU{}
+	before := time.Now()
+	first, n := cpu.ChargeRun([]time.Duration{0, 0, 0, 0})
+	if n != 4 {
+		t.Fatalf("all-zero run booked %d charges, want 4", n)
+	}
+	if first.Before(before) || first.After(time.Now()) {
+		t.Fatalf("zero-cost run completed at %v, outside the call", first.Sub(before))
+	}
+	if !cpu.BusyUntil().IsZero() {
+		t.Fatal("zero-cost run touched the ledger")
+	}
+
+	costs := []time.Duration{0, 0, time.Microsecond, 0}
+	if _, n := cpu.ChargeRun(costs); n != 2 {
+		t.Fatalf("mixed run booked %d charges, want the 2-charge zero prefix", n)
+	}
+	if _, n := cpu.ChargeRun(costs[2:]); n != 2 {
+		t.Fatalf("rest of the mixed run booked %d charges, want 2", n)
+	}
+	if cpu.BusyUntil().IsZero() {
+		t.Fatal("the positive charge was not booked on the ledger")
+	}
+
+	// Behind booked work a zero-cost run completes with the ledger.
+	busy := cpu.Charge(6 * time.Millisecond)
+	if first, n := cpu.ChargeRun([]time.Duration{0, 0, 0}); n != 3 || !first.Equal(busy) {
+		t.Fatalf("zero-cost run behind booked work: n=%d at %v, want 3 at the ledger's %v", n, first, busy)
+	}
+}
+
+// TestNilCPUChargeRunCompletesZeroTailTogether: a nil CPU spins the
+// first charge and completes the zero-cost charges after it at the
+// same instant, stopping at the next positive cost.
+func TestNilCPUChargeRunCompletesZeroTailTogether(t *testing.T) {
+	var cpu *CPU
+	if _, n := cpu.ChargeRun([]time.Duration{0, 0, 0}); n != 3 {
+		t.Fatalf("all-zero run booked %d charges, want 3", n)
+	}
+	start := time.Now()
+	first, n := cpu.ChargeRun([]time.Duration{time.Millisecond, 0, 0, time.Microsecond})
+	if n != 3 {
+		t.Fatalf("run booked %d charges, want the spun charge and its 2-charge zero tail", n)
+	}
+	if first.Sub(start) < time.Millisecond {
+		t.Fatalf("completed %v after the call began, want the 1ms spin", first.Sub(start))
+	}
+}

@@ -98,7 +98,9 @@ func (en *Engine) Process(e *event.Event) (derived []*event.Event, done time.Tim
 // timeline. The run's cost is booked in as few ledger operations as the
 // one-event-at-a-time pacing allows (costmodel.CPU.ChargeRun), with
 // every completion instant the one a Process call per event would have
-// returned; the progress watermark still advances per event, so
+// returned (a stretch of zero-cost events on an idle ledger shares one
+// clock read instead of taking one each); the progress watermark still
+// advances per event, so
 // checkpoint replies and replica-freshness readers see each event as
 // soon as it is applied. As with Process, run[i] must not be read once
 // emit(i) is running: its timestamp is in the watermark by then and a

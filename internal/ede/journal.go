@@ -16,11 +16,14 @@ package ede
 // same projection orders them too.
 //
 // Horizon bookkeeping is a ring of sealed commit sums. When a seal
-// falls off the ring, the journal floor rises to it and every entry
-// at or below the floor is compacted away; a cut below the floor can
-// no longer be served incrementally and falls back to the snapshot
-// path. The journal therefore holds only flights that mutated within
-// the last `horizon` committed cuts — bounded working state, not a
+// falls off the ring, the journal floor rises to it; a cut below the
+// floor can no longer be served incrementally and falls back to the
+// snapshot path. Entries at or below the floor are dead — every reader
+// compares against the floor — and are compacted away once the floor
+// has risen `horizon` more seals since the last sweep, so a commit
+// costs O(flights / horizon) amortized rather than a sweep of every
+// shard. The journal therefore holds only flights that mutated within
+// the last 2×`horizon` committed cuts — bounded working state, not a
 // second event log.
 
 import (
@@ -48,8 +51,11 @@ type journal struct {
 
 	mu      sync.Mutex
 	horizon int
-	floor   uint64   // sums at or below this are compacted away
+	floor   uint64   // sums at or below this are dead entries
 	seals   []uint64 // sealed commit sums, ascending, len <= horizon
+	// risen counts the seals the floor has risen by since the last
+	// sweep compacted the dead entries away.
+	risen int
 }
 
 // EnableJournal turns on mutation journaling with the given horizon
@@ -65,6 +71,7 @@ func (s *State) EnableJournal(horizon int, since vclock.VC) {
 	s.journal.horizon = horizon
 	s.journal.floor = since.Sum()
 	s.journal.seals = s.journal.seals[:0]
+	s.journal.risen = 0
 	s.journal.on.Store(true)
 	s.journal.mu.Unlock()
 }
@@ -92,6 +99,16 @@ func (s *State) RebaseJournal(cut vclock.VC) {
 		j.floor = sum
 	}
 	j.seals = j.seals[:0]
+	s.sweepJournal()
+	j.mu.Unlock()
+}
+
+// sweepJournal compacts away every entry at or below the floor. Caller
+// holds j.mu, so a concurrent DeltaSince (which checked its cut against
+// the floor before walking the shards) cannot lose entries it still
+// needs.
+func (s *State) sweepJournal() {
+	j := &s.journal
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -102,7 +119,7 @@ func (s *State) RebaseJournal(cut vclock.VC) {
 		}
 		sh.mu.Unlock()
 	}
-	j.mu.Unlock()
+	j.risen = 0
 }
 
 // journalNote records that flight f mutated at scalar position sum.
@@ -117,8 +134,11 @@ func (s *State) journalNote(sh *shard, f event.FlightID, sum uint64) {
 }
 
 // SealCut records one committed checkpoint cut with the journal. Cuts
-// beyond the horizon raise the floor and compact entries the floor
-// now covers. No-op while journaling is off.
+// beyond the horizon raise the floor at once, so which cuts DeltaSince
+// serves is exact per seal. The entries the floor covers are compacted
+// only once it has risen by horizon seals since the last sweep: one
+// sweep of every shard per horizon commits instead of one per commit.
+// No-op while journaling is off.
 func (s *State) SealCut(ts vclock.VC) {
 	j := &s.journal
 	if !j.on.Load() {
@@ -132,39 +152,33 @@ func (s *State) SealCut(ts vclock.VC) {
 		return
 	}
 	j.seals = append(j.seals, sum)
-	var compactTo uint64
 	if len(j.seals) > j.horizon {
 		evict := len(j.seals) - j.horizon
 		j.floor = j.seals[evict-1]
 		j.seals = append(j.seals[:0], j.seals[evict:]...)
-		compactTo = j.floor
-	}
-	if compactTo > 0 {
-		// Compact under j.mu so a concurrent DeltaSince (which checked
-		// its cut against the floor before walking the shards) cannot
-		// lose entries it still needs.
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			for f, last := range sh.journal {
-				if last <= compactTo {
-					delete(sh.journal, f)
-				}
-			}
-			sh.mu.Unlock()
+		if j.risen += evict; j.risen >= j.horizon {
+			s.sweepJournal()
 		}
 	}
 	j.mu.Unlock()
 }
 
-// JournalFlights returns the number of flights currently tracked by
-// the mutation journal (the statedelta_journal_flights gauge).
+// JournalFlights returns the number of flights the mutation journal
+// tracks above its floor (the statedelta_journal_flights gauge): the
+// flights a rejoin delta could still have to carry.
 func (s *State) JournalFlights() int {
+	s.journal.mu.Lock()
+	floor := s.journal.floor
+	s.journal.mu.Unlock()
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.journal)
+		for _, last := range sh.journal {
+			if last > floor {
+				n++
+			}
+		}
 		sh.mu.RUnlock()
 	}
 	return n

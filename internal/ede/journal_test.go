@@ -2,7 +2,9 @@ package ede
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/statedelta"
@@ -239,5 +241,108 @@ func TestDeltaRuleConvergence(t *testing.T) {
 		if rawDerived[i].Type != deltaDerived[i].Type || rawDerived[i].Flight != deltaDerived[i].Flight {
 			t.Fatalf("derived event %d: %s vs %s", i, deltaDerived[i], rawDerived[i])
 		}
+	}
+}
+
+// refJournal is the mutation journal with the per-seal compaction it
+// used to run: every rise of the floor deletes the entries it covers at
+// once. It is the reference the amortized sweep must be
+// indistinguishable from.
+type refJournal struct {
+	horizon int
+	floor   uint64
+	seals   []uint64
+	last    map[event.FlightID]uint64
+}
+
+func (r *refJournal) compact() {
+	for f, l := range r.last {
+		if l <= r.floor {
+			delete(r.last, f)
+		}
+	}
+}
+
+func (r *refJournal) seal(sum uint64) {
+	if n := len(r.seals); n > 0 && sum <= r.seals[n-1] {
+		return
+	}
+	r.seals = append(r.seals, sum)
+	if evict := len(r.seals) - r.horizon; evict > 0 {
+		r.floor = r.seals[evict-1]
+		r.seals = r.seals[evict:]
+		r.compact()
+	}
+}
+
+func (r *refJournal) rebase(sum uint64) {
+	r.floor = max(r.floor, sum)
+	r.seals = nil
+	r.compact()
+}
+
+func (r *refJournal) deltaSince(cut uint64) ([]event.FlightID, bool) {
+	if cut < r.floor {
+		return nil, false
+	}
+	var out []event.FlightID
+	for f, l := range r.last {
+		if l > cut {
+			out = append(out, f)
+		}
+	}
+	slices.Sort(out)
+	return out, true
+}
+
+// TestJournalAmortizedSweepMatchesReference: over random mixes of
+// applies, seals and rebases, the journal that sweeps once per horizon
+// answers DeltaSince and JournalFlights exactly as one that compacts at
+// every seal.
+func TestJournalAmortizedSweepMatchesReference(t *testing.T) {
+	const horizon = 3
+	check := func(ops []uint16) bool {
+		en := engine()
+		en.State().EnableJournal(horizon, nil)
+		ref := &refJournal{horizon: horizon, last: map[event.FlightID]uint64{}}
+		seq := uint64(0)
+		back := func(op uint16, span uint64) uint64 { return seq - min(seq, uint64(op>>3)%span) }
+		for i, op := range ops {
+			switch op % 8 {
+			case 5, 6:
+				cut := back(op, 6)
+				en.State().SealCut(vclock.VC{cut})
+				ref.seal(cut)
+			case 7:
+				cut := back(op, 9)
+				en.State().RebaseJournal(vclock.VC{cut})
+				ref.rebase(cut)
+			default:
+				seq++
+				f := event.FlightID(1 + (op>>3)%7)
+				feedPosition(en, f, seq)
+				ref.last[f] = seq
+			}
+			if got, want := en.State().JournalFlights(), len(ref.last); got != want {
+				t.Logf("op %d: JournalFlights = %d, reference %d", i, got, want)
+				return false
+			}
+			for _, cut := range []uint64{0, ref.floor - min(ref.floor, 1), ref.floor, back(op, 12), seq} {
+				recs, ok := en.State().DeltaSince(vclock.VC{cut})
+				want, wantOK := ref.deltaSince(cut)
+				var got []event.FlightID
+				for _, r := range recs {
+					got = append(got, r.Flight)
+				}
+				if ok != wantOK || !slices.Equal(got, want) {
+					t.Logf("op %d: DeltaSince(%d) = %v %v, reference %v %v", i, cut, got, ok, want, wantOK)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

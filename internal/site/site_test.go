@@ -213,6 +213,68 @@ func TestFullDeployment(t *testing.T) {
 	})
 }
 
+// TestHealthyMirrorsSurviveSaturatingFeed: the default failure detector
+// (8 missed rounds) never excludes a healthy mirror while a closed-loop
+// feed saturates the central over the runtime's TCP links. The loop is
+// closed on checkpoint progress — at most window events past the last
+// commit — so however long a healthy mirror's reply is held up (a host
+// stall, a descheduled connection goroutine), the central forwards at
+// most window events, window/freq triggers, past that mirror's last
+// reply. Commit pacing turns those into at most window/(freq·9) started
+// rounds, under the budget; were every trigger to start a round, the
+// same stall would exclude the mirror.
+func TestHealthyMirrorsSurviveSaturatingFeed(t *testing.T) {
+	// The zero cost model: the host CPU, not the ledger, is the limit.
+	zero := costmodel.Model{}
+	mirror := func(i int) *site.MirrorSite {
+		opts := mirrorOptions(i)
+		opts.Config.Model, opts.Config.Main.EDE.Model = zero, zero
+		return startMirror(t, opts)
+	}
+	m1, m2 := mirror(0), mirror(1)
+	opts := centralOptions(core.DefaultCheckpointFreq, m1.Addr, m2.Addr)
+	opts.Config.Model, opts.Config.Main.EDE.Model = zero, zero
+	central := startCentral(t, opts, m1, m2)
+	member := core.NewMembership(central.Central, core.MembershipConfig{})
+
+	src, err := echo.DialSend(central.Addr, site.ChanIngress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	const total, window = 40000, 2048
+	committed := func() uint64 { n, _ := central.Central.Backup().Trimmed(); return n }
+	// A central that forwards nothing starts no round by itself, and a
+	// commit covers only what every site had applied, so a feed waiting
+	// on commits nudges with an explicit round — a new one only after the
+	// last has committed, which took a reply from every mirror. Nudges
+	// therefore add at most one missed round per stall.
+	nudged := uint64(0)
+	deadline := time.Now().Add(30 * time.Second)
+	for seq := uint64(1); seq <= total; seq++ {
+		for waited := 1; committed()+window < seq; waited++ {
+			if time.Now().After(deadline) {
+				t.Fatalf("commits stalled at %d of %d events (central %+v, failed %v)",
+					committed(), seq, central.Central.Stats(), member.Failed())
+			}
+			if commits := central.Central.Stats().ChkptCommits; waited%40 == 0 && commits >= nudged {
+				central.Central.Checkpoint()
+				nudged = commits + 1
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		if err := src.Submit(event.NewPosition(event.FlightID(1+seq%64), seq, 1, 2, 3, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, "the mirrors to receive the stream", func() bool {
+		return min(m1.Site.Received(), m2.Site.Received()) >= total
+	})
+	if failed := member.Failed(); len(failed) != 0 {
+		t.Fatalf("healthy mirrors %v excluded", failed)
+	}
+}
+
 // adaptiveCentral starts a central that engages adaptation as soon as
 // one pending request is observed, plus the mirror it adapts for.
 func adaptiveCentral(t *testing.T, auditPath string) (*site.CentralSite, *site.MirrorSite) {

@@ -35,14 +35,19 @@ const (
 	// than control frames).
 	rejoinWriteTimeout = 30 * time.Second
 	// promotedMissBudget is the promoted central's failure-detector
-	// budget in consecutive checkpoint rounds. Rounds are traffic-driven
-	// — a source burst can start thousands per second — while survivor
-	// replies lag a full TCP round trip, so the in-process default (8)
-	// falsely excludes healthy survivors mid-burst and the fan-out's
-	// liveness gate then silently discards their batches. The wire
-	// detector only needs to unstick commits when a survivor really
-	// dies; hundreds of outstanding rounds resolve in milliseconds at
-	// burst rate, so a generous budget costs nothing.
+	// budget in consecutive checkpoint rounds. Automatic rounds are
+	// paced by commits, but an unanswered round is still abandoned every
+	// 9 triggers, and triggers count events, not time. Right after a
+	// takeover the first broadcast to a re-admitted survivor dials its
+	// control link; under the race detector that blocked the control
+	// task for ~8 ms while ~55 triggers queued, which then ran as six
+	// back-to-back rounds before the survivor (its first CHKPT delivered
+	// 38 ms after sending) could answer any. With the in-process default
+	// (8) the healthy survivor was excluded in about half of the
+	// TestWireTakeover runs, and the fan-out's liveness gate then
+	// silently discards its batches. The wire detector only needs to
+	// unstick commits when a survivor really dies, so a generous budget
+	// costs nothing until misses are counted in time rather than rounds.
 	promotedMissBudget = 256
 )
 
