@@ -37,7 +37,7 @@ status-smoke:
 # byte-exact in epoch 1; plus the promoted status document, the idle
 # central the probe must spare, and the runtime's stop gate.
 takeover-smoke:
-	$(GO) test -race -count=1 -run 'TestWireTakeover|TestTakeover|TestPromoted' ./internal/site
+	$(GO) test -race -count=1 -run 'TestWireTakeover|TestTakeover|TestPromoted|TestWireRejoin' ./internal/site
 
 # Repeats the timing-sensitive suites under the race detector: the
 # site runtime, the figure smoke shapes, core, the registry's concurrent

@@ -436,27 +436,6 @@ func TestRecoveryReplay(t *testing.T) {
 	}
 }
 
-func TestHandleRecoveryRequest(t *testing.T) {
-	r := newRig(t, 1, func(cfg *CentralConfig) {
-		cfg.Params = Params{CheckpointFreq: 1 << 30}
-	})
-	r.feedPositions(t, 1, 5, 32)
-	r.drainAll()
-	req := event.NewControl(event.TypeRecoveryRequest, nil)
-	req.Seq = 0
-	if _, err := r.central.HandleRecoveryRequest(req); err != nil {
-		t.Fatal(err)
-	}
-	bad := event.NewControl(event.TypeRecoveryRequest, nil)
-	bad.Seq = 99
-	if _, err := r.central.HandleRecoveryRequest(bad); err == nil {
-		t.Fatal("unknown mirror index must fail")
-	}
-	if _, err := r.central.HandleRecoveryRequest(event.NewControl(event.TypeChkpt, nil)); err == nil {
-		t.Fatal("non-recovery event must fail")
-	}
-}
-
 func TestMainUnitRequests(t *testing.T) {
 	m := NewMainUnit(MainConfig{})
 	defer m.Close()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -25,7 +26,10 @@ import (
 // MembershipConfig tunes the failure detector.
 type MembershipConfig struct {
 	// MissedRounds is the number of consecutive checkpoint rounds a
-	// mirror may miss before being excluded (default 8).
+	// mirror may miss before being excluded (default 8, for in-process
+	// use: over loopback TCP healthy mirrors missed up to 19 in a row
+	// under a saturating feed, 7 at a steady 50k events/s and 6 beside
+	// an init-request storm, so wire centrals run a larger budget).
 	MissedRounds int
 	// OnFailure, when non-nil, is told the excluded mirror's index.
 	OnFailure func(site int)
@@ -40,11 +44,16 @@ type Membership struct {
 	central *Central
 	cfg     MembershipConfig
 
-	mu     sync.Mutex
-	missed []int  // consecutive rounds without a reply, per mirror
-	failed []bool // excluded mirrors
-	live   int
+	mu        sync.Mutex
+	missed    []int  // consecutive rounds without a reply, per mirror
+	failed    []bool // excluded mirrors
+	rejoining []bool // excluded mirrors with a rejoin transfer in flight
+	live      int
 }
+
+// ErrNotExcluded is what Rejoin and RejoinSince return for a mirror
+// that is admitted or already has a rejoin in flight.
+var ErrNotExcluded = errors.New("core: mirror is not excluded")
 
 // NewMembership attaches a failure detector to c. It hooks the
 // coordinator's round lifecycle, so call it before traffic starts.
@@ -53,11 +62,12 @@ func NewMembership(c *Central, cfg MembershipConfig) *Membership {
 		cfg.MissedRounds = 8
 	}
 	m := &Membership{
-		central: c,
-		cfg:     cfg,
-		missed:  make([]int, len(c.cfg.Mirrors)),
-		failed:  make([]bool, len(c.cfg.Mirrors)),
-		live:    len(c.cfg.Mirrors),
+		central:   c,
+		cfg:       cfg,
+		missed:    make([]int, len(c.cfg.Mirrors)),
+		failed:    make([]bool, len(c.cfg.Mirrors)),
+		rejoining: make([]bool, len(c.cfg.Mirrors)),
+		live:      len(c.cfg.Mirrors),
 	}
 	c.setMembership(m)
 	return m
@@ -178,33 +188,37 @@ func (m *Membership) Rejoin(i int) (replayed int, err error) {
 // central mutation journal's horizon turns the state transfer into a
 // per-flight delta of exactly what the rejoiner missed; anything else
 // falls back to the full snapshot. Either way the recovered replica
-// converges byte-for-byte.
+// converges byte-for-byte; of concurrent calls, one transfers.
 func (m *Membership) RejoinSince(i int, cut vclock.VC) (replayed int, err error) {
 	m.mu.Lock()
 	if i < 0 || i >= len(m.failed) {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("core: no mirror %d", i)
 	}
-	if !m.failed[i] {
+	if !m.failed[i] || m.rejoining[i] {
 		m.mu.Unlock()
-		return 0, fmt.Errorf("core: mirror %d is not excluded", i)
+		return 0, fmt.Errorf("%w: mirror %d", ErrNotExcluded, i)
 	}
+	m.rejoining[i] = true
 	m.mu.Unlock()
 
 	n, err := m.central.recoverMirrorAndReadmit(i, cut, func() {
 		m.mu.Lock()
-		m.failed[i] = false
-		m.missed[i] = 0
-		m.live++
+		if m.failed[i] {
+			m.failed[i] = false
+			m.missed[i] = 0
+			m.live++
+		}
 		m.mu.Unlock()
 	})
+
+	m.mu.Lock()
+	m.rejoining[i] = false
+	live := m.live
+	m.mu.Unlock()
 	if err != nil {
 		return n, err
 	}
-
-	m.mu.Lock()
-	live := m.live
-	m.mu.Unlock()
 	m.central.coord.SetParticipants(live + 1)
 	if m.cfg.OnRejoin != nil {
 		m.cfg.OnRejoin(i)
@@ -221,7 +235,8 @@ func (c *Central) setMembership(m *Membership) {
 	c.memberMu.Unlock()
 }
 
-func (c *Central) membershipHandle() *Membership {
+// Membership returns the central's current failure detector, or nil.
+func (c *Central) Membership() *Membership {
 	c.memberMu.Lock()
 	defer c.memberMu.Unlock()
 	return c.membership
@@ -229,20 +244,20 @@ func (c *Central) membershipHandle() *Membership {
 
 // mirrorAlive reports whether mirror i should receive traffic.
 func (c *Central) mirrorAlive(i int) bool {
-	m := c.membershipHandle()
+	m := c.Membership()
 	return m == nil || m.Alive(i)
 }
 
 // noteRoundStart and noteReply forward protocol lifecycle to the
 // detector.
 func (c *Central) noteRoundStart() {
-	if m := c.membershipHandle(); m != nil {
+	if m := c.Membership(); m != nil {
 		m.onRoundStart()
 	}
 }
 
 func (c *Central) noteReply(e *event.Event) {
-	if m := c.membershipHandle(); m != nil {
+	if m := c.Membership(); m != nil {
 		m.onReply(int(e.Stream))
 	}
 }

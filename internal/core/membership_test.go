@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,6 +229,64 @@ func TestRejoinValidation(t *testing.T) {
 	}
 	if _, err := r.member.Rejoin(9); err == nil {
 		t.Fatal("rejoining an unknown mirror must fail")
+	}
+}
+
+// TestConcurrentRejoinTransfersOnce: two rejoin calls racing for one
+// excluded mirror transfer once and re-admit it once. A second
+// transfer would count the mirror into the quorum twice, leaving a
+// phantom participant no round can hear from and no detector can
+// exclude, so commits would stall for good.
+func TestConcurrentRejoinTransfersOnce(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		t.Run(fmt.Sprint(trial), func(t *testing.T) {
+			r := newMembershipRig(t, 2)
+			r.feed(t, 1, 30)
+			r.settle()
+			if err := r.member.Exclude(1); err != nil {
+				t.Fatal(err)
+			}
+			r.mirrors[1].Close()
+			r.mirrors[1] = NewMirrorSite(MirrorSiteConfig{
+				SiteID: 1,
+				CtrlUp: senderFunc(func(e *event.Event) error { r.central.HandleControl(e); return nil }),
+			})
+
+			start := make(chan struct{})
+			errs := make(chan error, 2)
+			for range 2 {
+				go func() {
+					<-start
+					_, err := r.member.RejoinSince(1, nil)
+					errs <- err
+				}()
+			}
+			close(start)
+			var admitted int
+			for range 2 {
+				switch err := <-errs; {
+				case err == nil:
+					admitted++
+				case !errors.Is(err, ErrNotExcluded):
+					t.Fatal(err)
+				}
+			}
+			st := r.central.RejoinStats()
+			if admitted != 1 || st.Snapshots+st.Deltas != 1 {
+				t.Fatalf("%d calls rejoined, %d transfers; want 1 and 1", admitted, st.Snapshots+st.Deltas)
+			}
+			if live, failed := r.member.Live(), r.member.Failed(); live != 2 || len(failed) != 0 {
+				t.Fatalf("Live = %d, Failed = %v after the rejoin; want 2 and none", live, failed)
+			}
+
+			// The quorum is the two mirrors and the central: the next
+			// round commits.
+			commits := r.central.Stats().ChkptCommits
+			r.feed(t, 100, 10)
+			r.settle()
+			r.central.Checkpoint()
+			waitFor(t, "a commit after the rejoin", func() bool { return r.central.Stats().ChkptCommits > commits })
+		})
 	}
 }
 

@@ -252,19 +252,3 @@ func (c *Central) RejoinStats() RejoinStats {
 		DeltaBytes:    c.rejoinDeltaBytes.Load(),
 	}
 }
-
-// HandleRecoveryRequest serves a TypeRecoveryRequest control event by
-// replaying to the identified mirror link. The requesting site's index
-// travels in the event's Seq field; its last committed cut (nil when
-// it has none) travels in the event's VT, so the reply is incremental
-// whenever the journal can serve it.
-func (c *Central) HandleRecoveryRequest(e *event.Event) (int, error) {
-	if e.Type != event.TypeRecoveryRequest {
-		return 0, fmt.Errorf("core: not a recovery request: %s", e.Type)
-	}
-	idx := int(e.Seq)
-	if idx < 0 || idx >= len(c.cfg.Mirrors) {
-		return 0, fmt.Errorf("core: recovery request for unknown mirror %d", idx)
-	}
-	return c.RecoverMirrorSince(c.cfg.Mirrors[idx].Data, e.VT)
-}

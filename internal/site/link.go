@@ -16,6 +16,10 @@ import (
 const (
 	dialTimeout         = 3 * time.Second
 	defaultWriteTimeout = 5 * time.Second
+	// rejoinWriteTimeout bounds writes on a central's data downlinks,
+	// which carry recovery transfers (snapshots are much larger than
+	// control frames).
+	rejoinWriteTimeout = 30 * time.Second
 )
 
 // LinkOptions tune a Link; the zero value is a plain link.

@@ -275,6 +275,79 @@ func TestHealthyMirrorsSurviveSaturatingFeed(t *testing.T) {
 	}
 }
 
+// TestWireRejoinAfterMirrorCrash: the central StartCentral ships runs
+// the wire failure detector and serves RECOVERY_REQ. A crashed mirror
+// is excluded within the budget, so commits resume and the backup
+// trims; restarted on its address with its state lost, it asks to
+// rejoin over its uplink and converges byte-exact.
+func TestWireRejoinAfterMirrorCrash(t *testing.T) {
+	m0, m1 := startMirror(t, mirrorOptions(0)), startMirror(t, mirrorOptions(1))
+	central := startCentral(t, centralOptions(1<<30, m0.Addr, m1.Addr), m0, m1)
+	c := central.Central
+	member := c.Membership()
+	if member == nil {
+		t.Fatal("the wire central runs no failure detector")
+	}
+	feed(t, central.Addr, 1, 100)
+	waitUntil(t, "replication to both mirrors", func() bool {
+		return m0.Site.Received() == 100 && m1.Site.Received() == 100
+	})
+
+	// Crash mirror 1 under traffic, then run rounds it cannot answer
+	// while the backup holds the new events.
+	addr := m1.Addr
+	m1.Close()
+	feed(t, central.Addr, 101, 100)
+	waitUntil(t, "the central to back up the new events", func() bool {
+		return c.Main().Processed() == 200 && c.Backup().Len() > 0
+	})
+	commits, rounds := c.Stats().ChkptCommits, 0
+	for ; member.Alive(1) && rounds <= site.WireMissBudget; rounds++ {
+		c.Checkpoint()
+		time.Sleep(time.Millisecond)
+	}
+	if member.Alive(1) || !member.Alive(0) {
+		t.Fatalf("after %d rounds: failed %v, want exactly mirror 1 excluded", rounds, member.Failed())
+	}
+	waitUntil(t, "commits to resume and trim the backup", func() bool {
+		c.Checkpoint()
+		return c.Stats().ChkptCommits > commits && c.Backup().Len() == 0
+	})
+
+	// Restart on the same address with empty state and ask to rejoin
+	// from no cut. The central's data link may still hold the
+	// connection the crash killed, which fails the first transfer, so
+	// the request is repeated until the site is re-admitted.
+	feed(t, central.Addr, 201, 100)
+	opts := mirrorOptions(1)
+	opts.Listen, opts.Central = addr, central.Addr
+	var m1b *site.MirrorSite
+	waitUntil(t, "the restart on "+addr, func() bool {
+		var err error
+		m1b, err = site.StartMirror(opts)
+		return err == nil
+	})
+	t.Cleanup(func() { m1b.Close() })
+	waitUntil(t, "mirror 1 to be re-admitted", func() bool {
+		if err := m1b.Uplink.Submit(&event.Event{Type: event.TypeRecoveryRequest, Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+		return member.Alive(1)
+	})
+
+	feed(t, central.Addr, 301, 100)
+	waitUntil(t, "byte-exact convergence and an empty backup", func() bool {
+		c.Checkpoint()
+		want := c.Main().Engine().State().Snapshot()
+		got := m1b.Site.Main().Engine().State().Snapshot()
+		return c.Main().Processed() == 400 && bytes.Equal(want, got) && c.Backup().Len() == 0
+	})
+	if live := member.Live(); live != 2 {
+		t.Fatalf("Live = %d after the rejoin, want 2", live)
+	}
+}
+
 // adaptiveCentral starts a central that engages adaptation as soon as
 // one pending request is observed, plus the mirror it adapts for.
 func adaptiveCentral(t *testing.T, auditPath string) (*site.CentralSite, *site.MirrorSite) {

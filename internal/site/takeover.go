@@ -19,7 +19,6 @@ import (
 	"adaptmirror/internal/echo"
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/status"
-	"adaptmirror/internal/vclock"
 )
 
 const (
@@ -30,59 +29,28 @@ const (
 	// central starts with when no directive ever told the mirror the
 	// central's parameters.
 	defaultPromotedChkptFreq = 50
-	// rejoinWriteTimeout bounds recovery-transfer writes on the
-	// promoted central's data downlinks (snapshots are much larger
-	// than control frames).
-	rejoinWriteTimeout = 30 * time.Second
-	// promotedMissBudget is the promoted central's failure-detector
-	// budget in consecutive checkpoint rounds. Automatic rounds are
-	// paced by commits, but an unanswered round is still abandoned every
-	// 9 triggers, and triggers count events, not time. Right after a
-	// takeover the first broadcast to a re-admitted survivor dials its
-	// control link; under the race detector that blocked the control
-	// task for ~8 ms while ~55 triggers queued, which then ran as six
-	// back-to-back rounds before the survivor (its first CHKPT delivered
-	// 38 ms after sending) could answer any. With the in-process default
-	// (8) the healthy survivor was excluded in about half of the
-	// TestWireTakeover runs, and the fan-out's liveness gate then
-	// silently discards its batches. The wire detector only needs to
-	// unstick commits when a survivor really dies, so a generous budget
-	// costs nothing until misses are counted in time rather than rounds.
-	promotedMissBudget = 256
 )
 
-// promotedCentral is everything a mirror site owns after winning a
-// takeover: the resumed central, its membership, and the downlinks to
-// the surviving mirrors.
-type promotedCentral struct {
-	*Promoted
-	Ann core.TakeoverAnnouncement
-	// ctrl holds the per-slot ctrl.down links for announcements (nil
-	// at the promoted site's own slot); links holds every dialed link
-	// for Close.
-	ctrl     []*Link
-	links    []*Link
-	rejoinMu []sync.Mutex
-}
-
-// Close shuts the promoted central and its downlinks down.
-func (pc *promotedCentral) Close() error {
-	pc.Central.Close()
-	for _, l := range pc.links {
-		l.Close()
-	}
-	return nil
+// promotion is what winning a takeover left a mirror site: the central
+// it now runs, the adoption that central was built from, and the
+// announcement survivors follow.
+type promotion struct {
+	central *CentralSite
+	adopted *Promoted
+	ann     core.TakeoverAnnouncement
 }
 
 // announce sends the takeover announcement to slot to, or to every
-// still-excluded survivor (core.TakeoverAll). The node asks for the
-// latter every tick after promotion, so a survivor excluded at any
-// later time hears it again and re-enters the same rejoin path.
-func (pc *promotedCentral) announce(to int) {
-	frame := &event.Event{Type: event.TypeTakeover, Seq: pc.Ann.Epoch, Payload: pc.Ann.Encode()}
-	for i, ctrl := range pc.ctrl {
-		if ctrl != nil && (i == to || to == core.TakeoverAll && !pc.Member.Alive(i)) {
-			_ = ctrl.Submit(frame)
+// still-excluded slot (core.TakeoverAll; the site's own slot has a
+// closed link, which fails fast). The node asks for the latter every
+// tick after promotion, so a survivor excluded at any later time hears
+// it again and re-enters the same rejoin path.
+func (p *promotion) announce(to int) {
+	frame := &event.Event{Type: event.TypeTakeover, Seq: p.ann.Epoch, Payload: p.ann.Encode()}
+	member := p.central.Central.Membership()
+	for i := 0; i < len(p.central.links)/2; i++ {
+		if i == to || to == core.TakeoverAll && !member.Alive(i) {
+			_ = p.central.links[2*i+1].Submit(frame)
 		}
 	}
 }
@@ -95,13 +63,13 @@ type takeoverRuntime struct {
 	interval  time.Duration
 	advertise string
 
-	// mu guards node and stopped, and is held only around Step.
-	mu      sync.Mutex
-	node    core.Takeover
-	stopped bool
-	stop    chan struct{}
-	// wg counts the ticker goroutine and every admitted piece of work.
-	wg sync.WaitGroup
+	// mu guards node and is held only around Step.
+	mu       sync.Mutex
+	node     core.Takeover
+	stop     chan struct{}
+	stopOnce sync.Once
+	// work counts the ticker goroutine and every admitted piece of work.
+	work admission
 }
 
 // newTakeoverRuntime validates the manifest and builds the runtime
@@ -131,36 +99,19 @@ func newTakeoverRuntime(s *MirrorSite, opts MirrorOptions) (*takeoverRuntime, er
 }
 
 func (t *takeoverRuntime) start() {
-	t.wg.Add(1)
+	t.work.admit()
 	go t.run()
 }
 
 // stopAndWait stops the ticker and waits for every admitted piece of
 // work; inputs arriving afterwards are dropped.
 func (t *takeoverRuntime) stopAndWait() {
-	t.mu.Lock()
-	if !t.stopped {
-		t.stopped = true
-		close(t.stop)
-	}
-	t.mu.Unlock()
-	t.wg.Wait()
-}
-
-// admit registers one piece of work unless the runtime has stopped; an
-// admitted caller calls t.wg.Done when finished.
-func (t *takeoverRuntime) admit() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped {
-		return false
-	}
-	t.wg.Add(1)
-	return true
+	t.stopOnce.Do(func() { close(t.stop) })
+	t.work.stop()
 }
 
 func (t *takeoverRuntime) run() {
-	defer t.wg.Done()
+	defer t.work.wg.Done()
 	tk := time.NewTicker(t.interval)
 	defer tk.Stop()
 	for {
@@ -176,10 +127,10 @@ func (t *takeoverRuntime) run() {
 // step feeds one input, completed with the site's view, to the node
 // and carries out the resulting effects after releasing the lock.
 func (t *takeoverRuntime) step(in core.TakeoverInput) {
-	if !t.admit() {
+	if !t.work.admit() {
 		return
 	}
-	defer t.wg.Done()
+	defer t.work.wg.Done()
 	in.LastRound, in.Cut = t.s.Site.LastRound(), t.s.Site.Backup().Committed()
 	t.mu.Lock()
 	effects := t.node.Step(in)
@@ -204,10 +155,9 @@ func (t *takeoverRuntime) do(e core.TakeoverEffect) {
 			fmt.Printf("mirrord: %s: electing for epoch %d (cut %s)\n", t.s.Name, e.Claim.Epoch, e.Claim.Cut)
 		}
 		for i, addr := range t.peers {
-			if i != t.self && (e.To == core.TakeoverAll || e.To == i) {
-				t.wg.Add(1)
+			if i != t.self && (e.To == core.TakeoverAll || e.To == i) && t.work.admit() {
 				go func() {
-					defer t.wg.Done()
+					defer t.work.wg.Done()
 					t.sendClaim(addr, e.Claim)
 				}()
 			}
@@ -216,8 +166,8 @@ func (t *takeoverRuntime) do(e core.TakeoverEffect) {
 		fmt.Printf("mirrord: %s: taking over as central, epoch %d\n", t.s.Name, e.Epoch)
 		t.promote(e.Epoch)
 	case core.TakeoverAnnounce:
-		if pc := t.s.promoted.Load(); pc != nil {
-			pc.announce(e.To)
+		if p := t.s.promoted.Load(); p != nil {
+			p.announce(e.To)
 		}
 	case core.TakeoverFollow:
 		if e.Repoint {
@@ -244,94 +194,29 @@ func (t *takeoverRuntime) probeAlive(addr string) bool {
 	return true
 }
 
-// promote converts this mirror site into the epoch's central:
-// Mirror.Promote adopts the site's state with every survivor slot
-// excluded, and announcements re-admit them as they redial.
+// promote makes this site the epoch's central on its own server and
+// front: Mirror.Promote adopts its state with every slot excluded, and
+// announcements re-admit survivors, slots indexed by ORIGINAL site ID
+// as their checkpoint replies are.
 func (t *takeoverRuntime) promote(epoch uint64) {
 	s := t.s
-	// Downlinks to every survivor, indexed by ORIGINAL site ID so the
-	// SiteID survivors stamp on checkpoint replies keeps addressing
-	// the right slot; our own slot gets a closed link, which only ever
-	// fails fast, and stays excluded forever.
-	mirrors := make([]core.MirrorLink, len(t.peers))
-	pc := &promotedCentral{
-		ctrl:     make([]*Link, len(t.peers)),
-		rejoinMu: make([]sync.Mutex, len(t.peers)),
+	p := &promotion{central: &CentralSite{Bus: s.bus, Front: s.Front, name: s.Name, self: t.self}}
+	err := p.central.assemble(t.peers, s.shaping, func(mirrors []core.MirrorLink, detector core.MembershipConfig) (*core.Central, error) {
+		p.adopted = s.Promote(epoch, core.CentralConfig{
+			Params:  core.Params{CheckpointFreq: defaultPromotedChkptFreq},
+			Model:   s.cfg.Model,
+			CPU:     s.cfg.CPU,
+			Mirrors: mirrors,
+			Obs:     s.cfg.Obs,
+			Tracer:  s.cfg.Tracer,
+		}, detector)
+		return p.adopted.Central, nil
+	})
+	if err != nil {
+		fmt.Printf("mirrord: %s: serving as central: %v\n", s.Name, err)
 	}
-	for i, addr := range t.peers {
-		if i == t.self {
-			dead := NewLink("", ChanData, LinkOptions{})
-			dead.Close()
-			mirrors[i] = core.MirrorLink{Data: dead, Ctrl: dead}
-			continue
-		}
-		data := NewLink(addr, ChanData, LinkOptions{Shaping: s.shaping, WriteTimeout: rejoinWriteTimeout})
-		ctrl := NewLink(addr, ChanCtrlDown, LinkOptions{Shaping: s.shaping})
-		pc.links = append(pc.links, data, ctrl)
-		pc.ctrl[i] = ctrl
-		mirrors[i] = core.MirrorLink{Data: data, Ctrl: ctrl}
-	}
-	pc.Promoted = s.Promote(epoch, core.CentralConfig{
-		Params:  core.Params{CheckpointFreq: defaultPromotedChkptFreq},
-		Model:   s.cfg.Model,
-		CPU:     s.cfg.CPU,
-		Mirrors: mirrors,
-		Obs:     s.cfg.Obs,
-		Tracer:  s.cfg.Tracer,
-	}, core.MembershipConfig{MissedRounds: promotedMissBudget})
-	central := pc.Central
-	pc.Ann = core.TakeoverAnnouncement{Epoch: epoch, Addr: t.advertise, Anchor: pc.Anchor}
-
-	// The site's event-channel server now serves the central role too:
-	// sources feed ingress, survivors reply on ctrl.up. The HTTP front
-	// keeps serving /init from the adopted main unit untouched, and
-	// additionally accepts client updates like any central.
-	if ingress, err := s.bus.Open(ChanIngress); err == nil {
-		ingress.Subscribe(func(e *event.Event) { _ = central.Ingest(e) })
-	}
-	if ctrlUp, err := s.bus.Open(ChanCtrlUp); err == nil {
-		ctrlUp.Subscribe(func(e *event.Event) { t.handleCtrlUp(pc, e) })
-	}
-	if s.Front != nil {
-		s.Front.EnableUpdates(central.Ingest)
-	}
-	s.promoted.Store(pc)
-}
-
-// handleCtrlUp routes the promoted central's ctrl.up traffic:
-// checkpoint replies to the coordinator, recovery requests to rejoin
-// service (on their own goroutine — a state transfer must not block
-// the control channel's read loop).
-func (t *takeoverRuntime) handleCtrlUp(pc *promotedCentral, e *event.Event) {
-	if e.Type != event.TypeRecoveryRequest {
-		pc.Central.HandleControl(e)
-		return
-	}
-	if !t.admit() {
-		return
-	}
-	slot, cut := int(e.Seq), e.VT.Clone()
-	go func() {
-		defer t.wg.Done()
-		t.serveRejoin(pc, slot, cut)
-	}()
-}
-
-// serveRejoin re-admits one survivor from its advertised cut.
-func (t *takeoverRuntime) serveRejoin(pc *promotedCentral, slot int, cut vclock.VC) {
-	if slot < 0 || slot >= len(pc.rejoinMu) || slot == t.self {
-		return
-	}
-	pc.rejoinMu[slot].Lock()
-	defer pc.rejoinMu[slot].Unlock()
-	if pc.Member.Alive(slot) {
-		return // duplicate request; already rejoined
-	}
-	if _, err := pc.Member.RejoinSince(slot, cut); err != nil {
-		fmt.Printf("mirrord: %s: rejoining survivor %d: %v\n", t.s.Name, slot, err)
-		return
-	}
-	fmt.Printf("mirrord: %s: survivor %d rejoined (cut %s)\n", t.s.Name, slot, cut)
+	p.ann = core.TakeoverAnnouncement{Epoch: epoch, Addr: t.advertise, Anchor: p.adopted.Anchor}
+	s.promoted.Store(p)
 }
 
 // handleControl intercepts takeover frames on the mirror's ctrl.down

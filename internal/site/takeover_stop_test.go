@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net"
 	"os"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,8 +13,7 @@ import (
 
 // TestTakeoverDropsInputsAfterStop: once Close has stopped the takeover
 // runtime, a frame still in flight starts no goroutine and runs no
-// effect — in particular no rejoin lands on a promoted central that
-// Close is shutting down.
+// effect.
 func TestTakeoverDropsInputsAfterStop(t *testing.T) {
 	peer, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -37,19 +35,16 @@ func TestTakeoverDropsInputsAfterStop(t *testing.T) {
 	s.Close()
 
 	// On a live runtime each of these has an effect: the claim for a new
-	// epoch is answered on the peer's ctrl.down, the announcement
-	// repoints the uplink, and the recovery request starts a rejoin.
+	// epoch is answered on the peer's ctrl.down, and the announcement
+	// repoints the uplink.
 	rt.handleControl(&event.Event{Type: event.TypeElect, Payload: core.ElectionClaim{Epoch: 1, Site: 1}.Encode()})
 	ann := core.TakeoverAnnouncement{Epoch: 1, Addr: peer.Addr().String()}
 	rt.handleControl(&event.Event{Type: event.TypeTakeover, Payload: ann.Encode()})
 	rt.step(core.TakeoverInput{Kind: core.TakeoverTick})
-	pc := &promotedCentral{rejoinMu: make([]sync.Mutex, 2)}
-	pc.rejoinMu[1].Lock() // a started rejoin would block here, holding the wait group
-	rt.handleCtrlUp(pc, &event.Event{Type: event.TypeRecoveryRequest, Seq: 1})
 
 	waited := make(chan struct{})
 	go func() {
-		rt.wg.Wait()
+		rt.work.wg.Wait()
 		close(waited)
 	}()
 	select {

@@ -1,8 +1,10 @@
 package site
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -67,7 +69,9 @@ type CentralOptions struct {
 	AuditPath string
 }
 
-// CentralSite bundles everything a running central site owns.
+// CentralSite bundles everything a running central site owns: an
+// epoch-0 central, or the central a mirror site becomes by winning a
+// wire takeover (sharing that site's bus and front).
 type CentralSite struct {
 	Central *core.Central
 	// Front is nil when no HTTP address was configured.
@@ -83,15 +87,31 @@ type CentralSite struct {
 	// Addr and HTTPAddr are the bound listen addresses.
 	Addr     string
 	HTTPAddr string
-	srv      *echo.Server
-	links    []*Link
+	// name labels the site in its status document and log lines; self
+	// is a promoted site's own manifest slot (-1 at epoch 0).
+	name string
+	self int
+	srv  *echo.Server
+	// links holds each manifest slot's data and ctrl.down link, in turn.
+	links []*Link
+	// rejoins counts the recovery transfers ctrl.up started.
+	rejoins admission
 }
+
+// wireMissBudget is every wire central's failure-detector budget in
+// consecutive checkpoint rounds (rounds count events, not time). On
+// loopback, a detector that never fires recorded the longest streak a
+// healthy mirror missed: 19, 16 and 19 under the benchmark's
+// stream_saturate (seeds 1-3, 10 s each), 7 under stream_steady, 6
+// under init_storm. The in-process default of 8 would exclude healthy
+// mirrors there; 256 leaves at least a 13x margin.
+const wireMissBudget = 256
 
 // StartCentral assembles a central site: send links to every mirror, an
 // event-channel server for ingress and control-up traffic, and
 // optionally an HTTP front for client requests.
 func StartCentral(opts CentralOptions) (*CentralSite, error) {
-	s := &CentralSite{Bus: echo.NewBus()}
+	s := &CentralSite{Bus: echo.NewBus(), name: "central", self: -1}
 	if err := s.start(opts); err != nil {
 		s.Close()
 		return nil, err
@@ -102,25 +122,6 @@ func StartCentral(opts CentralOptions) (*CentralSite, error) {
 func (s *CentralSite) start(opts CentralOptions) error {
 	cfg := opts.Config
 	RegisterSlabMetrics(cfg.Obs)
-
-	// Dial every mirror before constructing the central so its sending
-	// task has live links from the first event (and a bad mirror
-	// address fails site startup immediately). The links redial on the
-	// next submit after a failure, so a mirror that crashes and
-	// restarts on the same address can be recovered over the same
-	// MirrorLink by Membership.Rejoin.
-	for _, addr := range opts.Mirrors {
-		data := NewLink(addr, ChanData, LinkOptions{Shaping: opts.Shaping})
-		ctrl := NewLink(addr, ChanCtrlDown, LinkOptions{Shaping: opts.Shaping})
-		s.links = append(s.links, data, ctrl)
-		for _, l := range []*Link{data, ctrl} {
-			if err := l.Dial(); err != nil {
-				return fmt.Errorf("dialing mirror %s %s channel: %w", addr, l.channel, err)
-			}
-		}
-		cfg.Mirrors = append(cfg.Mirrors, core.MirrorLink{Data: data, Ctrl: ctrl})
-	}
-	cfg.NoMirror = cfg.NoMirror || len(cfg.Mirrors) == 0
 
 	// The central EDE's output stream is exported on the updates
 	// channel for remote thin clients, and optionally tee'd into the
@@ -170,16 +171,81 @@ func (s *CentralSite) start(opts CentralOptions) error {
 			s.Controller.ObserveSite(site, sample)
 		}
 	}
-	s.Central = core.NewCentral(cfg)
-	if opts.Selective > 0 {
-		s.Central.InstallSelective(opts.Selective)
+	err = s.assemble(opts.Mirrors, opts.Shaping, func(mirrors []core.MirrorLink, detector core.MembershipConfig) (*core.Central, error) {
+		// Dial every mirror before constructing the central so its
+		// sending task has live links from the first event, and a bad
+		// mirror address fails site startup immediately.
+		for _, l := range s.links {
+			if err := l.Dial(); err != nil {
+				return nil, fmt.Errorf("dialing mirror %s %s channel: %w", l.Addr(), l.channel, err)
+			}
+		}
+		cfg.Mirrors = mirrors
+		cfg.NoMirror = cfg.NoMirror || len(mirrors) == 0
+		c := core.NewCentral(cfg)
+		core.NewMembership(c, detector)
+		if opts.Selective > 0 {
+			c.InstallSelective(opts.Selective)
+		}
+		if opts.HTTP != "" { // the front serves c's main unit
+			s.Front = httpfront.NewWithRegistry(c.Main(), cfg.Obs)
+		}
+		return c, nil
+	})
+	if err != nil {
+		return err
 	}
 	if s.Controller != nil {
 		s.Controller.SetApply(adapt.InstallRegime(s.Central))
 		s.Controller.Attach(s.Central)
 	}
 
-	// Export ingress and control-up channels.
+	if s.Addr, s.srv, err = serve(s.Bus, opts.Listen); err != nil {
+		return err
+	}
+	if s.Front != nil {
+		s.Front.SetStatus(s.Status)
+		if s.HTTPAddr, err = s.Front.Listen(opts.HTTP); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// assemble makes s a wire central on s.Bus: a data and a ctrl.down link
+// per manifest slot (closed at slot s.self, so they fail fast), the
+// central build makes over them with the wire detector (an epoch-0
+// central dials and starts fresh, a takeover adopts the mirror's state),
+// the ingress and ctrl.up subscriptions, and client updates on s.Front.
+func (s *CentralSite) assemble(manifest []string, shaping simnet.Profile, build func([]core.MirrorLink, core.MembershipConfig) (*core.Central, error)) error {
+	mirrors := make([]core.MirrorLink, len(manifest))
+	for i, addr := range manifest {
+		data := NewLink(addr, ChanData, LinkOptions{Shaping: shaping, WriteTimeout: rejoinWriteTimeout})
+		ctrl := NewLink(addr, ChanCtrlDown, LinkOptions{Shaping: shaping})
+		if i == s.self {
+			data.Close()
+			ctrl.Close()
+		}
+		s.links = append(s.links, data, ctrl)
+		mirrors[i] = core.MirrorLink{Data: data, Ctrl: ctrl}
+	}
+	var err error
+	s.Central, err = build(mirrors, core.MembershipConfig{
+		MissedRounds: wireMissBudget,
+		OnFailure: func(i int) {
+			if s.Controller != nil {
+				// An excluded site's last sample row must not pin the regime.
+				s.Controller.EvictSite(i)
+			}
+			if i != s.self {
+				fmt.Printf("mirrord: %s: mirror %d excluded\n", s.name, i)
+			}
+		},
+		OnRejoin: func(i int) { fmt.Printf("mirrord: %s: mirror %d rejoined\n", s.name, i) },
+	})
+	if err != nil {
+		return err
+	}
 	ingress, err := s.Bus.Open(ChanIngress)
 	if err != nil {
 		return err
@@ -189,22 +255,35 @@ func (s *CentralSite) start(opts CentralOptions) error {
 	if err != nil {
 		return err
 	}
-	ctrlUp.Subscribe(s.Central.HandleControl)
-
-	if s.Addr, s.srv, err = serve(s.Bus, opts.Listen); err != nil {
-		return err
-	}
-	if opts.HTTP != "" {
-		s.Front = httpfront.NewWithRegistry(s.Central.Main(), cfg.Obs)
+	ctrlUp.Subscribe(s.dispatchCtrlUp)
+	if s.Front != nil {
 		// Gate agents and similar clients may generate state updates;
 		// they enter through the central site's receiving task.
 		s.Front.EnableUpdates(s.Central.Ingest)
-		s.Front.SetStatus(s.Status)
-		if s.HTTPAddr, err = s.Front.Listen(opts.HTTP); err != nil {
-			return err
-		}
 	}
 	return nil
+}
+
+// dispatchCtrlUp sends checkpoint replies to the coordinator. A
+// RECOVERY_REQ rejoins its slot from the cut it carries through the
+// current detector, on a goroutine of its own so a state transfer never
+// blocks the read loop; one for s.self's slot or after Close is dropped.
+func (s *CentralSite) dispatchCtrlUp(e *event.Event) {
+	if e.Type != event.TypeRecoveryRequest {
+		s.Central.HandleControl(e)
+		return
+	}
+	slot, cut := int(e.Seq), e.VT.Clone()
+	if slot == s.self || !s.rejoins.admit() {
+		return
+	}
+	go func() {
+		defer s.rejoins.wg.Done()
+		_, err := s.Central.Membership().RejoinSince(slot, cut)
+		if err != nil && !errors.Is(err, core.ErrNotExcluded) {
+			fmt.Printf("mirrord: %s: rejoining mirror %d: %v\n", s.name, slot, err)
+		}
+	}()
 }
 
 // serve starts an event-channel server for bus on addr.
@@ -224,14 +303,15 @@ func serve(bus *echo.Bus, addr string) (string, *echo.Server, error) {
 // samples, rejoin accounting, and the adaptation audit tail.
 func (s *CentralSite) Status() status.Document {
 	return status.Central(status.CentralSources{
-		Site:       "central",
+		Site:       s.name,
 		Central:    s.Central,
 		Controller: s.Controller,
 		Audit:      s.Audit,
 	})
 }
 
-// Close tears the site down.
+// Close tears the site down, waiting for started rejoins once inputs
+// stop. A promoted central's shared bus and front close twice, harmlessly.
 func (s *CentralSite) Close() error {
 	if s.Front != nil {
 		s.Front.Close()
@@ -239,6 +319,7 @@ func (s *CentralSite) Close() error {
 	if s.srv != nil {
 		s.srv.Close()
 	}
+	s.rejoins.stop()
 	if s.Central != nil {
 		s.Central.Close()
 	}
@@ -253,6 +334,34 @@ func (s *CentralSite) Close() error {
 	}
 	s.Bus.Close()
 	return nil
+}
+
+// admission counts admitted work and refuses more once stopped, so a
+// site's Close can wait for everything it let in.
+type admission struct {
+	mu      sync.Mutex
+	stopped bool
+	wg      sync.WaitGroup
+}
+
+// admit registers one piece of work unless stopped; an admitted caller
+// calls wg.Done when finished.
+func (a *admission) admit() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.stopped {
+		return false
+	}
+	a.wg.Add(1)
+	return true
+}
+
+// stop refuses further work and waits for the admitted work.
+func (a *admission) stop() {
+	a.mu.Lock()
+	a.stopped = true
+	a.mu.Unlock()
+	a.wg.Wait()
 }
 
 // MirrorOptions configure a mirror site on TCP.
@@ -309,7 +418,7 @@ type MirrorSite struct {
 	// takeover is the wire-takeover runtime (nil when disarmed);
 	// promoted holds the central this site became after a takeover.
 	takeover *takeoverRuntime
-	promoted atomic.Pointer[promotedCentral]
+	promoted atomic.Pointer[promotion]
 }
 
 // StartMirror assembles a mirror site: an event-channel server
@@ -384,8 +493,8 @@ func (s *MirrorSite) handleCtrlDown(e *event.Event) {
 // Promoted returns the central this site became by winning a wire
 // takeover (nil before that).
 func (s *MirrorSite) Promoted() *Promoted {
-	if pc := s.promoted.Load(); pc != nil {
-		return pc.Promoted
+	if p := s.promoted.Load(); p != nil {
+		return p.adopted
 	}
 	return nil
 }
@@ -396,8 +505,8 @@ func (s *MirrorSite) Promoted() *Promoted {
 // an armed takeover runtime reports its state.
 func (s *MirrorSite) Status() status.Document {
 	var doc status.Document
-	if pc := s.promoted.Load(); pc != nil {
-		doc = status.Central(status.CentralSources{Site: s.Name, Central: pc.Central})
+	if p := s.promoted.Load(); p != nil {
+		doc = p.central.Status()
 	} else {
 		doc = status.Mirror(s.Name, s.Site, s.Applier)
 	}
@@ -420,8 +529,8 @@ func (s *MirrorSite) Close() error {
 	if s.takeover != nil {
 		s.takeover.stopAndWait()
 	}
-	if pc := s.promoted.Load(); pc != nil {
-		pc.Close()
+	if p := s.promoted.Load(); p != nil {
+		p.central.Close()
 	}
 	s.Site.Close()
 	s.Uplink.Close()
