@@ -59,7 +59,7 @@ bench-smoke:
 	bash bench/run.sh -quick
 
 # Full gate: what CI runs and what every change must keep green.
-ci: build vet race flake metrics-lint status-smoke takeover-smoke bench-smoke
+ci: build vet race flake metrics-lint status-smoke takeover-smoke chaos bench-smoke
 
 # Deterministic fault-injection sweep under the race detector: 32
 # seeded runs of each schedule class — "mirror" crash-restarts a

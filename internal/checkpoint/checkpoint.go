@@ -23,6 +23,16 @@
 // maxDeferred deferred ones abandons the open round, so a lost CHKPT or
 // reply still heals.
 //
+// The coordinator alone owns the quorum. Its voters are the central
+// main unit, whose replies carry Stream CentralParticipant, and mirror
+// slots 0..Participants-2, whose replies carry their slot. Exclude and
+// Admit move a mirror slot out of and back into the live set, which
+// receives traffic (Alive) and votes; a round waits for exactly the
+// live voters it started with. Detect installs a failure detector: a
+// live mirror that lets more than the miss budget of rounds start
+// without replying is excluded as the next round starts. Without one,
+// nothing is excluded automatically.
+//
 // The package provides the three state machines of Figure 3 —
 // Coordinator (central aux unit), Mirror (mirror aux unit), and Main
 // (main unit) — wired to their surroundings through callbacks, so the
@@ -34,6 +44,7 @@ package checkpoint
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adaptmirror/internal/event"
@@ -66,6 +77,13 @@ func EpochBase(epoch uint64) uint64 { return epoch << EpochShift }
 // least every maxDeferred+1 triggers.
 const maxDeferred = 8
 
+// siteSet is a set of participant identities (reply Stream values).
+type siteSet [4]uint64
+
+func (s *siteSet) has(site uint8) bool { return s[site>>6]&(1<<(site&63)) != 0 }
+func (s *siteSet) add(site uint8)      { s[site>>6] |= 1 << (site & 63) }
+func (s *siteSet) del(site uint8)      { s[site>>6] &^= 1 << (site & 63) }
+
 // Coordinator runs at the central site's auxiliary unit. It initiates
 // rounds, collects CHKPT_REP replies, computes their minimum, and
 // issues COMMIT.
@@ -74,14 +92,16 @@ type Coordinator struct {
 	// recent value found in the central backup queue. A nil proposal
 	// skips the round (nothing to commit).
 	Propose func() vclock.VC
-	// Broadcast sends a control event to every mirror aux unit and to
-	// the central site's own main unit.
+	// Broadcast sends a control event to every live mirror aux unit
+	// (Alive) and to the central site's own main unit.
 	Broadcast func(*event.Event)
 	// OnCommit applies a committed timestamp locally (trim the central
 	// backup queue).
 	OnCommit func(vclock.VC)
-	// Participants is the number of CHKPT_REP replies that complete a
-	// round (mirror sites + the central main unit).
+	// Participants is the number of voters with no mirror excluded: the
+	// central main unit (CentralParticipant) plus mirror slots
+	// 0..Participants-2. Set it before the first round and leave it;
+	// Exclude and Admit change which of them vote.
 	Participants int
 	// Piggyback, when non-nil, returns bytes to attach to outgoing
 	// CHKPT events (adaptation directives ride along here). It is
@@ -93,57 +113,138 @@ type Coordinator struct {
 	// CHKPT→COMMIT latency. Abandoned rounds report nothing — their
 	// time is folded into the subsuming round.
 	RoundLatency func(time.Duration)
-	// Start, when non-nil, starts the rounds automatic triggers call for
-	// (Due's, and an owed trigger's when Owed is nil), so the driver can
-	// run its round-start bookkeeping first; it must end in Init. Nil
-	// calls Init.
-	Start func() bool
 	// Owed, when non-nil, receives an owed trigger when the open round
-	// closes: the driver hands it back to whatever calls Due. Rounds close
-	// on the reply, shrink and NextRound paths, which may run under the
-	// driver's locks. Nil starts the owed round at once.
+	// closes: the driver hands it back to whatever calls Due. Rounds
+	// close on the reply, Exclude and NextRound paths, which may run
+	// under the driver's locks. Nil starts the owed round at once.
 	Owed func()
 
 	mu        sync.Mutex
 	round     uint64
-	floor     uint64 // rounds at or below this belong to a previous central
-	pending   int    // replies the open round still needs; 0 = no round open
+	floor     uint64  // rounds at or below this belong to a previous central
+	waiting   siteSet // the open round's voters that have not replied; empty = no round open
 	min       vclock.VC
-	replied   [4]uint64 // per-site reply bitset for the open round, keyed by Stream
 	commits   uint64
 	rounds    uint64
 	startedAt time.Time
 	deferred  int  // automatic triggers the open round has deferred
 	owed      bool // a deferred trigger waits for the open round to close
+
+	// excluded holds the mirror slots out of the live set, one bit per
+	// slot. It changes under mu; Alive reads it without the lock, since
+	// the fan-out asks once per batch.
+	excluded  [4]atomic.Uint64
+	budget    int // miss budget; 0 = no failure detector
+	onExclude func(site int)
+	missed    []int // per mirror slot: rounds started since its last reply
+}
+
+// Detect installs the failure detector: a live mirror that lets more
+// than budget rounds start without a reply from it is excluded as the
+// next round starts, and onExclude, when non-nil, is told every
+// exclusion, automatic or through Exclude. Installed over another
+// detector, it replaces the budget and hook; the live set and the miss
+// counts carry over.
+func (c *Coordinator) Detect(budget int, onExclude func(site int)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.budget, c.onExclude = budget, onExclude
+	if c.missed == nil {
+		c.missed = make([]int, max(c.Participants-1, 0))
+	}
+}
+
+// Alive reports whether mirror slot site is in the live set: it
+// receives traffic and votes in every round started while it stays.
+func (c *Coordinator) Alive(site int) bool {
+	return site >= 0 && site < c.Participants-1 &&
+		c.excluded[site>>6].Load()&(1<<(site&63)) == 0
+}
+
+// Exclude removes mirror slot site from the live set. An open round
+// that still waits for its vote stops waiting, and if that was the last
+// vote it waited for, it commits the minimum received. A vote the slot
+// already cast stays counted, so the round still needs every other
+// voter. Excluding a slot out of the live set is a no-op.
+func (c *Coordinator) Exclude(site int) {
+	c.mu.Lock()
+	if !c.Alive(site) {
+		c.mu.Unlock()
+		return
+	}
+	var (
+		round uint64
+		cut   vclock.VC
+		owed  bool
+	)
+	w := &c.excluded[site>>6]
+	w.Store(w.Load() | 1<<(site&63))
+	if c.drop(uint8(site)) {
+		owed = c.closeRound()
+		round, cut = c.round, c.min.Clone()
+	}
+	hook := c.onExclude
+	c.mu.Unlock()
+	if cut != nil {
+		c.finish(round, cut)
+	}
+	if owed {
+		c.release()
+	}
+	if hook != nil {
+		hook(site)
+	}
+}
+
+// drop removes site from the open round's outstanding voters, if it is
+// one, and reports whether the round now waits for nobody. Caller holds
+// c.mu.
+func (c *Coordinator) drop(site uint8) (done bool) {
+	if !c.waiting.has(site) {
+		return false
+	}
+	c.waiting.del(site)
+	return !c.open()
+}
+
+// open reports whether a round is open: it waits for a vote. Caller
+// holds c.mu.
+func (c *Coordinator) open() bool { return c.waiting != siteSet{} }
+
+// Admit returns mirror slot site to the live set. It votes from the
+// next round on: it never received the open round's CHKPT, so waiting
+// for it would block that round forever.
+func (c *Coordinator) Admit(site int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if site < 0 || site >= c.Participants-1 {
+		return
+	}
+	w := &c.excluded[site>>6]
+	w.Store(w.Load() &^ (1 << (site & 63)))
+	if site < len(c.missed) {
+		c.missed[site] = 0
+	}
 }
 
 // Due registers one automatic checkpoint trigger and reports whether
-// it started a round. With no round open it starts one (through Start)
-// with the newest proposal. With one open it defers the trigger and
-// owes it: the round's close — a commit, a SetParticipants shrink that
-// completes or empties it, or NextRound — starts the next round. The
-// trigger that finds maxDeferred triggers already deferred abandons the
-// open round and starts a new one, as Init would.
+// it started a round. With no round open it starts one (Init) with the
+// newest proposal. With one open it defers the trigger and owes it: the
+// round's close — a commit, an Exclude that completes it, or NextRound
+// — starts the next round. The trigger that finds maxDeferred triggers
+// already deferred abandons the open round and starts a new one, as
+// Init would.
 func (c *Coordinator) Due() bool {
 	c.mu.Lock()
-	if c.pending > 0 && c.deferred < maxDeferred {
+	if c.open() && c.deferred < maxDeferred {
 		c.deferred++
 		c.owed = true
 		c.mu.Unlock()
 		return false
 	}
-	// This trigger starts the round, so none is owed any more: a round
-	// closed by the driver's round-start bookkeeping must not start a
-	// second one.
+	// This trigger starts the round, so none is owed any more.
 	c.owed = false
 	c.mu.Unlock()
-	return c.start()
-}
-
-func (c *Coordinator) start() bool {
-	if c.Start != nil {
-		return c.Start()
-	}
 	return c.Init()
 }
 
@@ -152,7 +253,7 @@ func (c *Coordinator) start() bool {
 // after unlocking.
 func (c *Coordinator) closeRound() (owed bool) {
 	owed = c.owed
-	c.pending, c.owed = 0, false
+	c.waiting, c.owed = siteSet{}, false
 	return owed
 }
 
@@ -162,24 +263,39 @@ func (c *Coordinator) release() {
 		c.Owed()
 		return
 	}
-	c.start()
+	c.Init()
 }
 
 // Init starts a new checkpoint round, whatever is open. If a previous
 // round is still open it is abandoned: its eventual commit is subsumed
 // by this one. It reports whether a round was actually started.
+//
+// With a detector installed, the round first counts against every live
+// mirror and excludes those past the budget. Those exclusions apply to
+// the open round first, so a round that waited only for them commits
+// before the new one starts, and the exclusion hook runs before the
+// new round's CHKPT (and its piggyback) goes out.
 func (c *Coordinator) Init() bool {
 	proposal := c.Propose()
 	if proposal == nil {
 		return false
 	}
 	c.mu.Lock()
+	if failed := c.countMisses(); failed != nil {
+		// The round starting here satisfies whatever trigger the open
+		// round owes, so closing that round must not release it.
+		c.owed = false
+		c.mu.Unlock()
+		for _, site := range failed {
+			c.Exclude(site)
+		}
+		c.mu.Lock()
+	}
 	c.round++
 	round := c.round
-	c.pending = c.Participants
-	participants := c.Participants
+	c.waiting = c.voters()
+	open := c.open()
 	c.min = nil
-	c.replied = [4]uint64{}
 	c.rounds++
 	c.startedAt = time.Now()
 	c.deferred, c.owed = 0, false
@@ -191,26 +307,60 @@ func (c *Coordinator) Init() bool {
 		ev.Payload = c.Piggyback(round)
 	}
 	c.Broadcast(ev)
-	if participants == 0 {
+	if !open {
 		// Degenerate single-site deployment: commit immediately.
 		c.finish(round, proposal)
 	}
 	return true
 }
 
-// OnReply handles a CHKPT_REP. Replies for abandoned rounds are
-// ignored, and so is a second reply from a site that already voted
-// this round (Stream carries the site identity): a control link that
-// duplicates messages must not complete the round before every
-// distinct participant has replied, or the commit would be the
-// minimum over a subset and could run ahead of a silent site.
-// When the round's last distinct reply arrives, the minimum timestamp
-// is committed and broadcast.
+// countMisses counts a starting round against every live mirror and
+// returns those past the miss budget. Caller holds c.mu.
+func (c *Coordinator) countMisses() (failed []int) {
+	if c.budget <= 0 {
+		return nil
+	}
+	for site := range c.missed {
+		if !c.Alive(site) {
+			continue
+		}
+		if c.missed[site]++; c.missed[site] > c.budget {
+			failed = append(failed, site)
+		}
+	}
+	return failed
+}
+
+// voters returns the set a round starting now waits for: the central
+// main unit and every live mirror slot.
+func (c *Coordinator) voters() (set siteSet) {
+	if c.Participants > 0 {
+		set.add(CentralParticipant)
+	}
+	for site := 0; site < c.Participants-1; site++ {
+		if c.Alive(site) {
+			set.add(uint8(site))
+		}
+	}
+	return set
+}
+
+// OnReply handles a CHKPT_REP. A reply from a live mirror resets its
+// miss count. It counts as a vote only from a voter of the open round
+// that has not voted yet (Stream carries the site identity): replies
+// for abandoned rounds, from sites excluded before voting or admitted
+// mid-round, and a control link's duplicate of a vote already counted
+// are ignored, so the commit is never the minimum over a subset and
+// never runs ahead of a silent site. When the round's last vote
+// arrives, the minimum timestamp is committed and broadcast.
 func (c *Coordinator) OnReply(e *event.Event) {
 	if e.Type != event.TypeChkptReply {
 		return
 	}
 	c.mu.Lock()
+	if site := int(e.Stream); site < len(c.missed) && c.Alive(site) {
+		c.missed[site] = 0
+	}
 	if e.Seq <= c.floor {
 		// A reply stamped by a previous central's coordinator, still in
 		// flight when the role moved. The round check below would reject
@@ -220,23 +370,16 @@ func (c *Coordinator) OnReply(e *event.Event) {
 		c.mu.Unlock()
 		return
 	}
-	if e.Seq != c.round || c.pending == 0 {
+	if e.Seq != c.round || !c.waiting.has(e.Stream) {
 		c.mu.Unlock()
 		return
 	}
-	bit := uint(e.Stream)
-	if c.replied[bit>>6]&(1<<(bit&63)) != 0 {
-		c.mu.Unlock()
-		return
-	}
-	c.replied[bit>>6] |= 1 << (bit & 63)
 	if c.min == nil {
 		c.min = e.VT.Clone()
 	} else {
 		c.min = c.min.Min(e.VT)
 	}
-	c.pending--
-	done := c.pending == 0
+	done := c.drop(e.Stream)
 	owed := done && c.closeRound()
 	round := c.round
 	commit := c.min.Clone()
@@ -299,52 +442,6 @@ func (c *Coordinator) Resume(floor uint64) {
 	}
 	if floor > c.floor {
 		c.floor = floor
-	}
-}
-
-// SetParticipants changes the number of replies that complete a round
-// (membership changes: failed mirrors leave the quorum, recovered ones
-// rejoin).
-//
-// A growth takes effect at the next Init: a mirror admitted mid-round
-// never received the open round's CHKPT, so waiting for its reply
-// would block the round forever. A shrink, however, applies to the
-// open round immediately — the departed participant will never reply,
-// and without the adjustment the round would hang until subsumed (or,
-// with no further rounds, forever). If the shrink satisfies the open
-// round's remaining quorum, the round commits with the minimum of the
-// replies already received. Either way the close releases a trigger the
-// round owed.
-func (c *Coordinator) SetParticipants(n int) {
-	c.mu.Lock()
-	delta := n - c.Participants
-	c.Participants = n
-	var (
-		finishRound  uint64
-		finishCommit vclock.VC
-		finishNow    bool
-		owed         bool
-	)
-	if delta < 0 && c.pending > 0 {
-		c.pending += delta
-		if c.pending <= 0 {
-			owed = c.closeRound()
-			if c.min != nil {
-				finishNow = true
-				finishRound = c.round
-				finishCommit = c.min.Clone()
-			}
-			// With no replies received there is nothing to commit:
-			// the round simply closes (pending == 0 makes OnReply
-			// ignore any stragglers) and the next round subsumes it.
-		}
-	}
-	c.mu.Unlock()
-	if finishNow {
-		c.finish(finishRound, finishCommit)
-	}
-	if owed {
-		c.release()
 	}
 }
 

@@ -197,7 +197,7 @@ func TestDuplicatedReplyDoesNotCompleteRoundEarly(t *testing.T) {
 	// A control link that duplicates messages delivers the same site's
 	// CHKPT_REP twice mid-round. The duplicate must not count toward
 	// the quorum: committing on {site0, site0} would take the minimum
-	// over a subset and could trim past site1's actual progress.
+	// over a subset and could trim past the central's actual progress.
 	c, _, committed := directCoord(2)
 	c.Init()
 	reply(c, 1, 0, 9)
@@ -205,7 +205,7 @@ func TestDuplicatedReplyDoesNotCompleteRoundEarly(t *testing.T) {
 	if len(*committed) != 0 {
 		t.Fatalf("duplicate reply completed the round: %v", *committed)
 	}
-	reply(c, 1, 1, 4)
+	reply(c, 1, central, 4)
 	if len(*committed) != 1 || (*committed)[0].Compare(vclock.VC{4}) != vclock.Equal {
 		t.Fatalf("committed = %v, want [<4>]", *committed)
 	}
@@ -418,7 +418,10 @@ func TestConcurrentRepliesSafe(t *testing.T) {
 			defer wg.Done()
 			rep := event.NewControl(event.TypeChkptReply, vclock.VC{uint64(10 + i)})
 			rep.Seq = 1
-			rep.Stream = uint8(i)
+			rep.Stream = uint8(i) // mirror slots 0..6, then the central
+			if i == 7 {
+				rep.Stream = central
+			}
 			c.OnReply(rep)
 		}(i)
 	}
@@ -453,6 +456,9 @@ func directCoord(participants int) (*Coordinator, *[]*event.Event, *[]vclock.VC)
 	return c, &sent, &committed
 }
 
+// central is the central main unit's reply identity.
+const central = CentralParticipant
+
 func reply(c *Coordinator, round uint64, site uint8, ts uint64) {
 	rep := event.NewControl(event.TypeChkptReply, vclock.VC{ts})
 	rep.Seq = round
@@ -461,108 +467,177 @@ func reply(c *Coordinator, round uint64, site uint8, ts uint64) {
 }
 
 func TestShrinkMidRoundCompletesWithReceivedMin(t *testing.T) {
-	// Three participants; two reply, the third dies. Shrinking to two
-	// must commit the round with the minimum of the two received
-	// replies instead of blocking forever.
+	// The central and mirror 0 reply, mirror 1 dies. Excluding it must
+	// commit the round with the minimum of the two received replies
+	// instead of blocking forever.
 	c, _, committed := directCoord(3)
 	c.Init()
 	reply(c, 1, 0, 7)
-	reply(c, 1, 1, 9)
-	c.SetParticipants(2)
+	reply(c, 1, central, 9)
+	c.Exclude(1)
 	if len(*committed) != 1 || (*committed)[0].Compare(vclock.VC{7}) != vclock.Equal {
 		t.Fatalf("committed = %v, want [<7>]", *committed)
 	}
 	// A late reply from the departed participant must not re-commit.
-	reply(c, 1, 2, 3)
+	reply(c, 1, 1, 3)
 	if len(*committed) != 1 {
 		t.Fatalf("late reply from departed participant re-committed: %v", *committed)
 	}
 }
 
-func TestShrinkWithNoRepliesClosesRoundWithoutCommit(t *testing.T) {
-	// The only participant dies before replying. The shrink closes the
-	// round with nothing to commit; the next Init proceeds normally.
-	c, _, committed := directCoord(1)
+func TestExcludeBeforeAnyVoteCommitsNothing(t *testing.T) {
+	// The only mirror dies before anyone replied. The exclusion commits
+	// nothing: the round still waits for the central, and the
+	// straggler reply of the excluded mirror is ignored.
+	c, _, committed := directCoord(2)
 	c.Init()
-	c.SetParticipants(0)
+	c.Exclude(0)
 	if len(*committed) != 0 {
 		t.Fatalf("commit with zero replies: %v", *committed)
 	}
-	// Straggler reply for the closed round is ignored.
 	reply(c, 1, 0, 5)
 	if len(*committed) != 0 {
-		t.Fatalf("straggler reply committed closed round: %v", *committed)
+		t.Fatalf("excluded mirror's straggler reply committed: %v", *committed)
 	}
-	// Zero participants now: the next round commits immediately.
+	reply(c, 1, central, 6)
+	if len(*committed) != 1 || (*committed)[0].Compare(vclock.VC{6}) != vclock.Equal {
+		t.Fatalf("committed = %v, want [<6>]", *committed)
+	}
+	// The next round waits for the central alone.
 	c.Init()
-	if len(*committed) != 1 {
-		t.Fatalf("commits after Init = %d, want 1", len(*committed))
+	reply(c, 2, central, 7)
+	if len(*committed) != 2 {
+		t.Fatalf("commits after the central's vote = %d, want 2", len(*committed))
 	}
 }
 
 func TestShrinkBelowRepliesReceived(t *testing.T) {
-	// Shrink by more than the outstanding count: pending clamps at zero
-	// and the round commits exactly once.
+	// Exclude every outstanding voter: the round commits exactly once,
+	// on the exclusion that leaves it waiting for nobody.
 	c, _, committed := directCoord(4)
 	c.Init()
-	reply(c, 1, 0, 12)
-	c.SetParticipants(1) // delta -3 > pending 3 remaining after one reply
+	reply(c, 1, central, 12)
+	for site := 0; site < 3; site++ {
+		c.Exclude(site)
+	}
+	c.Exclude(2) // already out: no effect
 	if len(*committed) != 1 || (*committed)[0].Compare(vclock.VC{12}) != vclock.Equal {
 		t.Fatalf("committed = %v, want [<12>]", *committed)
 	}
 }
 
 func TestGrowthMidRoundDefersToNextInit(t *testing.T) {
-	// A participant rejoining mid-round never saw the open round's
-	// CHKPT, so growth must not raise the open round's quorum.
-	c, _, committed := directCoord(2)
+	// A participant admitted mid-round never saw the open round's CHKPT,
+	// so admission must not make the open round wait for it, and its
+	// reply to that round is not a vote.
+	c, _, committed := directCoord(3)
+	c.Exclude(1)
 	c.Init()
-	reply(c, 1, 0, 4)
-	c.SetParticipants(3)
-	reply(c, 1, 1, 6)
+	reply(c, 1, central, 4)
+	c.Admit(1)
+	if !c.Alive(1) {
+		t.Fatal("admitted mirror not alive")
+	}
+	reply(c, 1, 1, 2) // not a voter of round 1
+	if len(*committed) != 0 {
+		t.Fatalf("admitted mirror's reply counted in the open round: %v", *committed)
+	}
+	reply(c, 1, 0, 6)
 	if len(*committed) != 1 || (*committed)[0].Compare(vclock.VC{4}) != vclock.Equal {
 		t.Fatalf("committed = %v, want [<4>]", *committed)
 	}
 	// The next round requires all three.
 	c.Init()
-	reply(c, 2, 0, 8)
-	reply(c, 2, 1, 9)
+	reply(c, 2, central, 8)
+	reply(c, 2, 0, 9)
 	if len(*committed) != 1 {
 		t.Fatalf("round 2 committed early: %v", *committed)
 	}
-	reply(c, 2, 2, 10)
+	reply(c, 2, 1, 10)
 	if len(*committed) != 2 {
 		t.Fatalf("round 2 did not commit after 3 replies: %v", *committed)
 	}
 }
 
-func TestShrinkIdleCoordinatorNoEffect(t *testing.T) {
-	// Shrinking with no open round (pending == 0) must not commit.
+func TestExcludeAfterVoteStillNeedsTheRest(t *testing.T) {
+	// Mirror 0 votes, then is excluded. Its vote stays counted and the
+	// round still waits for mirror 1: dropping the count on exclusion
+	// would commit the central's and mirror 0's minimum past mirror 1's
+	// progress.
 	c, _, committed := directCoord(3)
-	c.SetParticipants(2)
+	c.Init()
+	reply(c, 1, 0, 10)
+	reply(c, 1, central, 10)
+	c.Exclude(0)
 	if len(*committed) != 0 {
-		t.Fatalf("idle shrink committed: %v", *committed)
+		t.Fatalf("round committed without mirror 1's vote: %v", *committed)
+	}
+	if c.Alive(0) || !c.Alive(1) {
+		t.Fatalf("Alive(0), Alive(1) = %v, %v; want false, true", c.Alive(0), c.Alive(1))
+	}
+	reply(c, 1, 1, 3)
+	if len(*committed) != 1 || (*committed)[0].Compare(vclock.VC{3}) != vclock.Equal {
+		t.Fatalf("committed = %v, want [<3>]", *committed)
+	}
+}
+
+func TestReplyFromNonVoterIgnored(t *testing.T) {
+	// Participants 3 is the central and mirrors 0 and 1. A reply from a
+	// slot out of range, or from one excluded before the round started,
+	// is not a vote.
+	c, _, committed := directCoord(3)
+	c.Exclude(1)
+	c.Init()
+	reply(c, 1, 1, 1) // excluded before the round
+	reply(c, 1, 7, 1) // no such slot
+	reply(c, 1, 0, 5)
+	if len(*committed) != 0 {
+		t.Fatalf("non-voter replies completed the round: %v", *committed)
+	}
+	reply(c, 1, central, 6)
+	if len(*committed) != 1 || (*committed)[0].Compare(vclock.VC{5}) != vclock.Equal {
+		t.Fatalf("committed = %v, want [<5>]", *committed)
+	}
+}
+
+func TestShrinkIdleCoordinatorNoEffect(t *testing.T) {
+	// Excluding with no open round must not commit, and a later round
+	// waits for the remaining voters only.
+	c, _, committed := directCoord(3)
+	c.Exclude(1)
+	if len(*committed) != 0 {
+		t.Fatalf("idle exclusion committed: %v", *committed)
+	}
+	c.Init()
+	reply(c, 1, central, 2)
+	reply(c, 1, 0, 3)
+	if len(*committed) != 1 {
+		t.Fatalf("commits = %d, want 1", len(*committed))
 	}
 }
 
 func TestConcurrentShrinkAndReplies(t *testing.T) {
-	// The mid-round shrink racing OnReply must produce exactly one
+	// A mid-round exclusion racing OnReply must produce exactly one
 	// commit (either path may deliver it) and never deadlock.
 	for iter := 0; iter < 50; iter++ {
 		c, _, committed := directCoord(8)
 		c.Init()
 		var wg sync.WaitGroup
-		for i := 0; i < 7; i++ {
+		for i := 0; i < 6; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				reply(c, 1, uint8(i), uint64(10+i))
 			}(i)
 		}
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			c.SetParticipants(7)
+			reply(c, 1, central, 9)
+		}()
+		go func() {
+			defer wg.Done()
+			c.Exclude(6)
 		}()
 		wg.Wait()
 		if len(*committed) != 1 {
@@ -600,7 +675,7 @@ func TestDuePacing(t *testing.T) {
 	}
 	initRound := func(c *Coordinator, _ *uint64) { c.Init() }
 	nextRound := func(c *Coordinator, _ *uint64) { c.NextRound() }
-	shrink := func(n int) step { return func(c *Coordinator, _ *uint64) { c.SetParticipants(n) } }
+	exclude := func(site int) step { return func(c *Coordinator, _ *uint64) { c.Exclude(site) } }
 
 	cases := []struct {
 		name         string
@@ -623,32 +698,32 @@ func TestDuePacing(t *testing.T) {
 		},
 		{
 			name: "commit with an owed trigger starts the next round with the newest proposal", participants: 1,
-			steps:  []step{propose(5), due(1), propose(9), due(3), vote(1, 0)},
+			steps:  []step{propose(5), due(1), propose(9), due(3), vote(1, central)},
 			chkpts: [][2]uint64{{1, 5}, {2, 9}}, commits: 1, open: true,
 		},
 		{
 			name: "commit with nothing owed leaves no round open", participants: 1,
-			steps:  []step{propose(5), due(1), vote(1, 0)},
+			steps:  []step{propose(5), due(1), vote(1, central)},
 			chkpts: [][2]uint64{{1, 5}}, commits: 1,
 		},
 		{
 			name: "trigger after maxDeferred deferred ones abandons the open round", participants: 2,
-			steps:  []step{propose(5), due(1), propose(9), due(maxDeferred + 1), vote(1, 0), vote(1, 1)},
+			steps:  []step{propose(5), due(1), propose(9), due(maxDeferred + 1), vote(1, 0), vote(1, central)},
 			chkpts: [][2]uint64{{1, 5}, {2, 9}}, open: true,
 		},
 		{
 			name: "the abandoning round commits and clears the owed trigger", participants: 1,
-			steps:  []step{propose(5), due(maxDeferred + 2), vote(2, 0)},
+			steps:  []step{propose(5), due(maxDeferred + 2), vote(2, central)},
 			chkpts: [][2]uint64{{1, 5}, {2, 5}}, commits: 1,
 		},
 		{
 			name: "Init always abandons the open round", participants: 1,
-			steps:  []step{propose(5), due(1), propose(9), initRound, vote(1, 0)},
+			steps:  []step{propose(5), due(1), propose(9), initRound, vote(1, central)},
 			chkpts: [][2]uint64{{1, 5}, {2, 9}}, open: true,
 		},
 		{
 			name: "Init satisfies an owed trigger", participants: 1,
-			steps:  []step{propose(5), due(2), propose(9), initRound, vote(2, 0)},
+			steps:  []step{propose(5), due(2), propose(9), initRound, vote(2, central)},
 			chkpts: [][2]uint64{{1, 5}, {2, 9}}, commits: 1,
 		},
 		{
@@ -658,18 +733,18 @@ func TestDuePacing(t *testing.T) {
 		},
 		{
 			name: "NextRound with nothing owed leaves no round open", participants: 1,
-			steps:  []step{propose(5), due(1), nextRound, vote(1, 0)},
+			steps:  []step{propose(5), due(1), nextRound, vote(1, central)},
 			chkpts: [][2]uint64{{1, 5}},
 		},
 		{
 			name: "a shrink that completes the round commits and releases the owed trigger", participants: 2,
-			steps:  []step{propose(5), due(2), vote(1, 0), propose(9), shrink(1)},
+			steps:  []step{propose(5), due(2), vote(1, central), propose(9), exclude(0)},
 			chkpts: [][2]uint64{{1, 5}, {2, 9}}, commits: 1, open: true,
 		},
 		{
-			name: "a shrink that empties the round releases the owed trigger", participants: 2,
-			steps:  []step{propose(5), due(2), propose(9), shrink(1), shrink(0)},
-			chkpts: [][2]uint64{{1, 5}, {2, 9}}, commits: 1,
+			name: "an exclusion after the site voted leaves the round open and the trigger owed", participants: 3,
+			steps:  []step{propose(5), due(2), vote(1, 0), vote(1, central), exclude(0)},
+			chkpts: [][2]uint64{{1, 5}}, open: true,
 		},
 	}
 	for _, tc := range cases {
@@ -692,10 +767,10 @@ func TestDuePacing(t *testing.T) {
 			if len(*committed) != tc.commits {
 				t.Errorf("commits = %d, want %d", len(*committed), tc.commits)
 			}
-			if open := c.pending > 0; open != tc.open {
+			if open := c.open(); open != tc.open {
 				t.Errorf("round open = %v, want %v", open, tc.open)
 			}
-			if c.owed && c.pending == 0 {
+			if c.owed && !c.open() {
 				t.Error("a trigger is owed to a closed round")
 			}
 		})
@@ -711,7 +786,7 @@ func TestOwedHookReceivesReleasedTrigger(t *testing.T) {
 	c.Owed = func() { owed++ }
 	c.Due()
 	c.Due()
-	reply(c, 1, 0, 4)
+	reply(c, 1, central, 4)
 	if owed != 1 {
 		t.Fatalf("Owed called %d times, want 1", owed)
 	}
@@ -723,19 +798,50 @@ func TestOwedHookReceivesReleasedTrigger(t *testing.T) {
 	}
 }
 
-// TestDueStartsThroughStartHook: automatic rounds start through Start,
-// where the driver runs its round-start bookkeeping.
-func TestDueStartsThroughStartHook(t *testing.T) {
-	c, _, _ := directCoord(1)
-	starts := 0
-	c.Start = func() bool { starts++; return c.Init() }
-	c.Due()           // starts
-	c.Due()           // deferred, owed
-	reply(c, 1, 0, 4) // commit releases the owed trigger
-	if starts != 2 {
-		t.Fatalf("Start called %d times, want 2", starts)
+// TestDetectExcludesSilentMirror: with a detector, a live mirror that
+// lets more than the budget of rounds start without replying is
+// excluded as the next round starts. The round that waited only for it
+// commits first, the hook runs next, and only then does the new round's
+// CHKPT go out. Without a detector nothing is excluded.
+func TestDetectExcludesSilentMirror(t *testing.T) {
+	c, _, committed := directCoord(3)
+	var log []string
+	c.Broadcast = func(e *event.Event) { log = append(log, fmt.Sprintf("%v %d", e.Type, e.Seq)) }
+	c.Detect(2, func(site int) { log = append(log, fmt.Sprintf("exclude %d", site)) })
+	c.Init()
+	reply(c, 1, central, 5)
+	reply(c, 1, 0, 5) // mirror 0 answers every round; mirror 1 never does
+	c.Init()
+	reply(c, 2, central, 6)
+	reply(c, 2, 0, 6)
+	if !c.Alive(1) {
+		t.Fatal("mirror 1 excluded within its budget")
 	}
-	if rounds, _ := c.Stats(); rounds != 2 {
-		t.Fatalf("rounds = %d, want 2", rounds)
+	log = nil
+	c.Init() // mirror 1's third missed round
+	want := fmt.Sprint([]string{
+		fmt.Sprintf("%v 2", event.TypeCommit), "exclude 1", fmt.Sprintf("%v 3", event.TypeChkpt),
+	})
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("broadcasts and hooks = %s, want %s", got, want)
+	}
+	if c.Alive(1) || !c.Alive(0) {
+		t.Fatalf("Alive(0), Alive(1) = %v, %v; want true, false", c.Alive(0), c.Alive(1))
+	}
+	if len(*committed) != 1 || (*committed)[0].Compare(vclock.VC{6}) != vclock.Equal {
+		t.Fatalf("committed = %v, want [<6>]", *committed)
+	}
+	reply(c, 3, central, 7)
+	reply(c, 3, 0, 7)
+	if len(*committed) != 2 {
+		t.Fatalf("round 3 did not commit without the excluded mirror: %v", *committed)
+	}
+
+	silent, _, _ := directCoord(2)
+	for i := 0; i < 20; i++ {
+		silent.Init()
+	}
+	if !silent.Alive(0) {
+		t.Fatal("a coordinator without a detector excluded a mirror")
 	}
 }

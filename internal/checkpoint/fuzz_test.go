@@ -15,15 +15,19 @@ import (
 // duplicate, reorder, corrupt) on the reply path. The protocol's
 // written-down safety properties are asserted after every delivery:
 // no panic, committed cuts monotone, every commit at or below every
-// participant's processed progress (a violation is a silent
-// mis-commit — exactly what a duplicated reply used to cause), and
-// backup-queue invariants intact at all times. Automatic triggers (op
-// 8) must keep to commit pacing: a trigger starts a round over an open
-// one only as deferral overflow, an owed trigger never waits behind a
-// closed round, and a round closing with a trigger owed starts the
-// next one at once.
+// voter's processed progress (a violation is a silent mis-commit —
+// exactly what a duplicated reply, or an exclusion that dropped the
+// count for a site that had already voted, used to cause), and
+// backup-queue invariants intact at all times. The voters a commit is
+// held to are the sites its round started with that stayed live
+// throughout: an excluded mirror receives no CHKPT or COMMIT and may
+// legitimately fall behind. Automatic triggers (op 8) must keep to
+// commit pacing: a trigger starts a round over an open one only as
+// deferral overflow, an owed trigger never waits behind a closed
+// round, and a round closing with a trigger owed starts the next one
+// at once.
 //
-// Op bytes, interpreted modulo 9:
+// Op bytes, interpreted modulo 13:
 //
 //	0 feed one event to all backup queues
 //	1 site 0 processes one pending event
@@ -34,6 +38,11 @@ import (
 //	6 duplicate the oldest pending reply (deliver twice)
 //	7 corrupt the oldest pending reply's payload, then deliver it
 //	8 an automatic trigger (Due)
+//	9 exclude site 0
+//	10 exclude site 1
+//	11 rejoin site 0: catch it up to the feed, re-admit it (it votes
+//	   from the next round)
+//	12 rejoin site 1
 func FuzzCheckpointControl(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 4, 4})                // clean round, everyone replies
 	f.Add([]byte{0, 1, 3, 6, 6, 6, 0, 2, 3, 4, 4})       // duplicated replies must not commit early
@@ -43,6 +52,7 @@ func FuzzCheckpointControl(f *testing.F) {
 	f.Add([]byte{3, 3, 3, 0, 3, 4, 1, 4, 2, 4, 4, 0, 0, 3, 4, 4, 4, 6, 5})
 	f.Add([]byte{0, 1, 2, 8, 0, 8, 8, 4, 4, 4, 4, 4, 4})             // owed trigger starts the next round on commit
 	f.Add([]byte{0, 8, 5, 8, 8, 8, 8, 8, 8, 8, 8, 8, 4, 4, 4, 1, 2}) // dropped reply heals by deferral overflow
+	f.Add([]byte{0, 1, 3, 10, 11, 4, 12, 0, 1, 2, 3, 4, 4, 4})       // exclusions and re-admissions across rounds
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const sites = 2
@@ -55,6 +65,7 @@ func FuzzCheckpointControl(f *testing.F) {
 			prev    vclock.VC      // last committed cut
 			chkpts  int            // CHKPT broadcasts so far
 			commits int            // commits so far
+			voters  [sites]bool    // the open round's mirror voters still live since it started
 		)
 		for i := range backups {
 			backups[i] = queue.NewBackup()
@@ -74,11 +85,11 @@ func FuzzCheckpointControl(f *testing.F) {
 			}
 			prev = cut.Clone()
 			// The mis-commit detector: a commit is the min over every
-			// distinct participant's vote, and votes never exceed the
-			// voter's progress, so a commit past any site's progress
-			// means the round completed without that site.
+			// distinct voter's vote, and votes never exceed the voter's
+			// progress, so a commit past a voter's progress means the
+			// round completed without that voter.
 			for s := 0; s < sites; s++ {
-				if lp := lastProcessed(s); !cut.LessEq(lp) {
+				if lp := lastProcessed(s); voters[s] && !cut.LessEq(lp) {
 					t.Fatalf("commit %v beyond site %d progress %v", cut, s, lp)
 				}
 			}
@@ -122,9 +133,14 @@ func FuzzCheckpointControl(f *testing.F) {
 		coord.Broadcast = func(e *event.Event) {
 			if e.Type == event.TypeChkpt {
 				chkpts++
+				for i := range voters {
+					voters[i] = coord.Alive(i)
+				}
 			}
 			for i := range mirrors {
-				mirrors[i].OnControl(e.Clone())
+				if coord.Alive(i) {
+					mirrors[i].OnControl(e.Clone())
+				}
 			}
 			centralMain.OnControl(e.Clone())
 		}
@@ -144,14 +160,14 @@ func FuzzCheckpointControl(f *testing.F) {
 		pacing := func() (open bool, deferred int, owed bool) {
 			coord.mu.Lock()
 			defer coord.mu.Unlock()
-			return coord.pending > 0, coord.deferred, coord.owed
+			return coord.open(), coord.deferred, coord.owed
 		}
 
 		seq := uint64(0)
 		for _, op := range ops {
 			wasOpen, deferred, owed := pacing()
 			chkptsBefore, commitsBefore := chkpts, commits
-			switch op % 9 {
+			switch op % 13 {
 			case 0: // feed
 				seq++
 				vt := vclock.VC{seq}
@@ -163,7 +179,7 @@ func FuzzCheckpointControl(f *testing.F) {
 					backups[i].Append(e.Clone())
 				}
 			case 1, 2: // a mirror processes one event
-				s := int(op%9) - 1
+				s := int(op%13) - 1
 				if applied[s] < len(history) {
 					applied[s]++
 				}
@@ -175,7 +191,7 @@ func FuzzCheckpointControl(f *testing.F) {
 				}
 				e := pending[0]
 				pending = pending[1:]
-				switch op % 9 {
+				switch op % 13 {
 				case 5: // drop
 				case 6: // duplicate
 					coord.OnReply(e.Clone())
@@ -201,6 +217,18 @@ func FuzzCheckpointControl(f *testing.F) {
 				case !wasOpen && !started && central.Last() != nil:
 					t.Fatal("trigger with no round open started none")
 				}
+			case 9, 10:
+				s := int(op%13) - 9
+				voters[s] = false
+				coord.Exclude(s)
+			case 11, 12:
+				// A rejoin: the state transfer brings the site up to
+				// everything fed so far before it is admitted.
+				s := int(op%13) - 11
+				if !coord.Alive(s) {
+					applied[s] = len(history)
+				}
+				coord.Admit(s)
 			}
 			open, _, nowOwed := pacing()
 			if nowOwed && !open {

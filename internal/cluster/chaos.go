@@ -251,12 +251,11 @@ type chaosRig struct {
 	plane *faultinject.Plane
 	reg   *obs.Registry
 
-	// central/member live in atomic slots because the central-crash
-	// class replaces them mid-run (warm-standby promotion) while the
-	// control uplinks' closures keep routing "to the central" — the
-	// same late binding the mirror slots already use.
+	// central lives in an atomic slot because the central-crash class
+	// replaces it mid-run (warm-standby promotion) while the control
+	// uplinks' closures keep routing "to the central" — the same late
+	// binding the mirror slots already use.
 	central atomic.Pointer[core.Central]
-	member  atomic.Pointer[core.Membership]
 	mirrors []atomic.Pointer[site.Mirror]
 	cpus    []*costmodel.CPU // [0] central, [1..] mirrors
 	hist    *metrics.Histogram
@@ -298,9 +297,9 @@ func (r *chaosRig) violatef(format string, args ...interface{}) {
 	r.violations = append(r.violations, fmt.Sprintf(format, args...))
 }
 
-// cen and mem load the current central/membership incarnation.
+// cen and mem load the current central incarnation and its membership.
 func (r *chaosRig) cen() *core.Central    { return r.central.Load() }
-func (r *chaosRig) mem() *core.Membership { return r.member.Load() }
+func (r *chaosRig) mem() *core.Membership { return r.cen().Membership() }
 
 // mirror and applier load slot i's current incarnation.
 func (r *chaosRig) mirror(i int) *core.MirrorSite { return r.mirrors[i].Load().Site }
@@ -467,12 +466,12 @@ func newChaosRig(cfg ChaosConfig, sched faultinject.Schedule) *chaosRig {
 	for i := 0; i < cfg.Mirrors; i++ {
 		r.mirrors[i].Store(r.newMirror(i))
 	}
-	r.member.Store(core.NewMembership(r.cen(), core.MembershipConfig{
+	core.NewMembership(r.cen(), core.MembershipConfig{
 		MissedRounds: cfg.MissedRounds,
 		// An excluded site's last sample row must not pin the regime:
 		// the per-site revert rule considers live sites only.
 		OnFailure: func(site int) { r.controller.EvictSite(site) },
-	}))
+	})
 	return r
 }
 
@@ -896,7 +895,7 @@ func (r *chaosRig) promoteCentral(fed uint64) *site.Promoted {
 		MissedRounds: r.cfg.MissedRounds,
 		OnFailure:    func(site int) { r.controller.EvictSite(site) },
 	})
-	nc, nm := p.Central, p.Member
+	nc, nm := p.Central, p.Central.Membership()
 	nc.SetParams(false, 1, 1<<30)
 	r.controller.Attach(nc)
 	r.central.Store(nc)
@@ -924,7 +923,6 @@ func (r *chaosRig) promoteCentral(fed uint64) *site.Promoted {
 	// rejoin from the cut site.RejoinCut allows. The standby's own slot
 	// restarts as a fresh mirror (its main unit now belongs to the
 	// central), whose empty cut takes the full transfer.
-	r.member.Store(nm)
 	for i := range r.mirrors {
 		r.setDown(i, false)
 	}

@@ -178,8 +178,9 @@ type Central struct {
 	chkptTrigger chan struct{}
 	ctrlStop     chan struct{}
 
-	memberMu   sync.Mutex
-	membership *Membership
+	// membership is the current public handle on the coordinator's
+	// quorum (nil until NewMembership).
+	membership atomic.Pointer[Membership]
 
 	received  atomic.Uint64
 	mirrored  atomic.Uint64 // events sent to each mirror (per-mirror count)
@@ -309,19 +310,6 @@ func NewCentral(cfg CentralConfig) *Central {
 			c.lastDirectiveRound = res.DirectiveRound
 		}
 	}
-	if !cfg.NoMirror {
-		for i, m := range cfg.Mirrors {
-			c.senders = append(c.senders,
-				newLinkSender(i, m, cfg.OutboxDepth, cfg.AuxCPU, cfg.Model, c.mirrorAlive, cfg.Obs, cfg.Tracer))
-		}
-		for _, s := range c.senders {
-			c.senderWG.Add(1)
-			go s.run(&c.senderWG)
-		}
-		c.telem = linktelem.New(len(c.senders))
-		c.telem.Register(cfg.Obs)
-	}
-
 	// The central main unit participates in checkpointing directly:
 	// CHKPT events reach it through Broadcast and its replies go
 	// straight back to the coordinator.
@@ -339,7 +327,7 @@ func NewCentral(cfg CentralConfig) *Central {
 		Propose: func() vclock.VC { return c.backup.Last() },
 		Broadcast: func(e *event.Event) {
 			for i, m := range cfg.Mirrors {
-				if !c.mirrorAlive(i) {
+				if !c.coord.Alive(i) {
 					continue
 				}
 				_ = m.Ctrl.Submit(e.Clone())
@@ -355,12 +343,10 @@ func NewCentral(cfg CentralConfig) *Central {
 		},
 		Participants: len(cfg.Mirrors) + 1,
 		Piggyback:    c.takePiggyback,
-		// Automatic rounds start through runRound; a trigger owed to a
-		// closing round goes back to the control task, since rounds close
-		// on reply and shrink paths that must not broadcast under their
-		// callers' locks.
-		Start: c.runRound,
-		Owed:  c.trigger,
+		// A trigger owed to a closing round goes back to the control
+		// task, since rounds close on reply and exclusion paths that
+		// must not broadcast under their callers' locks.
+		Owed: c.trigger,
 	}
 	if res := cfg.Resume; res != nil {
 		// Rounds restart strictly above both the promotion epoch's base
@@ -373,6 +359,18 @@ func NewCentral(cfg CentralConfig) *Central {
 			floor = res.RoundFloor
 		}
 		c.coord.Resume(floor)
+	}
+	if !cfg.NoMirror {
+		for i, m := range cfg.Mirrors {
+			c.senders = append(c.senders,
+				newLinkSender(i, m, cfg.OutboxDepth, cfg.AuxCPU, cfg.Model, c.coord.Alive, cfg.Obs, cfg.Tracer))
+		}
+		for _, s := range c.senders {
+			c.senderWG.Add(1)
+			go s.run(&c.senderWG)
+		}
+		c.telem = linktelem.New(len(c.senders))
+		c.telem.Register(cfg.Obs)
 	}
 	c.registerMetrics()
 	if cfg.Resume != nil {
@@ -843,23 +841,6 @@ func (c *Central) controlTask() {
 // final flushes, drivers that pace rounds by hand, and tests). It
 // reports whether a round ran.
 func (c *Central) Checkpoint() bool {
-	return c.runRound()
-}
-
-// runRound performs one checkpoint round with membership bookkeeping:
-// the round is counted against every live mirror before it starts, and
-// replies arriving during the round clear their site's miss counter.
-// Every round starts here, explicit or automatic.
-func (c *Central) runRound() bool {
-	if c.backup.Last() == nil {
-		return false
-	}
-	// Tick wire telemetry at round granularity, before the round's
-	// piggyback provider runs: the adaptation controller observing
-	// this round's sample sees telemetry that includes the interval
-	// just ended, so an engage decision rides the same CHKPT.
-	c.tickTelemetry()
-	c.noteRoundStart()
 	return c.coord.Init()
 }
 
@@ -906,14 +887,14 @@ func (c *Central) Telemetry() []linktelem.Link {
 // (checkpoint replies carrying piggybacked monitor samples).
 func (c *Central) HandleControl(e *event.Event) {
 	if e.Type == event.TypeChkptReply {
-		if c.cfg.OnMirrorSample != nil && len(e.Payload) > 0 {
+		// Only mirror sites reach HandleControl; the central main unit
+		// replies straight to the coordinator. An excluded site's late
+		// sample must not re-enter adaptation, which evicted its row.
+		if c.cfg.OnMirrorSample != nil && len(e.Payload) > 0 && c.coord.Alive(int(e.Stream)) {
 			if s, err := DecodeSample(e.Payload); err == nil {
-				// Only mirror sites reach HandleControl; the central
-				// main unit replies straight to the coordinator.
 				c.cfg.OnMirrorSample(int(e.Stream), s)
 			}
 		}
-		c.noteReply(e)
 		c.coord.OnReply(e)
 	}
 }
@@ -931,6 +912,11 @@ func (c *Central) SetPiggyback(f func() []byte) {
 // and retains them (with the round stamp) so recovery snapshots and
 // PublishDirective can re-deliver the same versioned directive.
 func (c *Central) takePiggyback(round uint64) []byte {
+	// Tick wire telemetry at round granularity, before the round's
+	// piggyback provider runs: the adaptation controller observing
+	// this round's sample sees telemetry that includes the interval
+	// just ended, so an engage decision rides the same CHKPT.
+	c.tickTelemetry()
 	c.piggyMu.Lock()
 	f := c.piggyback
 	c.piggyMu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"adaptmirror/internal/event"
 	"adaptmirror/internal/vclock"
 )
 
@@ -20,18 +19,26 @@ import (
 // queues; a recovered site is re-admitted through a state-snapshot +
 // backup-replay transfer (RecoverMirror) and rejoins the quorum.
 //
-// Site identity travels in the Stream field of checkpoint replies
-// (unused for control events): mirrors stamp their assigned SiteID.
+// Who votes and who is live is the checkpoint coordinator's to decide
+// (checkpoint.Coordinator.Exclude/Admit/Alive, with the detector
+// NewMembership installs); Membership is the public handle on it plus
+// the rejoin transfer. Site identity travels in the Stream field of
+// checkpoint replies (unused for control events): mirrors stamp their
+// assigned SiteID, which is their slot in CentralConfig.Mirrors.
 
 // MembershipConfig tunes the failure detector.
 type MembershipConfig struct {
 	// MissedRounds is the number of consecutive checkpoint rounds a
-	// mirror may miss before being excluded (default 8, for in-process
-	// use: over loopback TCP healthy mirrors missed up to 19 in a row
-	// under a saturating feed, 7 at a steady 50k events/s and 6 beside
-	// an init-request storm, so wire centrals run a larger budget).
+	// live mirror may let start without replying before the next round
+	// excludes it (default 8, for in-process use: over loopback TCP
+	// healthy mirrors missed up to 19 in a row under a saturating feed,
+	// 7 at a steady 50k events/s and 6 beside an init-request storm, so
+	// wire centrals run a larger budget). It is the coordinator's miss
+	// budget and the only way to set it.
 	MissedRounds int
-	// OnFailure, when non-nil, is told the excluded mirror's index.
+	// OnFailure, when non-nil, is told the excluded mirror's index, for
+	// automatic exclusions and Exclude alike. It runs before the CHKPT
+	// of the round that excluded the mirror goes out.
 	OnFailure func(site int)
 	// OnRejoin, when non-nil, is told the re-admitted mirror's index.
 	OnRejoin func(site int)
@@ -45,18 +52,16 @@ type Membership struct {
 	cfg     MembershipConfig
 
 	mu        sync.Mutex
-	missed    []int  // consecutive rounds without a reply, per mirror
-	failed    []bool // excluded mirrors
 	rejoining []bool // excluded mirrors with a rejoin transfer in flight
-	live      int
 }
 
 // ErrNotExcluded is what Rejoin and RejoinSince return for a mirror
 // that is admitted or already has a rejoin in flight.
 var ErrNotExcluded = errors.New("core: mirror is not excluded")
 
-// NewMembership attaches a failure detector to c. It hooks the
-// coordinator's round lifecycle, so call it before traffic starts.
+// NewMembership installs a failure detector on c's coordinator and
+// makes it c's Membership. A detector installed over another takes
+// over at the next round; the live set carries over.
 func NewMembership(c *Central, cfg MembershipConfig) *Membership {
 	if cfg.MissedRounds <= 0 {
 		cfg.MissedRounds = 8
@@ -64,70 +69,22 @@ func NewMembership(c *Central, cfg MembershipConfig) *Membership {
 	m := &Membership{
 		central:   c,
 		cfg:       cfg,
-		missed:    make([]int, len(c.cfg.Mirrors)),
-		failed:    make([]bool, len(c.cfg.Mirrors)),
 		rejoining: make([]bool, len(c.cfg.Mirrors)),
-		live:      len(c.cfg.Mirrors),
 	}
-	c.setMembership(m)
+	c.coord.Detect(cfg.MissedRounds, cfg.OnFailure)
+	c.membership.Store(m)
 	return m
-}
-
-// onRoundStart counts a round against every live mirror and excludes
-// those that exceeded the miss budget.
-func (m *Membership) onRoundStart() {
-	m.mu.Lock()
-	var newlyFailed []int
-	for i := range m.missed {
-		if m.failed[i] {
-			continue
-		}
-		m.missed[i]++
-		if m.missed[i] > m.cfg.MissedRounds {
-			m.failed[i] = true
-			m.live--
-			newlyFailed = append(newlyFailed, i)
-		}
-	}
-	live := m.live
-	m.mu.Unlock()
-
-	if len(newlyFailed) > 0 {
-		// Quorum shrinks: live mirrors + the central main unit.
-		m.central.coord.SetParticipants(live + 1)
-		if m.cfg.OnFailure != nil {
-			for _, i := range newlyFailed {
-				m.cfg.OnFailure(i)
-			}
-		}
-	}
-}
-
-// onReply resets the miss counter for the replying site.
-func (m *Membership) onReply(site int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if site < 0 || site >= len(m.missed) || m.failed[site] {
-		return
-	}
-	m.missed[site] = 0
 }
 
 // Alive reports whether mirror i is admitted: it receives mirrored
 // events and votes in the commit quorum.
-func (m *Membership) Alive(i int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return i < len(m.failed) && !m.failed[i]
-}
+func (m *Membership) Alive(i int) bool { return m.central.coord.Alive(i) }
 
 // Failed returns the indices of excluded mirrors.
 func (m *Membership) Failed() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var out []int
-	for i, f := range m.failed {
-		if f {
+	for i := range m.central.cfg.Mirrors {
+		if !m.Alive(i) {
 			out = append(out, i)
 		}
 	}
@@ -135,11 +92,7 @@ func (m *Membership) Failed() []int {
 }
 
 // Live returns the number of admitted mirrors.
-func (m *Membership) Live() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.live
-}
+func (m *Membership) Live() int { return len(m.central.cfg.Mirrors) - len(m.Failed()) }
 
 // Exclude forcibly removes mirror i from mirroring and the commit
 // quorum, as if it had exhausted the miss budget. Promotion bootstrap
@@ -148,25 +101,10 @@ func (m *Membership) Live() int {
 // re-admitted through RejoinSince with their own committed cuts.
 // Excluding an already-excluded mirror is a no-op.
 func (m *Membership) Exclude(i int) error {
-	m.mu.Lock()
-	if i < 0 || i >= len(m.failed) {
-		m.mu.Unlock()
+	if i < 0 || i >= len(m.rejoining) {
 		return fmt.Errorf("core: no mirror %d", i)
 	}
-	if m.failed[i] {
-		m.mu.Unlock()
-		return nil
-	}
-	m.failed[i] = true
-	m.missed[i] = 0
-	m.live--
-	live := m.live
-	m.mu.Unlock()
-
-	m.central.coord.SetParticipants(live + 1)
-	if m.cfg.OnFailure != nil {
-		m.cfg.OnFailure(i)
-	}
+	m.central.coord.Exclude(i)
 	return nil
 }
 
@@ -190,74 +128,30 @@ func (m *Membership) Rejoin(i int) (replayed int, err error) {
 // falls back to the full snapshot. Either way the recovered replica
 // converges byte-for-byte; of concurrent calls, one transfers.
 func (m *Membership) RejoinSince(i int, cut vclock.VC) (replayed int, err error) {
-	m.mu.Lock()
-	if i < 0 || i >= len(m.failed) {
-		m.mu.Unlock()
+	if i < 0 || i >= len(m.rejoining) {
 		return 0, fmt.Errorf("core: no mirror %d", i)
 	}
-	if !m.failed[i] || m.rejoining[i] {
+	m.mu.Lock()
+	if m.Alive(i) || m.rejoining[i] {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("%w: mirror %d", ErrNotExcluded, i)
 	}
 	m.rejoining[i] = true
 	m.mu.Unlock()
 
-	n, err := m.central.recoverMirrorAndReadmit(i, cut, func() {
-		m.mu.Lock()
-		if m.failed[i] {
-			m.failed[i] = false
-			m.missed[i] = 0
-			m.live++
-		}
-		m.mu.Unlock()
-	})
+	n, err := m.central.recoverMirrorAndReadmit(i, cut)
 
 	m.mu.Lock()
 	m.rejoining[i] = false
-	live := m.live
 	m.mu.Unlock()
 	if err != nil {
 		return n, err
 	}
-	m.central.coord.SetParticipants(live + 1)
 	if m.cfg.OnRejoin != nil {
 		m.cfg.OnRejoin(i)
 	}
 	return n, nil
 }
 
-// --- Central hooks ------------------------------------------------------
-
-// setMembership installs the detector (central side).
-func (c *Central) setMembership(m *Membership) {
-	c.memberMu.Lock()
-	c.membership = m
-	c.memberMu.Unlock()
-}
-
 // Membership returns the central's current failure detector, or nil.
-func (c *Central) Membership() *Membership {
-	c.memberMu.Lock()
-	defer c.memberMu.Unlock()
-	return c.membership
-}
-
-// mirrorAlive reports whether mirror i should receive traffic.
-func (c *Central) mirrorAlive(i int) bool {
-	m := c.Membership()
-	return m == nil || m.Alive(i)
-}
-
-// noteRoundStart and noteReply forward protocol lifecycle to the
-// detector.
-func (c *Central) noteRoundStart() {
-	if m := c.Membership(); m != nil {
-		m.onRoundStart()
-	}
-}
-
-func (c *Central) noteReply(e *event.Event) {
-	if m := c.Membership(); m != nil {
-		m.onReply(int(e.Stream))
-	}
-}
+func (c *Central) Membership() *Membership { return c.membership.Load() }

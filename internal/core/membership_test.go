@@ -3,31 +3,59 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"adaptmirror/internal/event"
+	"adaptmirror/internal/vclock"
 )
 
-// failableLink wraps a sender with a kill switch.
+// failableLink wraps a sender with a kill switch and a hold: a held
+// link queues deliveries in order until it is released.
 type failableLink struct {
 	dead atomic.Bool
 	fn   senderFunc
+
+	mu      sync.Mutex
+	holding bool
+	queue   []*event.Event
 }
 
 func (l *failableLink) Submit(e *event.Event) error {
 	if l.dead.Load() {
 		return ErrUnitClosed
 	}
+	l.mu.Lock()
+	if l.holding {
+		l.queue = append(l.queue, e)
+		l.mu.Unlock()
+		return nil
+	}
+	l.mu.Unlock()
 	return l.fn(e)
 }
 
 func (l *failableLink) SubmitOwned(es []*event.Event, ref event.Ref) error {
-	if l.dead.Load() {
-		return ErrUnitClosed
+	return senderFunc(l.Submit).SubmitOwned(es, ref)
+}
+
+// release delivers what the hold queued, in order, and stops holding
+// once the queue is empty; deliveries it causes queue behind it.
+func (l *failableLink) release() {
+	for {
+		l.mu.Lock()
+		if len(l.queue) == 0 {
+			l.holding = false
+			l.mu.Unlock()
+			return
+		}
+		e := l.queue[0]
+		l.queue = l.queue[1:]
+		l.mu.Unlock()
+		_ = l.fn(e)
 	}
-	return l.fn.SubmitOwned(es, ref)
 }
 
 // manualRounds is a checkpoint frequency no test reaches: rounds run
@@ -44,6 +72,7 @@ type membershipRig struct {
 	mirrors []*MirrorSite
 	links   []*failableLink // data+ctrl per mirror, interleaved
 	member  *Membership
+	replies [2]atomic.Int64 // control events each mirror handed the central
 }
 
 func newMembershipRig(t *testing.T, missedRounds int) *membershipRig {
@@ -61,7 +90,11 @@ func newMembershipRig(t *testing.T, missedRounds int) *membershipRig {
 	for i := 0; i < 2; i++ {
 		r.mirrors = append(r.mirrors, NewMirrorSite(MirrorSiteConfig{
 			SiteID: uint8(i),
-			CtrlUp: senderFunc(func(e *event.Event) error { r.central.HandleControl(e); return nil }),
+			CtrlUp: senderFunc(func(e *event.Event) error {
+				r.central.HandleControl(e)
+				r.replies[i].Add(1)
+				return nil
+			}),
 		}))
 	}
 	r.member = NewMembership(r.central, MembershipConfig{MissedRounds: missedRounds})
@@ -82,6 +115,19 @@ func (r *membershipRig) kill(mirror int) {
 func (r *membershipRig) revive(mirror int) {
 	r.links[2*mirror].dead.Store(false)
 	r.links[2*mirror+1].dead.Store(false)
+}
+
+func (r *membershipRig) hold(mirror int) {
+	for _, l := range r.links[2*mirror : 2*mirror+2] {
+		l.mu.Lock()
+		l.holding = true
+		l.mu.Unlock()
+	}
+}
+
+func (r *membershipRig) release(mirror int) {
+	r.links[2*mirror].release()
+	r.links[2*mirror+1].release()
 }
 
 func (r *membershipRig) feed(t *testing.T, from, n uint64) {
@@ -358,5 +404,77 @@ func TestSilencedMirrorExcludedByAutomaticTriggers(t *testing.T) {
 	waitFor(t, "the silenced mirror's exclusion", func() bool { return len(r.member.Failed()) > 0 })
 	if failed := r.member.Failed(); len(failed) != 1 || failed[0] != 1 {
 		t.Fatalf("Failed = %v, want [1]", failed)
+	}
+}
+
+// TestExcludedVoterRoundWaitsForLiveMirror: excluding a mirror that has
+// already voted must not complete the round over a strict subset of
+// the live voters. Mirror 0's links are held, so it has processed
+// nothing; the central and mirror 1 vote <10>; excluding mirror 1 then
+// leaves the round waiting for mirror 0, which commits it once its
+// held events and CHKPT arrive.
+func TestExcludedVoterRoundWaitsForLiveMirror(t *testing.T) {
+	r := newMembershipRig(t, 8)
+	r.hold(0)
+	r.feed(t, 1, 10)
+	r.settle()
+	waitFor(t, "mirror 1 to process the stream", func() bool { return r.mirrors[1].Processed() == 10 })
+
+	// The central votes inside Checkpoint; mirror 1's CHKPT_REP comes
+	// back from its main unit's goroutine.
+	if !r.central.Checkpoint() {
+		t.Fatal("no round started over a backed-up stream")
+	}
+	waitFor(t, "mirror 1's vote at the central", func() bool { return r.replies[1].Load() > 0 })
+	if err := r.member.Exclude(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.mirrors[0].Processed(); got != 0 {
+		t.Fatalf("held mirror 0 processed %d events", got)
+	}
+	if c := r.central.Stats().ChkptCommits; c != 0 {
+		t.Fatalf("round committed %v without mirror 0's vote", r.central.CommittedCut())
+	}
+
+	r.release(0)
+	waitFor(t, "the round to commit on mirror 0's vote", func() bool { return r.central.Stats().ChkptCommits == 1 })
+	if cut, lp := r.central.CommittedCut(), r.mirrors[0].Main().LastProcessed(); !cut.LessEq(lp) {
+		t.Fatalf("commit %v beyond mirror 0's progress %v", cut, lp)
+	}
+}
+
+// TestExcludedMirrorSampleIgnored: a late CHKPT_REP from an excluded
+// mirror must not feed its sample to adaptation, which evicted the
+// site's row when it was excluded.
+func TestExcludedMirrorSampleIgnored(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		sites []int
+	)
+	discard := senderFunc(func(*event.Event) error { return nil })
+	c := NewCentral(CentralConfig{
+		Streams: 1,
+		Mirrors: []MirrorLink{{Data: discard, Ctrl: discard}, {Data: discard, Ctrl: discard}},
+		Params:  Params{CheckpointFreq: manualRounds},
+		OnMirrorSample: func(site int, _ Sample) {
+			mu.Lock()
+			sites = append(sites, site)
+			mu.Unlock()
+		},
+	})
+	defer c.Close()
+	if err := NewMembership(c, MembershipConfig{}).Exclude(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, site := range []uint8{1, 0} {
+		rep := event.NewControl(event.TypeChkptReply, vclock.VC{1})
+		rep.Stream = site
+		rep.Payload = EncodeSample(Sample{Ready: 7})
+		c.HandleControl(rep)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(sites) != "[0]" {
+		t.Fatalf("samples reached adaptation from sites %v, want [0]", sites)
 	}
 }

@@ -198,22 +198,23 @@ func (c *Central) RecoverMirrorSince(link DataSender, cut vclock.VC) (int, error
 }
 
 // recoverMirrorAndReadmit transfers a recovery snapshot to configured
-// mirror i through its fan-out sender and atomically re-admits it.
-// Holding sendMu across the build + transfer pins the backup queue and
-// the outboxes: every event is either inside the state transfer (VT at
-// or before the cut), in the backup replay, or fanned out after the
-// readmit flip — exactly one of the three, which is what byte-for-byte
-// convergence of the recovered replica requires. readmit runs on the
-// sender's submission mutex after a successful transfer, before any
-// subsequent drained batch can be liveness-checked.
-func (c *Central) recoverMirrorAndReadmit(i int, cut vclock.VC, readmit func()) (int, error) {
+// mirror i through its fan-out sender and atomically re-admits it to
+// the coordinator's live set. Holding sendMu across the build +
+// transfer pins the backup queue and the outboxes: every event is
+// either inside the state transfer (VT at or before the cut), in the
+// backup replay, or fanned out after the readmit flip — exactly one of
+// the three, which is what byte-for-byte convergence of the recovered
+// replica requires. The flip runs on the sender's submission mutex
+// after a successful transfer, before any subsequent drained batch can
+// be liveness-checked.
+func (c *Central) recoverMirrorAndReadmit(i int, cut vclock.VC) (int, error) {
 	if i < 0 || i >= len(c.senders) {
 		return 0, fmt.Errorf("core: no fan-out sender for mirror %d", i)
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	snap := c.BuildRecoverySince(cut)
-	if err := c.senders[i].recoverySend(recoveryEvents(snap), readmit); err != nil {
+	if err := c.senders[i].recoverySend(recoveryEvents(snap), func() { c.coord.Admit(i) }); err != nil {
 		return 0, fmt.Errorf("core: recovery transfer to mirror %d: %w", i, err)
 	}
 	c.noteRejoin(snap)

@@ -63,10 +63,9 @@ func NewMirror(cfg core.MirrorSiteConfig) *Mirror {
 
 // Promoted is a mirror site turned central.
 type Promoted struct {
+	// Central starts with every mirror slot excluded; survivors are
+	// re-admitted one by one through Central.Membership().RejoinSince.
 	Central *core.Central
-	// Member starts with every mirror slot excluded; survivors are
-	// re-admitted one by one through RejoinSince.
-	Member *core.Membership
 	// Anchor is the adopted main unit's processed watermark, the state
 	// RejoinCut measures survivors against.
 	Anchor vclock.VC
@@ -106,7 +105,6 @@ func (m *Mirror) Promote(epoch uint64, cfg core.CentralConfig, detector core.Mem
 	}
 	return &Promoted{
 		Central:    central,
-		Member:     member,
 		Anchor:     central.Main().LastProcessed(),
 		RoundFloor: state.RoundFloor,
 	}

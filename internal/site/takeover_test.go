@@ -86,7 +86,8 @@ func takeoverCluster(t *testing.T, standby bool, budget0, budget1 int) (m0, m1 *
 	// Detection, promotion (direct or by election), and survivor
 	// rejoin all happen over the wire.
 	waitUntil(t, "takeover promotion", func() bool { return m0.Promoted() != nil })
-	pc, member = m0.Promoted().Central, m0.Promoted().Member
+	pc = m0.Promoted().Central
+	member = pc.Membership()
 	waitUntil(t, "survivor rejoin", func() bool { return member.Alive(1) })
 	return m0, m1, pc, member, oldCut
 }
