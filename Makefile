@@ -41,14 +41,15 @@ takeover-smoke:
 
 # Repeats the timing-sensitive suites under the race detector: the
 # site runtime, the figure smoke shapes, core, the registry's concurrent
-# get-or-create, the init-state storm and snapshot-immutability tests
+# get-or-create, the histogram's concurrent record/read/export, the
+# init-state storm and snapshot-immutability tests
 # of ede and httpfront, the checkpoint coordinator's pacing, the
 # virtual-CPU ledger, and the cluster tests that run over the site
 # runtime, pin chaos replay, check the stage decomposition, or compare
 # the chaos rig's promotion with the TCP standby's (both drive the same
 # takeover node).
 flake:
-	$(GO) test -race -count=10 ./internal/site ./internal/figures ./internal/core ./internal/obs ./internal/ede ./internal/httpfront ./internal/checkpoint ./internal/costmodel
+	$(GO) test -race -count=10 ./internal/site ./internal/figures ./internal/core ./internal/obs ./internal/metrics ./internal/ede ./internal/httpfront ./internal/checkpoint ./internal/costmodel
 	$(GO) test -race -count=10 -run 'TestCluster|TestDataLink|TestChaosDeterministicReplay|TestPromotionEquivalence|TestStageSum' ./internal/cluster
 
 # Builds the frozen wall-clock benchmark (bench/, a nested module that

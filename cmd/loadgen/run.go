@@ -52,7 +52,7 @@ func run(cfg runConfig) (runStats, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	lat := metrics.NewHistogram(0)
+	lat := new(metrics.Histogram)
 	var issued, completed, failed atomic.Uint64
 	var wg sync.WaitGroup
 

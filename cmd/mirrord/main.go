@@ -238,5 +238,8 @@ func main() {
 	if statusSrv != nil {
 		statusSrv.Close()
 	}
-	d.Close()
+	if err := d.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "mirrord: shutdown: %v\n", err)
+		os.Exit(1)
+	}
 }

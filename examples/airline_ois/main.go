@@ -62,7 +62,7 @@ func main() {
 	// displays re-request initialization state simultaneously,
 	// balanced across the mirror sites only.
 	bal, _ := loadbal.NewRoundRobin(len(cl.Targets()))
-	lat := metrics.NewHistogram(0)
+	lat := new(metrics.Histogram)
 	start := time.Now()
 	served, burstTime := workload.Burst(cl.Targets(), bal, 400, lat)
 	fmt.Printf("power-failure recovery: %d/%d thin clients re-initialized in %v\n",

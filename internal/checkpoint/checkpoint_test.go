@@ -845,3 +845,46 @@ func TestDetectExcludesSilentMirror(t *testing.T) {
 		t.Fatal("a coordinator without a detector excluded a mirror")
 	}
 }
+
+// TestInitRoundAllocs pins the allocation budget of one checkpoint
+// round — Coordinator.Init with two mirrors and the central main unit
+// answering over direct calls, through to the commit — at 29.
+func TestInitRoundAllocs(t *testing.T) {
+	progress := vclock.VC{7, 3}
+	last := func() vclock.VC { return progress }
+	var coord *Coordinator
+	var mirrors []*Mirror
+	for i := 0; i < 2; i++ {
+		site := uint8(i)
+		m := &Mirror{Commit: func(vclock.VC) {}}
+		part := &Main{LastProcessed: last, Reply: func(e *event.Event) { m.OnControl(e) }}
+		m.ToMain = part.OnControl
+		m.ToCentral = func(e *event.Event) {
+			e.Stream = site
+			coord.OnReply(e)
+		}
+		mirrors = append(mirrors, m)
+	}
+	central := &Main{LastProcessed: last, Reply: func(e *event.Event) {
+		e.Stream = CentralParticipant
+		coord.OnReply(e)
+	}}
+	commits := 0
+	coord = &Coordinator{
+		Propose: last,
+		Broadcast: func(e *event.Event) {
+			for _, m := range mirrors {
+				m.OnControl(e.Clone())
+			}
+			central.OnControl(e.Clone())
+		},
+		OnCommit:     func(vclock.VC) { commits++ },
+		Participants: len(mirrors) + 1,
+	}
+	if n := testing.AllocsPerRun(100, func() { coord.Init() }); n > 29 {
+		t.Fatalf("one round allocates %v times, budget 29", n)
+	}
+	if commits != 101 {
+		t.Fatalf("%d rounds committed, want every one of 101", commits)
+	}
+}

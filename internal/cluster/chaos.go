@@ -398,7 +398,7 @@ func newChaosRig(cfg ChaosConfig, sched faultinject.Schedule) *chaosRig {
 		sched:         sched,
 		reg:           obs.NewRegistry(),
 		mirrors:       make([]atomic.Pointer[site.Mirror], cfg.Mirrors),
-		hist:          metrics.NewHistogram(0),
+		hist:          new(metrics.Histogram),
 		prevCommitted: make([]vclock.VC, cfg.Mirrors+1),
 		lastInstall:   make([]uint64, cfg.Mirrors),
 	}

@@ -195,7 +195,7 @@ func (s counterSink) Submit(e *event.Event) error {
 // The cluster-level families: one unlabeled series each, fed by the
 // central site.
 var (
-	famUpdateDelay   = obs.Declare("update_delay_seconds", obs.KindSummary, "Central update delay, ingress to EDE emission.")
+	famUpdateDelay   = obs.Declare("update_delay_seconds", obs.KindHistogram, "Central update delay, ingress to EDE emission.")
 	famClientUpdates = obs.Declare("client_updates_total", obs.KindCounter, "State updates emitted to regular clients.")
 )
 

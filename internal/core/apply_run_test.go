@@ -23,7 +23,7 @@ import (
 // past, which clamped every delay below 4 ms — DelayHist, the mirror
 // apply stage and the ApplyLag adaptation input — to zero.
 func TestZeroModelDelayIsWallClock(t *testing.T) {
-	hist := metrics.NewHistogram(0)
+	hist := new(metrics.Histogram)
 	tracer := obs.NewTracer(nil)
 	m := NewMainUnit(MainConfig{
 		EDE:         ede.Config{CPU: &costmodel.CPU{}},
@@ -47,10 +47,10 @@ func TestZeroModelDelayIsWallClock(t *testing.T) {
 	if got := hist.Count(); got != n {
 		t.Fatalf("DelayHist holds %d samples, want %d", got, n)
 	}
-	if min, max := hist.Min(), hist.Max(); min < time.Millisecond || max > ceiling {
+	if min, max := hist.Percentile(0), hist.Max(); min < time.Millisecond || max > ceiling {
 		t.Fatalf("delays span %v..%v, want within the events' real age %v..%v", min, max, time.Millisecond, ceiling)
 	}
-	if got := tracer.StageHist(obs.StageMirrorApply).Min(); got < time.Millisecond {
+	if got := tracer.StageHist(obs.StageMirrorApply).Percentile(0); got < time.Millisecond {
 		t.Fatalf("mirror_apply stage min = %v, want >= 1ms", got)
 	}
 	if got := m.ApplyLagMicros(); got < 900 {
@@ -179,7 +179,7 @@ func TestRunKeepsBarrierAndRecoveryPosition(t *testing.T) {
 		hist *metrics.Histogram
 	}
 	newUnit := func() unit {
-		u := unit{out: &outLog{}, hist: metrics.NewHistogram(0)}
+		u := unit{out: &outLog{}, hist: new(metrics.Histogram)}
 		u.m = NewMainUnit(MainConfig{Out: u.out, DelayHist: u.hist, Tracer: obs.NewTracer(nil)})
 		return u
 	}
@@ -284,7 +284,7 @@ func TestRunApplySurvivesSlabRecycling(t *testing.T) {
 		perBatch = 64
 		batches  = 300
 	)
-	hist := metrics.NewHistogram(0)
+	hist := new(metrics.Histogram)
 	tracer := obs.NewTracer(nil)
 	site := NewMirrorSite(MirrorSiteConfig{Tracer: tracer, Main: MainConfig{DelayHist: hist}})
 	defer site.Close()
@@ -381,7 +381,7 @@ func BenchmarkApplyPath(b *testing.B) {
 			m := NewMainUnit(MainConfig{
 				EDE:       ede.Config{CPU: &costmodel.CPU{}},
 				Out:       out,
-				DelayHist: metrics.NewHistogram(0),
+				DelayHist: new(metrics.Histogram),
 				Tracer:    obs.NewTracer(nil),
 			})
 			defer m.Close()

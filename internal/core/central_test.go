@@ -236,7 +236,7 @@ func TestIngestAfterDrainFails(t *testing.T) {
 }
 
 func TestUpdateDelayRecorded(t *testing.T) {
-	hist := metrics.NewHistogram(0)
+	hist := new(metrics.Histogram)
 	r := newRig(t, 0, func(cfg *CentralConfig) {
 		cfg.Main.DelayHist = hist
 	})

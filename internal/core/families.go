@@ -27,7 +27,7 @@ var (
 	// Checkpoint coordinator.
 	famCheckpointRounds  = obs.Declare("checkpoint_rounds_total", obs.KindCounter, "Checkpoint rounds initiated.")
 	famCheckpointCommits = obs.Declare("checkpoint_commits_total", obs.KindCounter, "Checkpoint rounds committed.")
-	famCheckpointRound   = obs.Declare("checkpoint_round_seconds", obs.KindSummary, "CHKPT to COMMIT latency per checkpoint round.")
+	famCheckpointRound   = obs.Declare("checkpoint_round_seconds", obs.KindHistogram, "CHKPT to COMMIT latency per checkpoint round.")
 
 	// Rejoin and promotion (rejoin_* also carry mode="snapshot"|"delta").
 	famRejoinMode        = obs.Declare("rejoin_mode_total", obs.KindCounter, "Completed mirror recovery transfers by state-transfer mode.")
@@ -55,7 +55,7 @@ var (
 	// FamRequestLatency is labeled by site when a main unit records its
 	// own requests, and unlabeled when one histogram is shared by every
 	// site of an in-process cluster (MainConfig.RequestHist).
-	FamRequestLatency = obs.Declare("request_latency_seconds", obs.KindSummary, "Init-state request latency, enqueue to response.")
+	FamRequestLatency = obs.Declare("request_latency_seconds", obs.KindHistogram, "Init-state request latency, enqueue to response.")
 
 	// Fan-out links.
 	famLinkEnqueued  = obs.Declare("link_enqueued_total", obs.KindCounter, "Events accepted into the link outbox.")
@@ -65,9 +65,9 @@ var (
 	famLinkDropped   = obs.Declare("link_dropped_total", obs.KindCounter, "Events shed on outbox overflow.")
 	famLinkDepth     = obs.Declare("link_outbox_depth", obs.KindGauge, "Current outbox depth per mirror link.")
 	famLinkDepthMax  = obs.Declare("link_outbox_depth_max", obs.KindGauge, "Outbox depth high-water mark per mirror link (windowed: resets at each telemetry tick).")
-	famLinkStall     = obs.Declare("link_stall_seconds_total", obs.KindSeconds, "Wall-clock time the link sender spent blocked in submission.")
-	famBatchEvents   = obs.Declare("wire_batch_events", obs.KindValueSummary, "Events per wire batch submission (value summary).")
-	famBatchBytes    = obs.Declare("wire_batch_bytes", obs.KindValueSummary, "Payload bytes per wire batch submission (value summary).")
+	famLinkStall     = obs.Declare("link_stall_seconds_total", obs.KindCounter, "Wall-clock time the link sender spent blocked in submission.")
+	famBatchEvents   = obs.Declare("wire_batch_events", obs.KindHistogram, "Events per wire batch submission.")
+	famBatchBytes    = obs.Declare("wire_batch_bytes", obs.KindHistogram, "Payload bytes per wire batch submission.")
 )
 
 // registerBackup exports a site's backup queue: its depth and what

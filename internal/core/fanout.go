@@ -378,7 +378,6 @@ func (s *linkSender) telemSample() linktelem.Sample {
 	return linktelem.Sample{
 		Bytes:    s.sentBytes.Value(),
 		Events:   s.sent.Value(),
-		Depth:    int(s.depth.Value()),
 		MaxDepth: int(s.depth.TakeMax()),
 		Stall:    s.stall.Value(),
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRequestLatencyHistogram(t *testing.T) {
-	hist := metrics.NewHistogram(0)
+	hist := new(metrics.Histogram)
 	m := NewMainUnit(MainConfig{RequestHist: hist})
 	defer m.Close()
 	m.Deliver(event.NewPosition(1, 1, 0, 0, 0, 32))

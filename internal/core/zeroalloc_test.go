@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"adaptmirror/internal/costmodel"
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/queue"
 	"adaptmirror/internal/vclock"
@@ -96,5 +97,31 @@ func TestSteadyStatePathZeroAllocs(t *testing.T) {
 	}
 	if backup.Len() > n {
 		t.Fatalf("backup retained %d events; commits are not trimming", backup.Len())
+	}
+}
+
+// countRef is a batch reference that only counts its holds.
+type countRef struct{ n int }
+
+func (r *countRef) Retain()  { r.n++ }
+func (r *countRef) Release() { r.n-- }
+
+// TestLinkSenderEnqueueAllocs pins the allocation budget of one fan-out
+// outbox enqueue of an owned batch at 1: the ring is preallocated, and
+// what remains is the release group's bound Release method.
+func TestLinkSenderEnqueueAllocs(t *testing.T) {
+	s := newLinkSender(0, MirrorLink{Data: &collectSender{}}, DefaultOutboxDepth, nil, costmodel.Model{}, nil, nil, nil)
+	batch := make([]*event.Event, 64)
+	for i := range batch {
+		batch[i] = tev(uint64(i + 1))
+	}
+	ref := &countRef{}
+	// 101 enqueues of 64 events fit the ring's 8192 slots: nothing is
+	// shed, so this is the common path.
+	if n := testing.AllocsPerRun(100, func() { s.enqueue(batch, ref) }); n > 1 {
+		t.Fatalf("enqueue allocates %v times, budget 1", n)
+	}
+	if ref.n != 101 {
+		t.Fatalf("ref held %d times, want one hold per enqueue", ref.n)
 	}
 }

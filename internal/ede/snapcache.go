@@ -89,7 +89,7 @@ var (
 	famCacheHits        = obs.Declare("snapshot_cache_hits_total", obs.KindCounter, "Init-state snapshots served from the warm cache.")
 	famCacheMisses      = obs.Declare("snapshot_cache_misses_total", obs.KindCounter, "Init-state snapshots that rebuilt at least one segment.")
 	famCacheRebuilds    = obs.Declare("snapshot_cache_rebuilds_total", obs.KindCounter, "Snapshot segments rebuilt.")
-	famCacheRebuildTime = obs.Declare("snapshot_cache_rebuild_seconds_total", obs.KindSeconds, "Cumulative snapshot segment rebuild time.")
+	famCacheRebuildTime = obs.Declare("snapshot_cache_rebuild_seconds_total", obs.KindCounter, "Cumulative snapshot segment rebuild time.")
 )
 
 func (c *snapCache) init(shards int) {

@@ -1,6 +1,6 @@
 // Package metrics holds the storage types behind internal/obs, which
 // declares, creates and exports them: counters, gauges, cumulative
-// durations, duration histograms with percentiles, and time-binned
+// durations, bucketed histograms with percentiles, and time-binned
 // series (Figure 9 plots update delay against wall time). It imports
 // nothing from the repo.
 package metrics
@@ -8,7 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,78 +95,88 @@ func (c *DurationCounter) Value() time.Duration {
 	return time.Duration(c.ns.Load())
 }
 
-// Histogram accumulates durations. Count, sum, min and max are always
-// exact; percentiles come from retained raw samples, bounded by the
-// configured cap. Past the cap, retention switches to uniform
-// reservoir sampling (Vitter's Algorithm R), so percentiles stay
-// unbiased over the whole run instead of describing only its head.
+// Histogram accumulates durations (or dimensionless values recorded
+// as time.Duration(n)) in fixed log-linear buckets: every value up to
+// 64 has its own bucket, and above that each power of two splits into
+// 32 buckets, so a bucket is at most 1/32 of its lower edge wide across
+// the int64 range. Count, sum, mean and max are exact; percentiles are
+// nearest rank over the buckets, within 1/64 of the exact sample. The
+// zero value is ready to use.
 type Histogram struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	// sorted marks samples as sorted; Record clears it and percentile
-	// reads re-sort at most once per batch of mutations, instead of
-	// copying and sorting the full slice on every call.
-	sorted bool
-	rng    uint64
-	count  uint64
-	sum    time.Duration
-	min    time.Duration
-	max    time.Duration
-	cap    int
+	mu sync.Mutex
+	s  histState
 }
 
-// DefaultHistogramCap bounds retained samples per histogram.
-const DefaultHistogramCap = 1 << 18
+// histState is a histogram's data. Readers that walk the buckets copy
+// it under the lock and walk the copy, so a quantile read holds up
+// Record only for the copy.
+type histState struct {
+	count         uint64
+	sum, min, max time.Duration
+	buckets       [numBuckets]uint64
+}
 
-// NewHistogram returns a histogram retaining up to capSamples raw
-// samples (0 uses DefaultHistogramCap).
-func NewHistogram(capSamples int) *Histogram {
-	if capSamples <= 0 {
-		capSamples = DefaultHistogramCap
+// Bucket 0 holds every value <= 0; bucket i > 0 holds the values
+// bucketEdges(i) spans. Indexing v-1 rather than v puts each power of
+// two on a bucket's upper edge, so a cumulative count up to a power of
+// two is exact.
+const (
+	subBits    = 5 // 2^subBits buckets per power of two
+	numBuckets = (64-subBits)<<subBits + 1
+)
+
+// bucketOf is the bucket index of v: bits.Len64 plus a shift.
+func bucketOf(v time.Duration) int {
+	if v <= 0 {
+		return 0
 	}
-	return &Histogram{cap: capSamples, min: math.MaxInt64}
+	u := uint64(v - 1)
+	if u < 2<<subBits {
+		return int(u) + 1
+	}
+	e := bits.Len64(u) // u's leading bit is bit e-1
+	return (e-subBits)<<subBits | int(u>>(e-subBits-1))&(1<<subBits-1) + 1
 }
 
-// Record adds one duration sample.
+// bucketEdges returns bucket i's value range [lo, hi] (i > 0).
+func bucketEdges(i int) (lo, hi uint64) {
+	j := uint64(i - 1)
+	if j < 2<<subBits {
+		return j + 1, j + 1
+	}
+	shift := j>>subBits - 1
+	sub := j&(1<<subBits-1) | 1<<subBits
+	return sub<<shift + 1, (sub + 1) << shift
+}
+
+// Record adds one sample.
 func (h *Histogram) Record(d time.Duration) {
 	one := [1]time.Duration{d}
 	h.RecordBatch(one[:])
 }
 
-// RecordBatch adds the samples of ds in order under one lock; the
-// histogram ends up exactly as after a Record call per sample.
+// RecordBatch adds the samples of ds under one lock; the histogram ends
+// up exactly as after a Record call per sample.
 func (h *Histogram) RecordBatch(ds []time.Duration) {
 	if len(ds) == 0 {
 		return
 	}
-	h.mu.Lock()
+	lo, hi := ds[0], ds[0]
+	var sum time.Duration
 	for _, d := range ds {
-		h.count++
-		h.sum += d
-		if d < h.min {
-			h.min = d
-		}
-		if d > h.max {
-			h.max = d
-		}
-		if len(h.samples) < h.cap {
-			h.samples = append(h.samples, d)
-			h.sorted = false
-			continue
-		}
-		// Reservoir step: keep the new sample with probability
-		// cap/count, evicting a uniformly random retained one.
-		if h.rng == 0 {
-			h.rng = 0x9e3779b97f4a7c15
-		}
-		h.rng ^= h.rng << 13
-		h.rng ^= h.rng >> 7
-		h.rng ^= h.rng << 17
-		if j := h.rng % h.count; j < uint64(len(h.samples)) {
-			h.samples[j] = d
-			h.sorted = false
-		}
+		lo, hi, sum = min(lo, d), max(hi, d), sum+d
 	}
+	h.mu.Lock()
+	s := &h.s
+	for _, d := range ds {
+		s.buckets[bucketOf(d)]++
+	}
+	if s.count == 0 {
+		s.min, s.max = lo, hi
+	}
+	s.min, s.max = min(s.min, lo), max(s.max, hi)
+	s.count += uint64(len(ds))
+	s.sum += sum
 	h.mu.Unlock()
 }
 
@@ -174,112 +184,107 @@ func (h *Histogram) RecordBatch(ds []time.Duration) {
 func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count
+	return h.s.count
 }
 
 // Mean returns the average of all samples (0 when empty).
 func (h *Histogram) Mean() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
+	return h.s.mean()
 }
 
 // Max returns the largest sample (0 when empty).
 func (h *Histogram) Max() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.max
+	return h.s.max
 }
 
 // Sum returns the total of all recorded durations.
 func (h *Histogram) Sum() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.sum
+	return h.s.sum
 }
 
-// sortLocked sorts the retained samples in place if a mutation dirtied
-// them. Caller holds h.mu.
-func (h *Histogram) sortLocked() {
-	if h.sorted {
-		return
-	}
-	sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-	h.sorted = true
-}
-
-// percentileLocked is the nearest-rank percentile over the (sorted)
-// retained samples. Caller holds h.mu and has called sortLocked.
-func (h *Histogram) percentileLocked(p float64) time.Duration {
-	if p <= 0 {
-		return h.samples[0]
-	}
-	if p >= 100 {
-		return h.samples[len(h.samples)-1]
-	}
-	idx := int(math.Ceil(p/100*float64(len(h.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return h.samples[idx]
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) over retained
-// samples, 0 when empty.
-func (h *Histogram) Percentile(p float64) time.Duration {
+func (h *Histogram) snapshot() histState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
+	return h.s
+}
+
+func (s *histState) mean() time.Duration {
+	if s.count == 0 {
 		return 0
 	}
-	h.sortLocked()
-	return h.percentileLocked(p)
+	return s.sum / time.Duration(s.count)
 }
 
-// Quantiles returns the requested percentiles in one pass — a single
-// lock acquisition and at most one sort (all zeros when empty).
-func (h *Histogram) Quantiles(ps ...float64) []time.Duration {
-	out := make([]time.Duration, len(ps))
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return out
+// percentile is the nearest-rank p-th percentile: the midpoint of the
+// bucket holding the rank, clamped to [min, max]; p <= 0 and p >= 100
+// are the exact min and max.
+func (s *histState) percentile(p float64) time.Duration {
+	switch {
+	case s.count == 0:
+		return 0
+	case p <= 0:
+		return s.min
+	case p >= 100:
+		return s.max
 	}
-	h.sortLocked()
+	rank := max(uint64(math.Ceil(p/100*float64(s.count))), 1)
+	i, seen := 0, s.buckets[0]
+	for seen < rank {
+		i++
+		seen += s.buckets[i]
+	}
+	mid := time.Duration(0)
+	if i > 0 {
+		lo, hi := bucketEdges(i)
+		mid = time.Duration(lo + (hi-lo)/2)
+	}
+	return min(max(mid, s.min), s.max)
+}
+
+// Percentile returns the p-th percentile (see Quantiles), 0 when empty.
+func (h *Histogram) Percentile(p float64) time.Duration {
+	return h.Quantiles(p)[0]
+}
+
+// Quantiles returns the requested percentiles from one snapshot: each
+// the nearest-rank sample's bucket midpoint, clamped to the exact
+// [min, max], with p <= 0 and p >= 100 the exact min and max (all zeros
+// when empty).
+func (h *Histogram) Quantiles(ps ...float64) []time.Duration {
+	s := h.snapshot()
+	out := make([]time.Duration, len(ps))
 	for i, p := range ps {
-		out[i] = h.percentileLocked(p)
+		out[i] = s.percentile(p)
 	}
 	return out
 }
 
+// PowerOfTwoCounts returns, from one snapshot, how many samples are
+// <= 2^k for each k < 63 — exact, as every power of two is a bucket's
+// upper edge — plus the total count and sum.
+func (h *Histogram) PowerOfTwoCounts() (le [63]uint64, count uint64, sum time.Duration) {
+	s := h.snapshot()
+	seen, k := s.buckets[0], 0
+	for i := 1; k < len(le); i++ {
+		seen += s.buckets[i]
+		if _, hi := bucketEdges(i); hi == 1<<k {
+			le[k] = seen
+			k++
+		}
+	}
+	return le, s.count, s.sum
+}
+
 // Summary formats count/mean/p50/p95/max on one line.
 func (h *Histogram) Summary() string {
-	h.mu.Lock()
-	count, sum, max := h.count, h.sum, h.max
-	var p50, p95 time.Duration
-	if len(h.samples) > 0 {
-		h.sortLocked()
-		p50, p95 = h.percentileLocked(50), h.percentileLocked(95)
-	}
-	h.mu.Unlock()
-	mean := time.Duration(0)
-	if count > 0 {
-		mean = sum / time.Duration(count)
-	}
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v max=%v", count, mean, p50, p95, max)
+	s := h.snapshot()
+	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v max=%v", s.count, s.mean(), s.percentile(50), s.percentile(95), s.max)
 }
 
 // Series bins (time, value) observations into fixed-width wall-clock
@@ -332,40 +337,4 @@ func (s *Series) Bins() []float64 {
 		}
 	}
 	return out
-}
-
-// Counts returns the number of observations per bin.
-func (s *Series) Counts() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]uint64, len(s.ns))
-	copy(out, s.ns)
-	return out
-}
-
-// MaxBin returns the largest per-bin average, ignoring empty bins.
-func (s *Series) MaxBin() float64 {
-	var max float64
-	for _, v := range s.Bins() {
-		if !math.IsNaN(v) && v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// MeanOfBins returns the average over non-empty bins.
-func (s *Series) MeanOfBins() float64 {
-	var sum float64
-	var n int
-	for _, v := range s.Bins() {
-		if !math.IsNaN(v) {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

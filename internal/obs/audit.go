@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -80,7 +81,7 @@ type AuditLog struct {
 	n    int
 	seq  uint64
 	f    *os.File
-	w    *bufio.Writer
+	werr error // first failure to write an entry to f; Close returns it
 }
 
 // NewAuditLog returns a ring of the given capacity (0 uses
@@ -101,7 +102,6 @@ func (l *AuditLog) OpenDurable(path string) error {
 	}
 	l.mu.Lock()
 	l.f = f
-	l.w = bufio.NewWriter(f)
 	l.mu.Unlock()
 	return nil
 }
@@ -125,12 +125,16 @@ func (l *AuditLog) Append(e AuditEntry) {
 		l.buf[(l.head+l.n)%len(l.buf)] = e
 		l.n++
 	}
-	if l.w != nil {
-		if b, err := json.Marshal(e); err == nil {
-			l.w.Write(b)
-			l.w.WriteByte('\n')
-			l.w.Flush()
-			l.f.Sync()
+	if l.f != nil && l.werr == nil {
+		b, err := json.Marshal(e)
+		if err == nil {
+			_, err = l.f.Write(append(b, '\n'))
+		}
+		if err == nil {
+			err = l.f.Sync()
+		}
+		if err != nil {
+			l.werr = fmt.Errorf("obs: audit log entry %d: %w", e.Seq, err)
 		}
 	}
 }
@@ -170,7 +174,9 @@ func (l *AuditLog) Total() uint64 {
 	return l.seq
 }
 
-// Close flushes and closes the durable file, if one is open.
+// Close closes the durable file, if one is open. It returns the first
+// error that kept an entry from the file, joined with the close error:
+// entries from that one on may be missing.
 func (l *AuditLog) Close() error {
 	if l == nil {
 		return nil
@@ -180,9 +186,8 @@ func (l *AuditLog) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	l.w.Flush()
-	err := l.f.Close()
-	l.f, l.w = nil, nil
+	err := errors.Join(l.werr, l.f.Close())
+	l.f, l.werr = nil, nil
 	return err
 }
 

@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 )
 
@@ -101,5 +105,26 @@ func TestAuditConcurrent(t *testing.T) {
 	wg.Wait()
 	if l.Total() != 800 {
 		t.Fatalf("Total = %d, want 800", l.Total())
+	}
+}
+
+// TestAuditDurableWriteFailureReported: an entry that never reaches the
+// durable file is reported by Close, not dropped silently.
+func TestAuditDurableWriteFailureReported(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	l := NewAuditLog(4)
+	if err := l.OpenDurable("/dev/full"); err != nil {
+		t.Fatal(err)
+	}
+	l.Append(AuditEntry{Action: "engage"})
+	l.Append(AuditEntry{Action: "revert"})
+	err := l.Close()
+	if !errors.Is(err, syscall.ENOSPC) || !strings.Contains(err.Error(), "entry 1") {
+		t.Fatalf("Close = %v, want the ENOSPC that lost entry 1", err)
+	}
+	if l.Len() != 2 {
+		t.Fatalf("ring holds %d entries, want 2", l.Len())
 	}
 }

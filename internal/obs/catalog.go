@@ -3,42 +3,38 @@ package obs
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
-// Kind is what a metric family measures and how it is exported. It
-// fixes both the instrument type a Registry hands out for the family
-// and the Prometheus TYPE of the exposition.
+// Kind is what a metric family measures and how it is exported: the
+// Prometheus TYPE of the exposition, which fixes the instrument types a
+// Registry hands out for the family.
 type Kind uint8
 
 // Family kinds.
 const (
-	// KindCounter is a monotonic count: a *metrics.Counter or a Func.
+	// KindCounter is a monotonic count: a *metrics.Counter, a
+	// *metrics.DurationCounter (exported in seconds) or a Func.
 	KindCounter Kind = iota
 	// KindGauge is an instantaneous level: a *metrics.Gauge or a Func.
 	KindGauge
-	// KindSeconds is a *metrics.DurationCounter (or a Func returning
-	// seconds), exported as a counter of seconds.
-	KindSeconds
-	// KindSummary is a *metrics.Histogram of durations, exported as a
-	// summary in seconds.
-	KindSummary
-	// KindValueSummary is a *metrics.Histogram whose samples are
-	// dimensionless values (a value n is recorded as time.Duration(n)),
-	// exported as a summary of the raw numbers — bytes per frame,
-	// events per batch.
-	KindValueSummary
+	// KindHistogram is a *metrics.Histogram. A family whose name ends
+	// in _seconds records durations and exports seconds; any other
+	// records a dimensionless value n as time.Duration(n) — bytes per
+	// frame, events per batch — and exports the raw numbers.
+	KindHistogram
 )
 
 // Type is the family's Prometheus TYPE.
 func (k Kind) Type() string {
 	switch k {
-	case KindCounter, KindSeconds:
+	case KindCounter:
 		return "counter"
 	case KindGauge:
 		return "gauge"
 	default:
-		return "summary"
+		return "histogram"
 	}
 }
 
@@ -51,6 +47,11 @@ type Family struct {
 	Kind Kind
 	Help string
 }
+
+// seconds reports whether a histogram family records durations and
+// exports seconds: the Prometheus base-unit rule, a name ending in
+// _seconds.
+func (f *Family) seconds() bool { return strings.HasSuffix(f.Name, "_seconds") }
 
 // catalog holds every family declared by the packages linked into the
 // binary (each declares at package initialization), so a tool that

@@ -22,21 +22,20 @@ import (
 	"adaptmirror/internal/obs"
 )
 
-// DefaultAlpha is the EWMA smoothing factor applied to per-round
-// deltas. 0.5 converges within a handful of rounds while still riding
+// alpha is the EWMA smoothing factor applied to per-round deltas. 0.5
+// converges within a handful of rounds while still riding
 // out single-round bursts (a checkpoint round is the natural control
 // interval, so heavier smoothing would delay engage decisions).
-const DefaultAlpha = 0.5
+const alpha = 0.5
 
 // Sample is one cumulative reading from a link at a telemetry tick.
 // Bytes, Events and Stall are monotonically increasing counters since
-// link creation; Depth is the instantaneous outbox depth and MaxDepth
-// the high-water mark accumulated since the previous tick (the caller
-// resets the windowed mark when it reads it).
+// link creation; MaxDepth is the outbox high-water mark accumulated
+// since the previous tick (the caller resets the windowed mark when it
+// reads it).
 type Sample struct {
 	Bytes    uint64
 	Events   uint64
-	Depth    int
 	MaxDepth int
 	Stall    time.Duration
 }
@@ -48,19 +47,13 @@ type Link struct {
 	BytesPerRound  float64
 	EventsPerRound float64
 	// MaxDepth is the outbox high-water mark observed in the last
-	// telemetry window; Depth is the instantaneous depth at the last
-	// tick.
-	Depth    int
+	// telemetry window.
 	MaxDepth int
 	// StallPerRound is the EWMA of per-round stall time.
 	StallPerRound time.Duration
 	// BandwidthBps estimates the link's achieved payload bandwidth:
 	// EWMA of (delta bytes / elapsed wall time) across ticks.
 	BandwidthBps float64
-	// Bytes and Events mirror the latest cumulative counters.
-	Bytes  uint64
-	Events uint64
-	Stall  time.Duration
 }
 
 // Sampler accumulates per-link telemetry across ticks. All methods are
@@ -68,29 +61,18 @@ type Link struct {
 // metric scrapes and status snapshots read it.
 type Sampler struct {
 	mu       sync.Mutex
-	alpha    float64
 	links    []Link
 	prev     []Sample
-	rounds   uint64
+	seeded   bool // a Tick has seeded the EWMAs
 	lastTick time.Time
 }
 
-// New returns a Sampler tracking n links with DefaultAlpha smoothing.
+// New returns a Sampler tracking n links.
 func New(n int) *Sampler {
-	return &Sampler{alpha: DefaultAlpha, links: make([]Link, n), prev: make([]Sample, n)}
+	return &Sampler{links: make([]Link, n), prev: make([]Sample, n)}
 }
 
-// SetAlpha overrides the EWMA smoothing factor (0 < alpha <= 1).
-func (s *Sampler) SetAlpha(a float64) {
-	if a <= 0 || a > 1 {
-		return
-	}
-	s.mu.Lock()
-	s.alpha = a
-	s.mu.Unlock()
-}
-
-func ewma(old, sample, alpha float64, first bool) float64 {
+func ewma(old, sample float64, first bool) float64 {
 	if first {
 		return sample
 	}
@@ -103,7 +85,7 @@ func ewma(old, sample, alpha float64, first bool) float64 {
 func (s *Sampler) Tick(now time.Time, samples []Sample) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	first := s.rounds == 0
+	first := !s.seeded
 	elapsed := 0.0
 	if !s.lastTick.IsZero() {
 		// A primed sampler has a baseline instant but no rounds yet:
@@ -119,20 +101,16 @@ func (s *Sampler) Tick(now time.Time, samples []Sample) {
 		dBytes := float64(cur.Bytes - prev.Bytes)
 		dEvents := float64(cur.Events - prev.Events)
 		dStall := float64(cur.Stall - prev.Stall)
-		l.BytesPerRound = ewma(l.BytesPerRound, dBytes, s.alpha, first)
-		l.EventsPerRound = ewma(l.EventsPerRound, dEvents, s.alpha, first)
-		l.StallPerRound = time.Duration(ewma(float64(l.StallPerRound), dStall, s.alpha, first))
+		l.BytesPerRound = ewma(l.BytesPerRound, dBytes, first)
+		l.EventsPerRound = ewma(l.EventsPerRound, dEvents, first)
+		l.StallPerRound = time.Duration(ewma(float64(l.StallPerRound), dStall, first))
 		if elapsed > 0 {
-			l.BandwidthBps = ewma(l.BandwidthBps, dBytes/elapsed, s.alpha, l.BandwidthBps == 0)
+			l.BandwidthBps = ewma(l.BandwidthBps, dBytes/elapsed, l.BandwidthBps == 0)
 		}
-		l.Depth = cur.Depth
 		l.MaxDepth = cur.MaxDepth
-		l.Bytes = cur.Bytes
-		l.Events = cur.Events
-		l.Stall = cur.Stall
 		s.prev[i] = cur
 	}
-	s.rounds++
+	s.seeded = true
 	s.lastTick = now
 }
 
@@ -143,21 +121,12 @@ func (s *Sampler) Tick(now time.Time, samples []Sample) {
 // Tick would otherwise read the entire historic total as one round's
 // delta and poison the EWMAs — and, through VarWireBytes, the
 // adaptation controller. After Prime the next Tick still seeds the
-// EWMAs (rounds stays 0), but from the true first post-promotion
-// window.
+// EWMAs, but from the true first post-promotion window. Samples past
+// the tracked link count are ignored.
 func (s *Sampler) Prime(now time.Time, samples []Sample) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range samples {
-		if i >= len(s.prev) {
-			break
-		}
-		s.prev[i] = samples[i]
-		s.links[i].Bytes = samples[i].Bytes
-		s.links[i].Events = samples[i].Events
-		s.links[i].Stall = samples[i].Stall
-		s.links[i].Depth = samples[i].Depth
-	}
+	copy(s.prev, samples)
 	s.lastTick = now
 }
 
@@ -168,13 +137,6 @@ func (s *Sampler) Links() []Link {
 	out := make([]Link, len(s.links))
 	copy(out, s.links)
 	return out
-}
-
-// Rounds returns the number of ticks ingested.
-func (s *Sampler) Rounds() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rounds
 }
 
 // MaxBytesPerRound returns the busiest link's EWMA bytes/round,

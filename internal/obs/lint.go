@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,9 +11,11 @@ import (
 
 // LintPrometheus validates a Prometheus text-format (version 0.0.4)
 // exposition: metric and label naming, HELP/TYPE placement, sample
-// syntax (including label-value escaping), family grouping, and
-// duplicate-series detection. It returns nil for a conforming
-// exposition, or an error listing every violation found.
+// syntax (including label-value escaping), family grouping,
+// duplicate-series detection, and histogram semantics (numeric,
+// strictly ascending le bounds, cumulative bucket counts, a +Inf bucket
+// equal to _count, _sum and _count present). It returns nil for a
+// conforming exposition, or an error listing every violation found.
 func LintPrometheus(r io.Reader) error {
 	x, err := parseExposition(r)
 	if err != nil {
@@ -94,6 +97,8 @@ func parseExposition(r io.Reader) (*exposition, error) {
 	closed := make(map[string]bool) // families whose sample block ended
 	series := make(map[string]bool) // name+labels seen
 	current := ""                   // family currently emitting samples
+	hists := make(map[string]*histSeries)
+	var histOrder []*histSeries
 
 	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	for i, line := range lines {
@@ -160,15 +165,76 @@ func parseExposition(r io.Reader) (*exposition, error) {
 			fail(ln, "duplicate series %s", key)
 		}
 		series[key] = true
-		if _, err := strconv.ParseFloat(value, 64); err != nil {
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
 			switch value {
 			case "+Inf", "-Inf", "NaN", "Nan":
 			default:
 				fail(ln, "invalid sample value %q for %s", value, name)
 			}
 		}
+		if x.types[fam] != "histogram" {
+			continue
+		}
+		le, rest := "", labels[:0:0]
+		for _, l := range labels {
+			if b, ok := strings.CutPrefix(l, `le="`); ok {
+				le = strings.TrimSuffix(b, `"`)
+			} else {
+				rest = append(rest, l)
+			}
+		}
+		hkey := fam + "{" + strings.Join(rest, ",") + "}"
+		h := hists[hkey]
+		if h == nil {
+			h = &histSeries{key: hkey, le: math.Inf(-1)}
+			hists[hkey] = h
+			histOrder = append(histOrder, h)
+		}
+		switch name {
+		case fam + "_bucket":
+			bound, err := strconv.ParseFloat(le, 64)
+			switch {
+			case err != nil:
+				fail(ln, "histogram %s has a bucket with le %q, not a number", hkey, le)
+				continue
+			case bound <= h.le:
+				fail(ln, "histogram %s: bucket le=%q is not above the previous bucket's", hkey, le)
+			case v < h.cum:
+				fail(ln, "histogram %s: bucket le=%q counts %s, fewer than the previous bucket: not cumulative", hkey, le, value)
+			}
+			h.le, h.cum = bound, v
+		case fam + "_sum":
+			h.hasSum = true
+		case fam + "_count":
+			h.hasCount, h.count = true, v
+		}
+	}
+	for _, h := range histOrder {
+		// Bounds ascend strictly, so +Inf can only be the last bucket.
+		if !math.IsInf(h.le, 1) {
+			x.errs = append(x.errs, fmt.Sprintf("histogram %s has no le=\"+Inf\" bucket", h.key))
+		} else if h.hasCount && h.cum != h.count {
+			x.errs = append(x.errs, fmt.Sprintf("histogram %s: +Inf bucket %v differs from _count %v", h.key, h.cum, h.count))
+		}
+		if !h.hasSum {
+			x.errs = append(x.errs, fmt.Sprintf("histogram %s has no _sum", h.key))
+		}
+		if !h.hasCount {
+			x.errs = append(x.errs, fmt.Sprintf("histogram %s has no _count", h.key))
+		}
 	}
 	return x, nil
+}
+
+// histSeries is what the lint learns about one histogram series — a
+// family and its labels other than le — across its _bucket, _sum and
+// _count samples.
+type histSeries struct {
+	key              string
+	le, cum          float64 // the last bucket's bound and count
+	count            float64
+	hasSum, hasCount bool
 }
 
 // familyOf maps a sample name to its metric family: summary and

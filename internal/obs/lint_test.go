@@ -24,6 +24,17 @@ rpc_duration_seconds{quantile="0.5"} 0.05
 rpc_duration_seconds{quantile="0.99"} 0.1
 rpc_duration_seconds_sum 17.5
 rpc_duration_seconds_count 2693
+
+# TYPE batch_events histogram
+batch_events_bucket{mirror="0",le="1"} 0
+batch_events_bucket{mirror="0",le="64"} 5
+batch_events_bucket{mirror="0",le="+Inf"} 7
+batch_events_sum{mirror="0"} 900
+batch_events_count{mirror="0"} 7
+batch_events_bucket{mirror="1",le="1"} 0
+batch_events_bucket{mirror="1",le="+Inf"} 0
+batch_events_sum{mirror="1"} 0
+batch_events_count{mirror="1"} 0
 untyped_metric 3.14 1395066363000
 escaped{path="C:\\DIR\\",msg="say \"hi\"\n"} 1
 `
@@ -51,6 +62,13 @@ func TestLintRejections(t *testing.T) {
 		{"duplicate TYPE", "# TYPE m counter\n# TYPE m counter\nm 1\n", "second TYPE line"},
 		{"TYPE after samples", "m 1\n# TYPE m counter\n", "after its samples"},
 		{"duplicate series", "m 1\nm 2\n", "duplicate series"},
+		{"histogram le not a number", hist(`h_bucket{le="x"} 1`, `h_bucket{le="+Inf"} 1`, "h_sum 1", "h_count 1"), `le "x", not a number`},
+		{"histogram le not ascending", hist(`h_bucket{le="2"} 1`, `h_bucket{le="1"} 1`, `h_bucket{le="+Inf"} 1`, "h_sum 1", "h_count 1"), "not above the previous bucket"},
+		{"histogram not cumulative", hist(`h_bucket{le="1"} 3`, `h_bucket{le="2"} 2`, `h_bucket{le="+Inf"} 3`, "h_sum 1", "h_count 3"), "not cumulative"},
+		{"histogram without +Inf", hist(`h_bucket{le="1"} 1`, "h_sum 1", "h_count 1"), `no le="+Inf" bucket`},
+		{"histogram +Inf unlike _count", hist(`h_bucket{le="+Inf"} 2`, "h_sum 1", "h_count 3"), "+Inf bucket 2 differs from _count 3"},
+		{"histogram without _sum", hist(`h_bucket{le="+Inf"} 1`, "h_count 1"), "has no _sum"},
+		{"histogram without _count", hist(`h_bucket{le="+Inf"} 1`, "h_sum 1"), "has no _count"},
 		{
 			"interleaved families",
 			"# TYPE a counter\na 1\n# TYPE b counter\nb 1\na{x=\"1\"} 2\n",
@@ -68,6 +86,11 @@ func TestLintRejections(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hist renders a histogram family h with the given sample lines.
+func hist(lines ...string) string {
+	return "# TYPE h histogram\n" + strings.Join(lines, "\n") + "\n"
 }
 
 func TestLintSummarySuffixesAreSameFamily(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"adaptmirror/internal/metrics"
 )
@@ -109,47 +108,49 @@ func (r *Registry) update(f *Family, kindOK bool, ls []Label, fn func(*series)) 
 // (f, ls), installing a fresh one under r.mu the first time (or when
 // the series was function-backed), so every caller gets the same
 // pointer. On a nil registry the fresh one is the answer.
-func instrument[T any](r *Registry, f *Family, kindOK bool, ls []Label, mk func() *T) *T {
-	inst := mk()
+func instrument[T any](r *Registry, f *Family, kindOK bool, ls []Label) *T {
+	inst := new(T)
 	r.update(f, kindOK, ls, func(s *series) {
-		if have, ok := s.inst.(*T); ok {
+		switch have := s.inst.(type) {
+		case *T:
 			inst = have
-		} else {
+		case nil:
 			s.inst, s.fn = inst, nil
+		default:
+			panic(fmt.Sprintf("obs: series %s{%s} holds a %T and was used as a %T", f.Name, s.key, have, inst))
 		}
 	})
 	return inst
 }
 
-func newHistogram() *metrics.Histogram { return metrics.NewHistogram(0) }
-
 // Counter returns the counter of a KindCounter family for the given
 // labels.
 func (r *Registry) Counter(f *Family, ls ...Label) *metrics.Counter {
-	return instrument(r, f, f.Kind == KindCounter, ls, func() *metrics.Counter { return new(metrics.Counter) })
+	return instrument[metrics.Counter](r, f, f.Kind == KindCounter, ls)
 }
 
 // Gauge returns the gauge of a KindGauge family for the given labels.
 func (r *Registry) Gauge(f *Family, ls ...Label) *metrics.Gauge {
-	return instrument(r, f, f.Kind == KindGauge, ls, func() *metrics.Gauge { return new(metrics.Gauge) })
+	return instrument[metrics.Gauge](r, f, f.Kind == KindGauge, ls)
 }
 
-// DurationCounter returns the cumulative-duration counter of a
-// KindSeconds family for the given labels.
+// DurationCounter returns the cumulative-duration counter, exported in
+// seconds, of a KindCounter family for the given labels.
 func (r *Registry) DurationCounter(f *Family, ls ...Label) *metrics.DurationCounter {
-	return instrument(r, f, f.Kind == KindSeconds, ls, func() *metrics.DurationCounter { return new(metrics.DurationCounter) })
+	return instrument[metrics.DurationCounter](r, f, f.Kind == KindCounter, ls)
 }
 
-// Histogram returns the histogram of a KindSummary or KindValueSummary
-// family for the given labels.
+// Histogram returns the histogram of a KindHistogram family for the
+// given labels.
 func (r *Registry) Histogram(f *Family, ls ...Label) *metrics.Histogram {
-	return instrument(r, f, f.Kind == KindSummary || f.Kind == KindValueSummary, ls, newHistogram)
+	return instrument[metrics.Histogram](r, f, f.Kind == KindHistogram, ls)
 }
 
-// ValueHistogram resolves a declared KindValueSummary family by name:
-// the way in for callers outside the declaring package (the wall-clock
-// benchmark reads the link senders' batch-size histograms through it).
-// It returns the same histogram the owner records into.
+// ValueHistogram resolves a declared KindHistogram family of values
+// (not _seconds) by name: the way in for callers outside the declaring
+// package (the wall-clock benchmark reads the link senders' batch-size
+// histograms through it). It returns the same histogram the owner
+// records into.
 func (r *Registry) ValueHistogram(name string, ls ...Label) *metrics.Histogram {
 	catalog.Lock()
 	f := catalog.byName[name]
@@ -157,25 +158,22 @@ func (r *Registry) ValueHistogram(name string, ls ...Label) *metrics.Histogram {
 	if f == nil {
 		panic(fmt.Sprintf("obs: family %s is used but not declared", name))
 	}
-	return instrument(r, f, f.Kind == KindValueSummary, ls, newHistogram)
+	return instrument[metrics.Histogram](r, f, f.Kind == KindHistogram && !f.seconds(), ls)
 }
 
 // Func exports a value that already lives elsewhere: fn is read at
-// scrape time as the series of a counter, gauge or seconds family
-// (monotonically non-decreasing for the first and last). Registering
-// the same (family, labels) again replaces the function, so a site
-// restarted under its old label takes its series over.
+// scrape time as the series of a counter or gauge family (monotonically
+// non-decreasing for a counter). Registering the same (family, labels)
+// again replaces the function, so a site restarted under its old label
+// takes its series over.
 func (r *Registry) Func(f *Family, fn func() float64, ls ...Label) {
-	r.update(f, f.Kind <= KindSeconds, ls, func(s *series) { s.fn, s.inst = fn, nil })
+	r.update(f, f.Kind != KindHistogram, ls, func(s *series) { s.fn, s.inst = fn, nil })
 }
 
 // Load adapts an owner's atomic count to Func.
 func Load(v *atomic.Uint64) func() float64 {
 	return func() float64 { return float64(v.Load()) }
 }
-
-// summaryQuantiles are the quantiles exported for histogram families.
-var summaryQuantiles = []float64{50, 90, 99}
 
 // Escaping of label values and HELP text per the Prometheus text
 // exposition format.
@@ -215,7 +213,7 @@ func formatFloat(v float64) string {
 // WritePrometheus writes every family with at least one series in the
 // Prometheus text exposition format (version 0.0.4): families sorted by
 // name, each with its declared HELP and TYPE, series by label set,
-// histograms as summaries with q0.5/q0.9/q0.99 plus _sum and _count.
+// histograms as cumulative _bucket counts plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -258,7 +256,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case *metrics.DurationCounter:
 				value = formatFloat(inst.Value().Seconds())
 			case *metrics.Histogram:
-				if err := writeSummary(w, f.decl, s.labels, inst); err != nil {
+				if err := writeHistogram(w, f.decl, s.labels, inst); err != nil {
 					return err
 				}
 				continue
@@ -271,28 +269,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// writeSummary renders one histogram series as a Prometheus summary —
-// in seconds for a KindSummary family, as raw values for a
-// KindValueSummary one.
-func writeSummary(w io.Writer, f *Family, labels []Label, h *metrics.Histogram) error {
-	val := func(d time.Duration) float64 {
-		if f.Kind == KindValueSummary {
-			return float64(d)
-		}
-		return d.Seconds()
+// writeHistogram renders one histogram series from one snapshot: the
+// cumulative _bucket count at each le bound and at +Inf, then _sum and
+// _count. The bounds are powers of two, so every count is exact: 2^10
+// ns (~1 µs) to 2^35 ns (~34 s), exported in seconds, for a _seconds
+// family; 1 to 2^24 for a family of raw values.
+func writeHistogram(w io.Writer, f *Family, labels []Label, h *metrics.Histogram) error {
+	lo, hi, unit := 0, 24, 1.0
+	if f.seconds() {
+		lo, hi, unit = 10, 35, 1e9
 	}
-	qs := h.Quantiles(summaryQuantiles...)
-	for i, p := range summaryQuantiles {
-		q := L("quantile", formatFloat(p/100))
-		if _, err := fmt.Fprintf(w, "%s%s %s\n",
-			f.Name, renderLabels(labels, q), formatFloat(val(qs[i]))); err != nil {
+	le, count, sum := h.PowerOfTwoCounts()
+	for k := lo; k <= hi; k++ {
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
+			f.Name, renderLabels(labels, L("le", formatFloat(float64(uint64(1)<<k)/unit))), le[k]); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n",
-		f.Name, renderLabels(labels), formatFloat(val(h.Sum()))); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.Name, renderLabels(labels), h.Count())
+	_, err := fmt.Fprintf(w, "%s_bucket%s %d\n%s_sum%s %s\n%s_count%s %d\n",
+		f.Name, renderLabels(labels, L("le", "+Inf")), count,
+		f.Name, renderLabels(labels), formatFloat(float64(sum)/unit),
+		f.Name, renderLabels(labels), count)
 	return err
 }

@@ -14,9 +14,9 @@ import (
 var fams = struct{ sent, depth, delay, stall, batch, uptime, weird *Family }{
 	sent:   Declare("obs_test_sent_total", KindCounter, "Events sent per mirror link."),
 	depth:  Declare("obs_test_queue_depth", KindGauge, "Queue depth."),
-	delay:  Declare("obs_test_delay_seconds", KindSummary, "Update delay."),
-	stall:  Declare("obs_test_stall_seconds_total", KindSeconds, "Time stalled."),
-	batch:  Declare("obs_test_batch_events", KindValueSummary, "Events per batch."),
+	delay:  Declare("obs_test_delay_seconds", KindHistogram, "Update delay."),
+	stall:  Declare("obs_test_stall_seconds_total", KindCounter, "Time stalled."),
+	batch:  Declare("obs_test_batch_events", KindHistogram, "Events per batch."),
 	uptime: Declare("obs_test_uptime", KindGauge, "Seconds up."),
 	weird:  Declare("obs_test_weird", KindCounter, "help with \\ and\nnewline"),
 }
@@ -96,6 +96,22 @@ func TestRegistryKindConflict(t *testing.T) {
 	}
 }
 
+// A KindCounter family hands out counters and duration counters, but
+// one series holds one instrument: asking for the other type panics
+// instead of silently replacing the first owner's series.
+func TestRegistrySeriesKeepsItsInstrument(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(fams.stall, L("mirror", "0")).Add(3)
+	r.DurationCounter(fams.stall, L("mirror", "1")).Add(time.Second)
+	if msg := mustPanic(t, func() { r.DurationCounter(fams.stall, L("mirror", "0")) }); !strings.Contains(msg, "mirror=0") {
+		t.Fatalf("panic %q does not name the series", msg)
+	}
+	if out := expose(t, r); !strings.Contains(out, `obs_test_stall_seconds_total{mirror="0"} 3`) ||
+		!strings.Contains(out, `obs_test_stall_seconds_total{mirror="1"} 1`) {
+		t.Fatalf("both owners' series must survive:\n%s", out)
+	}
+}
+
 // A family is declared once: a second declaration — the way
 // request_latency_seconds once had two HELP texts — panics at package
 // initialization, which fails every binary that links both.
@@ -148,15 +164,22 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`obs_test_sent_total{mirror="1"} 7`,
 		"# TYPE obs_test_queue_depth gauge",
 		`obs_test_queue_depth{site="central"} 3`,
-		"# TYPE obs_test_delay_seconds summary",
-		`obs_test_delay_seconds{quantile="0.5"}`,
-		`obs_test_delay_seconds{quantile="0.99"}`,
+		"# TYPE obs_test_delay_seconds histogram",
+		`obs_test_delay_seconds_bucket{le="1.024e-06"} 0`,
+		`obs_test_delay_seconds_bucket{le="0.016777216"} 1`,
+		`obs_test_delay_seconds_bucket{le="0.033554432"} 2`,
+		`obs_test_delay_seconds_bucket{le="34.359738368"} 2`,
+		`obs_test_delay_seconds_bucket{le="+Inf"} 2`,
 		"obs_test_delay_seconds_sum 0.03",
 		"obs_test_delay_seconds_count 2",
 		"# TYPE obs_test_stall_seconds_total counter",
 		`obs_test_stall_seconds_total{mirror="0"} 2`,
-		"# TYPE obs_test_batch_events summary",
+		"# TYPE obs_test_batch_events histogram",
+		`obs_test_batch_events_bucket{le="32"} 0`,
+		`obs_test_batch_events_bucket{le="64"} 1`,
+		`obs_test_batch_events_bucket{le="1.6777216e+07"} 1`,
 		"obs_test_batch_events_sum 64",
+		"obs_test_batch_events_count 1",
 		"obs_test_uptime 1.5",
 	} {
 		if !strings.Contains(out, want) {
@@ -208,7 +231,7 @@ func TestValueHistogramByName(t *testing.T) {
 		t.Fatal("ValueHistogram must return the histogram the owner records into")
 	}
 	if msg := mustPanic(t, func() { r.ValueHistogram("pipeline_stage_seconds") }); !strings.Contains(msg, "another kind") {
-		t.Fatalf("a duration summary resolved as a value histogram: %q", msg)
+		t.Fatalf("a seconds histogram resolved as a value histogram: %q", msg)
 	}
 	if msg := mustPanic(t, func() { r.ValueHistogram("obs_test_never_declared") }); !strings.Contains(msg, "not declared") {
 		t.Fatalf("panic %q", msg)
@@ -246,5 +269,58 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if v := got[0].Value(); v != workers*rounds {
 		t.Fatalf("counter = %d, want %d", v, workers*rounds)
+	}
+}
+
+// TestHistogramExportConcurrent records one sample at a time and in
+// batches from two goroutines while others take quantiles and scrape:
+// every scrape lints clean, so each series' +Inf bucket equals its
+// _count and its buckets are cumulative even mid-recording.
+func TestHistogramExportConcurrent(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram(fams.delay, L("stage", "x"))
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			batch := make([]time.Duration, 16)
+			for i := 0; i < 2000; i++ {
+				d := time.Duration(i*(g+1)) * time.Microsecond
+				if g == 0 {
+					h.Record(d)
+					continue
+				}
+				for j := range batch {
+					batch[j] = d + time.Duration(j)
+				}
+				h.RecordBatch(batch)
+			}
+		}(g)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			h.Quantiles(50, 90, 99)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			var b strings.Builder
+			if err := r.WritePrometheus(&b); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := LintPrometheus(strings.NewReader(b.String())); err != nil {
+				t.Errorf("mid-recording scrape: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if want := uint64(2000 + 2000*16); h.Count() != want {
+		t.Fatalf("Count = %d, want %d", h.Count(), want)
 	}
 }

@@ -71,7 +71,7 @@ type Tracer struct {
 }
 
 // famStage is the family the tracer's stage histograms live in.
-var famStage = Declare("pipeline_stage_seconds", KindSummary, "Event-lifecycle latency by pipeline stage.")
+var famStage = Declare("pipeline_stage_seconds", KindHistogram, "Event-lifecycle latency by pipeline stage.")
 
 // NewTracer returns a tracer whose stage histograms are registered on
 // r as pipeline_stage_seconds{stage="..."} (r may be nil for an

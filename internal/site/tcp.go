@@ -311,7 +311,8 @@ func (s *CentralSite) Status() status.Document {
 }
 
 // Close tears the site down, waiting for started rejoins once inputs
-// stop. A promoted central's shared bus and front close twice, harmlessly.
+// stop, and returns the joined errors of its durable logs. A promoted
+// central's shared bus and front close twice, harmlessly.
 func (s *CentralSite) Close() error {
 	if s.Front != nil {
 		s.Front.Close()
@@ -323,17 +324,18 @@ func (s *CentralSite) Close() error {
 	if s.Central != nil {
 		s.Central.Close()
 	}
+	var errs []error
 	if s.Log != nil {
-		s.Log.Close()
+		errs = append(errs, s.Log.Close())
 	}
 	if s.Audit != nil {
-		s.Audit.Close()
+		errs = append(errs, s.Audit.Close())
 	}
 	for _, l := range s.links {
 		l.Close()
 	}
 	s.Bus.Close()
-	return nil
+	return errors.Join(errs...)
 }
 
 // admission counts admitted work and refuses more once stopped, so a

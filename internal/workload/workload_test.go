@@ -58,7 +58,7 @@ func TestSpikePattern(t *testing.T) {
 
 func TestRunTotalRequests(t *testing.T) {
 	targets := mains(t, 2)
-	lat := metrics.NewHistogram(0)
+	lat := new(metrics.Histogram)
 	res := Run(Config{
 		Pattern:       Constant{RPS: 5000},
 		Targets:       targets,
@@ -164,7 +164,7 @@ func TestRunPanicsWithoutTargets(t *testing.T) {
 
 func TestBurst(t *testing.T) {
 	targets := mains(t, 2)
-	lat := metrics.NewHistogram(0)
+	lat := new(metrics.Histogram)
 	done, elapsed := Burst(targets, nil, 40, lat)
 	if done != 40 {
 		t.Fatalf("completed %d of 40", done)
