@@ -35,9 +35,12 @@ status-smoke:
 # (internal/site), kill the central, assert the standby promotes (or
 # the mirrors elect), the survivor redials, and the cluster converges
 # byte-exact in epoch 1; plus the promoted status document, the idle
-# central the probe must spare, and the runtime's stop gate.
+# central the probe must spare, and the runtime's stop gate. The
+# admission tests ride along: mirrors started after their central, a
+# crashed or restarted mirror asking to rejoin, and the central's
+# handling of each RECOVERY_REQ.
 takeover-smoke:
-	$(GO) test -race -count=1 -run 'TestWireTakeover|TestTakeover|TestPromoted|TestWireRejoin' ./internal/site
+	$(GO) test -race -count=1 -run 'TestWireTakeover|TestTakeover|TestPromoted|TestWireRejoin|TestCentralFirstAdmitsMirrors|TestRecoveryRequest' ./internal/site
 
 # Repeats the timing-sensitive suites under the race detector: the
 # site runtime, the figure smoke shapes, core, the registry's concurrent

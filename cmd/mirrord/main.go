@@ -1,12 +1,12 @@
 // Command mirrord runs one site of the mirrored OIS server over TCP.
 //
 // A deployment runs one central site and any number of mirror sites,
-// mirrors first:
+// started in any order; each mirror asks the central to admit it:
 //
-//	mirrord -role mirror  -listen :7001 -central host0:7000 -http :8001 -site 0
-//	mirrord -role mirror  -listen :7002 -central host0:7000 -http :8002 -site 1
 //	mirrord -role central -listen :7000 -mirrors host1:7001,host2:7002 -http :8000 \
 //	        -selective 10 -chkpt 50
+//	mirrord -role mirror  -listen :7001 -central host0:7000 -http :8001 -site 0
+//	mirrord -role mirror  -listen :7002 -central host0:7000 -http :8002 -site 1
 //
 // Sources feed the central site with cmd/oisgen; clients fetch
 // initialization state from any site's HTTP front (exercised with

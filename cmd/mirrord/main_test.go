@@ -61,11 +61,27 @@ func TestStartMirrorBadListen(t *testing.T) {
 	}
 }
 
+// TestStartCentralBadMirror: a mirror that is not up does not keep the
+// central from starting — it takes ingest and reports the slot not live
+// until that mirror asks to be admitted — but a -mirrors entry that is
+// no host:port is still a startup error.
 func TestStartCentralBadMirror(t *testing.T) {
+	d := startArgs(t, "-role", "central", "-mirrors", "127.0.0.1:1")
+	src, err := echo.DialSend(d.central.Addr, site.ChanIngress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	src.Submit(event.NewPosition(1, 1, 0, 0, 0, 64))
+	waitUntil(t, "the central to process the event", func() bool { return d.central.Central.Main().Processed() == 1 })
+	if links := d.central.Status().Links; len(links) != 1 || links[0].Live {
+		t.Fatalf("links = %+v, want the unreachable mirror's slot not live", links)
+	}
+
 	var usage usageError
-	_, err := start([]string{"-role", "central", "-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-mirrors", "127.0.0.1:1"})
+	_, err = start([]string{"-role", "central", "-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-mirrors", "127.0.0.1"})
 	if err == nil || errors.As(err, &usage) {
-		t.Fatalf("unreachable mirror: err = %v, want a startup failure", err)
+		t.Fatalf("malformed mirror address: err = %v, want a startup failure", err)
 	}
 }
 
@@ -73,7 +89,8 @@ func TestCentralWithAdaptation(t *testing.T) {
 	m := startArgs(t, "-role", "mirror", "-central", "pending").mirror
 	central := startArgs(t, "-role", "central", "-mirrors", m.Addr, "-chkpt", "10",
 		"-adapt", "-adapt-primary", "1", "-adapt-secondary", "1").central
-	m.Uplink.Repoint(central.Addr)
+	m.Follow(central.Addr)
+	waitUntil(t, "the mirror's admission", func() bool { return central.Central.Membership().Live() == 1 })
 
 	if central.Controller == nil {
 		t.Fatal("adaptation controller not installed")
@@ -135,7 +152,7 @@ func TestCentralWithOperationsLog(t *testing.T) {
 func TestRemoteThinClientFollowsUpdates(t *testing.T) {
 	m := startArgs(t, "-role", "mirror", "-central", "pending", "-padding", "64").mirror
 	central := startArgs(t, "-role", "central", "-mirrors", m.Addr, "-selective", "10").central
-	m.Uplink.Repoint(central.Addr)
+	m.Follow(central.Addr)
 
 	view := thinclient.New(64)
 	updatesLink, err := echo.DialRecv(central.Addr, site.ChanUpdates)

@@ -2,8 +2,8 @@
 // boots a 2-mirror cluster with a real adaptation controller, runs a
 // small workload, serves the central front over real HTTP, fetches
 // /cluster/status like an operations dashboard would, and asserts the
-// document is well-formed — central role, one link row per mirror with
-// moving counters, checkpoint progress, and per-site rows. It exits
+// document is well-formed — central role, one live link row per mirror
+// with moving counters, checkpoint progress, and per-site rows. It exits
 // non-zero on any violation (`make status-smoke`, part of `make ci`).
 package main
 
@@ -85,6 +85,9 @@ func run() error {
 	for i, l := range doc.Links {
 		if l.Mirror != i {
 			return fmt.Errorf("link row %d labeled mirror %d", i, l.Mirror)
+		}
+		if !l.Live {
+			return fmt.Errorf("link %d reports its mirror not live", i)
 		}
 		if l.Sent == 0 || l.SentBytes == 0 {
 			return fmt.Errorf("link %d shows no traffic (sent=%d bytes=%d)", i, l.Sent, l.SentBytes)

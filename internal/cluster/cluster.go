@@ -192,12 +192,9 @@ func (s counterSink) Submit(e *event.Event) error {
 	return nil
 }
 
-// The cluster-level families: one unlabeled series each, fed by the
-// central site.
-var (
-	famUpdateDelay   = obs.Declare("update_delay_seconds", obs.KindHistogram, "Central update delay, ingress to EDE emission.")
-	famClientUpdates = obs.Declare("client_updates_total", obs.KindCounter, "State updates emitted to regular clients.")
-)
+// famClientUpdates is a cluster-level family: one unlabeled series, fed
+// by the central site.
+var famClientUpdates = obs.Declare("client_updates_total", obs.KindCounter, "State updates emitted to regular clients.")
 
 // New builds and starts a cluster.
 func New(cfg Config) (*Cluster, error) {
@@ -206,7 +203,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	reg := obs.NewRegistry()
 	cl := &Cluster{
-		DelayHist:   reg.Histogram(famUpdateDelay),
+		DelayHist:   reg.Histogram(site.FamUpdateDelay),
 		RequestHist: reg.Histogram(core.FamRequestLatency),
 		Updates:     reg.Counter(famClientUpdates),
 		Obs:         reg,
@@ -436,10 +433,10 @@ func (cl *Cluster) wireDirect(cfg Config, central core.CentralConfig) {
 	cl.closers = append(cl.closers, cl.Central.Close)
 }
 
-// startTCP starts the deployed site runtime on loopback, in the
-// deployment's order: mirrors first, then the central, which dials
-// them; the mirrors' uplinks are then pointed at the address the
-// central bound — the mechanism wire takeover repoints survivors with.
+// startTCP starts the deployed site runtime on loopback: the mirrors
+// first, since the central names their bound addresses, then the
+// central, at which each mirror is pointed to ask for admission. It
+// returns once the central has admitted every mirror.
 func (cl *Cluster) startTCP(cfg Config, central core.CentralConfig) error {
 	var mirrors []*site.MirrorSite
 	var addrs []string
@@ -467,11 +464,14 @@ func (cl *Cluster) startTCP(cfg Config, central core.CentralConfig) error {
 	}
 	cl.Central = c.Central
 	cl.closers = append(cl.closers, func() { c.Close() })
-	for i, m := range mirrors {
-		m.Uplink.Repoint(c.Addr)
-		if err := m.Uplink.Dial(); err != nil {
-			return fmt.Errorf("cluster: mirror %d uplink: %w", i, err)
+	for _, m := range mirrors {
+		m.Follow(c.Addr)
+	}
+	for deadline := time.Now().Add(10 * time.Second); c.Central.Membership().Live() < len(mirrors); {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("cluster: central admitted %d of %d mirrors", c.Central.Membership().Live(), len(mirrors))
 		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	return nil
 }

@@ -116,18 +116,20 @@ func TestPromotionEquivalence(t *testing.T) {
 	}
 	defer central.Close()
 	for _, m := range sites {
-		m.Uplink.Repoint(central.Addr)
+		m.Follow(central.Addr)
 	}
+	// Each mirror is admitted by a one-event transfer of the empty state.
 	caughtUp := func(fed uint64) {
 		waitUntil(t, "every mirror to receive the stream so far", func() bool {
 			for _, m := range sites {
-				if m.Site.Received() < fed {
+				if m.Site.Received() < 1+fed {
 					return false
 				}
 			}
-			return true
+			return central.Central.Membership().Live() == len(sites)
 		})
 	}
+	caughtUp(0)
 	rounds := uint64(0)
 	feed(central.Central.Ingest, func(fed uint64) {
 		caughtUp(fed)

@@ -51,13 +51,13 @@ type LinkStats struct {
 	Stall time.Duration
 }
 
-// sendGroup tracks the slab release of one enqueued batch while its
+// sendGroup tracks the slab reference of one enqueued batch while its
 // events sit in the outbox ring: left counts the group's events still
-// ringed, and release (nil for un-owned batches) must fire once none
+// ringed, and ref (nil for un-owned batches) must be released once none
 // remain anywhere — shed from the ring, or submitted and returned.
 type sendGroup struct {
-	left    int
-	release func()
+	left int
+	ref  event.Ref
 }
 
 // linkSender owns one mirror link's data path: a bounded outbox ring
@@ -152,23 +152,21 @@ func (s *linkSender) enqueue(batch []*event.Event, ref event.Ref) {
 		s.mu.Unlock()
 		return
 	}
-	var rel func()
 	if ref != nil {
 		ref.Retain()
-		rel = ref.Release
 	}
-	s.groups = append(s.groups, sendGroup{left: len(batch), release: rel})
+	s.groups = append(s.groups, sendGroup{left: len(batch), ref: ref})
 	mask := len(s.ring) - 1
 	dropped := 0
-	var fire []func()
+	var fire []event.Ref
 	for _, e := range batch {
 		if s.n == len(s.ring) {
 			s.ring[s.head] = nil
 			s.head = (s.head + 1) & mask
 			s.n--
 			dropped++
-			if f := s.shedOldestLocked(); f != nil {
-				fire = append(fire, f)
+			if r := s.shedOldestLocked(); r != nil {
+				fire = append(fire, r)
 			}
 		}
 		s.ring[(s.head+s.n)&mask] = e
@@ -181,9 +179,7 @@ func (s *linkSender) enqueue(batch []*event.Event, ref event.Ref) {
 	// A group released by shedding has no event anywhere any more — the
 	// drainer removes all ring events and all groups atomically, so a
 	// group still in s.groups cannot have drained siblings in flight.
-	for _, f := range fire {
-		f()
-	}
+	fireAll(fire)
 	s.enqueued.Add(uint64(len(batch)))
 	if dropped > 0 {
 		s.dropped.Add(uint64(dropped))
@@ -192,17 +188,17 @@ func (s *linkSender) enqueue(batch []*event.Event, ref event.Ref) {
 }
 
 // shedOldestLocked accounts one shed ring event against the oldest
-// group and returns its release when the shed was the group's last
-// event. Caller holds s.mu.
-func (s *linkSender) shedOldestLocked() func() {
+// group and returns its ref when the shed was the group's last event.
+// Caller holds s.mu.
+func (s *linkSender) shedOldestLocked() event.Ref {
 	for len(s.groups) > 0 {
 		g := &s.groups[0]
 		if g.left > 0 {
 			g.left--
 			if g.left == 0 {
-				rel := g.release
+				ref := g.ref
 				s.groups = s.groups[1:]
-				return rel
+				return ref
 			}
 			return nil
 		}
@@ -226,7 +222,7 @@ func (s *linkSender) close() {
 func (s *linkSender) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	scratch := make([]*event.Event, 0, DefaultSendBatch)
-	rels := make([]func(), 0, 8)
+	rels := make([]event.Ref, 0, 8)
 	for {
 		s.mu.Lock()
 		for s.n == 0 && !s.closed {
@@ -249,8 +245,8 @@ func (s *linkSender) run(wg *sync.WaitGroup) {
 		// decremented by shedding, so send owns their releases.
 		rels = rels[:0]
 		for _, g := range s.groups {
-			if g.release != nil {
-				rels = append(rels, g.release)
+			if g.ref != nil {
+				rels = append(rels, g.ref)
 			}
 		}
 		s.groups = s.groups[:0]
@@ -269,7 +265,7 @@ func (s *linkSender) run(wg *sync.WaitGroup) {
 // event of the batch can be referenced downstream any more — after an
 // submission returns (receivers retained what they keep), or
 // immediately when the batch is dropped or filtered to nothing.
-func (s *linkSender) send(batch []*event.Event, rels []func()) {
+func (s *linkSender) send(batch []*event.Event, rels []event.Ref) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	if s.alive != nil && !s.alive(s.idx) {
@@ -310,11 +306,11 @@ func (s *linkSender) send(batch []*event.Event, rels []func()) {
 	}
 }
 
-// fireAll invokes every non-nil release.
-func fireAll(rels []func()) {
-	for _, f := range rels {
-		if f != nil {
-			f()
+// fireAll releases every non-nil ref.
+func fireAll(rels []event.Ref) {
+	for _, r := range rels {
+		if r != nil {
+			r.Release()
 		}
 	}
 }

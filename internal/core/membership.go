@@ -95,10 +95,10 @@ func (m *Membership) Failed() []int {
 func (m *Membership) Live() int { return len(m.central.cfg.Mirrors) - len(m.Failed()) }
 
 // Exclude forcibly removes mirror i from mirroring and the commit
-// quorum, as if it had exhausted the miss budget. Promotion bootstrap
-// uses it: a freshly promoted central starts with every mirror
-// excluded — the standby's own slot stays that way, survivors are
-// re-admitted through RejoinSince with their own committed cuts.
+// quorum, as if it had exhausted the miss budget. Every wire central
+// starts with each mirror excluded this way — a promoted one keeps its
+// own slot so — and re-admits a mirror through RejoinSince when it asks,
+// first excluding a live one whose request shows it restarted.
 // Excluding an already-excluded mirror is a no-op.
 func (m *Membership) Exclude(i int) error {
 	if i < 0 || i >= len(m.rejoining) {

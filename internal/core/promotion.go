@@ -362,8 +362,8 @@ func (t *Takeover) tick(in TakeoverInput) []TakeoverEffect {
 	case t.role == roleCandidate:
 		return t.candidateTick(in)
 	case t.missed > max(t.Budget, 1) || (in.LastRound == 0 && t.epoch == 0):
-		// A probe is out, or there is no heartbeat to miss yet: mirrors
-		// start before the central exists.
+		// A probe is out, or there is no heartbeat to miss yet: a mirror
+		// hears no round before its central admits it.
 		return nil
 	case in.LastRound > t.prev:
 		t.prev, t.missed = in.LastRound, 0

@@ -26,14 +26,14 @@ type DataSender interface {
 // underlying release and returns the ref to the pool.
 type groupRef struct {
 	refs atomic.Int32
-	rels []func()
+	rels []event.Ref
 }
 
 var groupRefPool = sync.Pool{New: func() any { return &groupRef{} }}
 
 // newGroupRef returns a ref holding the given releases with one
 // reference owned by the caller. The rels slice is copied.
-func newGroupRef(rels []func()) *groupRef {
+func newGroupRef(rels []event.Ref) *groupRef {
 	g := groupRefPool.Get().(*groupRef)
 	g.refs.Store(1)
 	g.rels = append(g.rels[:0], rels...)
@@ -46,11 +46,7 @@ func (g *groupRef) Release() {
 	switch n := g.refs.Add(-1); {
 	case n > 0:
 	case n == 0:
-		for _, f := range g.rels {
-			if f != nil {
-				f()
-			}
-		}
+		fireAll(g.rels)
 		clear(g.rels)
 		g.rels = g.rels[:0]
 		groupRefPool.Put(g)

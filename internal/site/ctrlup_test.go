@@ -32,14 +32,17 @@ func transfers(c *core.Central) uint64 {
 	return st.Snapshots + st.Deltas
 }
 
-// TestRecoveryRequestDispatch: ctrl.up turns a RECOVERY_REQ into a
-// rejoin only for an excluded slot of the manifest. A request for an
-// unknown slot, for a promoted site's own slot, or for a slot that is
-// still live transfers nothing.
+// TestRecoveryRequestDispatch: ctrl.up turns a RECOVERY_REQ for a
+// slot of the manifest into exactly one rejoin. A request for an
+// unknown slot or for a promoted site's own slot transfers nothing. One
+// from a slot still counted live comes from a restarted mirror: the
+// slot is excluded and re-admitted by one transfer, and a duplicate
+// arriving while that transfer is in flight adds none.
 func TestRecoveryRequestDispatch(t *testing.T) {
 	m := startBareMirror(t)
 	// A two-slot manifest whose slot 1 is the central's own, as after a
-	// takeover; like Mirror.Promote, that slot starts excluded.
+	// takeover. Slot 0 is admitted by hand, as a mirror that was
+	// admitted once.
 	s := &CentralSite{Bus: echo.NewBus(), name: "central", self: 1}
 	t.Cleanup(func() { s.Close() })
 	err := s.assemble([]string{m.Addr, "unused"}, simnet.Profile{}, func(mirrors []core.MirrorLink, detector core.MembershipConfig) (*core.Central, error) {
@@ -51,24 +54,27 @@ func TestRecoveryRequestDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	member := s.Central.Membership()
-	request := func(slot uint64) {
+	for _, slot := range []uint64{99, 1} {
 		s.dispatchCtrlUp(recoveryRequest(slot))
 		s.rejoins.wg.Wait()
-	}
-	for _, slot := range []uint64{99, 1, 0} {
-		request(slot)
 		if n := transfers(s.Central); n != 0 {
 			t.Fatalf("a request for slot %d transferred (%d transfers)", slot, n)
 		}
 	}
 
-	// Once slot 0 is excluded, the same request re-admits it.
-	if err := member.Exclude(0); err != nil {
-		t.Fatal(err)
+	// Hold slot 0's data link so the first transfer stays in flight
+	// while the duplicate is dispatched.
+	data := s.links[0]
+	data.mu.Lock()
+	s.dispatchCtrlUp(recoveryRequest(0))
+	if member.Alive(0) {
+		t.Fatal("a request from live slot 0 did not exclude it")
 	}
-	request(0)
+	s.dispatchCtrlUp(recoveryRequest(0))
+	data.mu.Unlock()
+	s.rejoins.wg.Wait()
 	if n := transfers(s.Central); !member.Alive(0) || n != 1 {
-		t.Fatalf("excluded slot 0: alive %v after %d transfers, want re-admitted after 1", member.Alive(0), n)
+		t.Fatalf("live slot 0: alive %v after %d transfers, want re-admitted after 1", member.Alive(0), n)
 	}
 }
 
@@ -78,9 +84,6 @@ func TestRecoveryRequestAfterCloseStartsNoRejoin(t *testing.T) {
 	m := startBareMirror(t)
 	s, err := StartCentral(CentralOptions{Config: core.CentralConfig{Streams: 1}, Listen: "127.0.0.1:0", Mirrors: []string{m.Addr}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Central.Membership().Exclude(0); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()

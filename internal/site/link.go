@@ -33,10 +33,10 @@ type LinkOptions struct {
 
 // Link is a self-healing send link to one channel of a peer site: it
 // dials on first use and redials after failures. Mirrors use it for the
-// control uplink so they can start before the central site exists (the
-// documented startup order); the central uses it for its per-mirror
-// data and control downlinks so a restarted mirror can be re-admitted
-// over the same link. Every dial and write carries a deadline, Repoint
+// control uplink, so they can start before or after the central site;
+// the central uses it for its per-mirror data and control downlinks,
+// first dialed when a mirror's admission needs them, so a restarted
+// mirror is re-admitted over the same link. Every dial and write carries a deadline, Repoint
 // swings the link to a new peer address (wire takeover: survivors
 // redial the promoted central), and after Close every submission fails
 // with echo.ErrClosed. It implements core.Sender and core.DataSender.
@@ -51,20 +51,12 @@ type Link struct {
 }
 
 // NewLink returns a link to the named channel at addr; nothing is
-// dialed until the first submission (or Dial).
+// dialed until the first submission.
 func NewLink(addr, channel string, opts LinkOptions) *Link {
 	if opts.WriteTimeout <= 0 {
 		opts.WriteTimeout = defaultWriteTimeout
 	}
 	return &Link{addr: addr, channel: channel, opts: opts}
-}
-
-// Dial connects now (a no-op on a connected link), so an unreachable
-// address fails at startup rather than on the first event.
-func (l *Link) Dial() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ensureLocked()
 }
 
 // ensureLocked dials the link if needed. Callers hold l.mu.

@@ -81,8 +81,8 @@ func TestLinkClosedStaysClosed(t *testing.T) {
 		t.Fatalf("SubmitOwned after Close = %v, want echo.ErrClosed", err)
 	}
 	l.Repoint(peer.ln.Addr().String())
-	if err := l.Dial(); !errors.Is(err, echo.ErrClosed) {
-		t.Fatalf("Dial after Close and Repoint = %v, want echo.ErrClosed", err)
+	if err := l.Submit(batch[0]); !errors.Is(err, echo.ErrClosed) {
+		t.Fatalf("Submit after Close and Repoint = %v, want echo.ErrClosed", err)
 	}
 	// A leaked dial would have been accepted within loopback latency.
 	time.Sleep(50 * time.Millisecond)

@@ -99,14 +99,21 @@ func (m *Mirror) Promote(epoch uint64, cfg core.CentralConfig, detector core.Mem
 	if overwrite > 0 {
 		central.InstallSelective(overwrite)
 	}
-	member := core.NewMembership(central, detector)
-	for i := range cfg.Mirrors {
-		_ = member.Exclude(i) // fails only for an index outside cfg.Mirrors
-	}
+	admitNone(central, len(cfg.Mirrors), detector)
 	return &Promoted{
 		Central:    central,
 		Anchor:     central.Main().LastProcessed(),
 		RoundFloor: state.RoundFloor,
+	}
+}
+
+// admitNone installs detector on c with all of its n mirror slots
+// excluded: every central a site builds admits a mirror only through
+// the rejoin transfer that mirror asks for.
+func admitNone(c *core.Central, n int, detector core.MembershipConfig) {
+	member := core.NewMembership(c, detector)
+	for i := 0; i < n; i++ {
+		_ = member.Exclude(i) // fails only for an index outside c's mirrors
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func mainConfig() core.MainConfig {
 }
 
 // mirrorOptions is a mirror site with an HTTP front whose central is
-// not known yet (mirrors start first; tests Repoint the uplink).
+// not known yet (startCentral points it there).
 func mirrorOptions(siteID int) site.MirrorOptions {
 	reg := obs.NewRegistry()
 	return site.MirrorOptions{
@@ -51,7 +52,7 @@ func mirrorOptions(siteID int) site.MirrorOptions {
 			Obs:    reg,
 			Tracer: obs.NewTracer(reg),
 		},
-		Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", Central: "pending",
+		Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0",
 	}
 }
 
@@ -81,8 +82,9 @@ func startMirror(t *testing.T, opts site.MirrorOptions) *site.MirrorSite {
 	return m
 }
 
-// startCentral starts a central site and points the given mirrors'
-// uplinks at it.
+// startCentral starts a central site, has the given mirrors follow it,
+// and returns once each is admitted and has applied its admission
+// transfer, so counts taken afterwards see the stream alone.
 func startCentral(t *testing.T, opts site.CentralOptions, mirrors ...*site.MirrorSite) *site.CentralSite {
 	t.Helper()
 	c, err := site.StartCentral(opts)
@@ -91,8 +93,16 @@ func startCentral(t *testing.T, opts site.CentralOptions, mirrors ...*site.Mirro
 	}
 	t.Cleanup(func() { c.Close() })
 	for _, m := range mirrors {
-		m.Uplink.Repoint(c.Addr)
+		m.Follow(c.Addr)
 	}
+	waitUntil(t, "the mirrors' admission", func() bool {
+		for _, m := range mirrors {
+			if m.Site.Received() == 0 {
+				return false
+			}
+		}
+		return c.Central.Membership().Live() == len(mirrors)
+	})
 	return c
 }
 
@@ -164,12 +174,12 @@ func clusterStatus(t *testing.T, httpAddr string) status.Document {
 // oisgen would, serves client requests over HTTP like loadgen would,
 // and verifies replication.
 func TestFullDeployment(t *testing.T) {
-	// Mirrors first (the documented startup order).
 	m1 := startMirror(t, mirrorOptions(0))
 	m2 := startMirror(t, mirrorOptions(1))
 	opts := centralOptions(20, m1.Addr, m2.Addr)
 	opts.Selective = 10
 	central := startCentral(t, opts, m1, m2)
+	admission := []uint64{m1.Site.Received(), m2.Site.Received()}
 
 	const total = 200
 	feed(t, central.Addr, 1, total)
@@ -183,12 +193,11 @@ func TestFullDeployment(t *testing.T) {
 	if wantMirrored == 0 || wantMirrored >= total {
 		t.Fatalf("Mirrored = %d, want selective reduction", wantMirrored)
 	}
-	for _, m := range []*site.MirrorSite{m1, m2} {
-		m := m
+	for i, m := range []*site.MirrorSite{m1, m2} {
 		waitUntil(t, "a mirror to receive the mirrored events", func() bool {
-			return m.Site.Received() >= wantMirrored
+			return m.Site.Received()-admission[i] >= wantMirrored
 		})
-		if got := m.Site.Received(); got != wantMirrored {
+		if got := m.Site.Received() - admission[i]; got != wantMirrored {
 			t.Fatalf("mirror received %d, want %d", got, wantMirrored)
 		}
 	}
@@ -279,7 +288,7 @@ func TestHealthyMirrorsSurviveSaturatingFeed(t *testing.T) {
 // the wire failure detector and serves RECOVERY_REQ. A crashed mirror
 // is excluded within the budget, so commits resume and the backup
 // trims; restarted on its address with its state lost, it asks to
-// rejoin over its uplink and converges byte-exact.
+// rejoin by itself and converges byte-exact.
 func TestWireRejoinAfterMirrorCrash(t *testing.T) {
 	m0, m1 := startMirror(t, mirrorOptions(0)), startMirror(t, mirrorOptions(1))
 	central := startCentral(t, centralOptions(1<<30, m0.Addr, m1.Addr), m0, m1)
@@ -288,9 +297,10 @@ func TestWireRejoinAfterMirrorCrash(t *testing.T) {
 	if member == nil {
 		t.Fatal("the wire central runs no failure detector")
 	}
+	admission := []uint64{m0.Site.Received(), m1.Site.Received()}
 	feed(t, central.Addr, 1, 100)
 	waitUntil(t, "replication to both mirrors", func() bool {
-		return m0.Site.Received() == 100 && m1.Site.Received() == 100
+		return m0.Site.Received()-admission[0] == 100 && m1.Site.Received()-admission[1] == 100
 	})
 
 	// Crash mirror 1 under traffic, then run rounds it cannot answer
@@ -314,27 +324,13 @@ func TestWireRejoinAfterMirrorCrash(t *testing.T) {
 		return c.Stats().ChkptCommits > commits && c.Backup().Len() == 0
 	})
 
-	// Restart on the same address with empty state and ask to rejoin
-	// from no cut. The central's data link may still hold the
-	// connection the crash killed, which fails the first transfer, so
-	// the request is repeated until the site is re-admitted.
+	// Restart on the same address with empty state, pointed at the
+	// central: the site asks to rejoin from no cut on its own, and asks
+	// again while the connection the crash killed fails the first
+	// transfer.
 	feed(t, central.Addr, 201, 100)
-	opts := mirrorOptions(1)
-	opts.Listen, opts.Central = addr, central.Addr
-	var m1b *site.MirrorSite
-	waitUntil(t, "the restart on "+addr, func() bool {
-		var err error
-		m1b, err = site.StartMirror(opts)
-		return err == nil
-	})
-	t.Cleanup(func() { m1b.Close() })
-	waitUntil(t, "mirror 1 to be re-admitted", func() bool {
-		if err := m1b.Uplink.Submit(&event.Event{Type: event.TypeRecoveryRequest, Seq: 1}); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(5 * time.Millisecond)
-		return member.Alive(1)
-	})
+	m1b := startMirrorAt(t, 1, addr, central.Addr)
+	waitUntil(t, "mirror 1 to be re-admitted", func() bool { return member.Alive(1) })
 
 	feed(t, central.Addr, 301, 100)
 	waitUntil(t, "byte-exact convergence and an empty backup", func() bool {
@@ -345,6 +341,103 @@ func TestWireRejoinAfterMirrorCrash(t *testing.T) {
 	})
 	if live := member.Live(); live != 2 {
 		t.Fatalf("Live = %d after the rejoin, want 2", live)
+	}
+}
+
+// startMirrorAt starts site siteID afresh on addr (the OS may hold the
+// port briefly), following the central at central.
+func startMirrorAt(t *testing.T, siteID int, addr, central string) *site.MirrorSite {
+	t.Helper()
+	opts := mirrorOptions(siteID)
+	opts.Listen, opts.Central = addr, central
+	var m *site.MirrorSite
+	waitUntil(t, "the restart on "+addr, func() bool {
+		var err error
+		m, err = site.StartMirror(opts)
+		return err == nil
+	})
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+// TestCentralFirstAdmitsMirrors: no start order. The central starts on
+// a manifest of addresses nobody listens on yet and takes a stream;
+// the mirrors start afterwards, each told only the central's address,
+// and are admitted by the transfer they ask for while the stream goes
+// on. All three sites converge byte-exact.
+func TestCentralFirstAdmitsMirrors(t *testing.T) {
+	peers := reserveAddrs(t, 2)
+	central, err := site.StartCentral(centralOptions(10, peers...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { central.Close() })
+	c := central.Central
+	feed(t, central.Addr, 1, 200)
+
+	var mirrors []*site.MirrorSite
+	for i, addr := range peers {
+		mirrors = append(mirrors, startMirrorAt(t, i, addr, central.Addr))
+		feed(t, central.Addr, uint64(201+100*i), 100)
+	}
+	feed(t, central.Addr, 401, 200)
+	waitUntil(t, "every site to converge byte-exact", func() bool {
+		c.Checkpoint()
+		want := c.Main().Engine().State().Snapshot()
+		for _, m := range mirrors {
+			if !bytes.Equal(want, m.Site.Main().Engine().State().Snapshot()) {
+				return false
+			}
+		}
+		return c.Main().Processed() == 600 && c.Membership().Live() == 2 && c.Backup().Len() == 0
+	})
+}
+
+// TestWireRejoinAfterMirrorRestart: a mirror closed and restarted on its
+// address in the middle of a steady stream — quicker than the failure
+// detector, so the central still counts it live — is re-admitted with
+// no operator action: its request from a live slot excludes the slot
+// and the transfer brings the fresh site byte-exact, after which the
+// backup drains and both mirrors are live.
+func TestWireRejoinAfterMirrorRestart(t *testing.T) {
+	m0, m1 := startMirror(t, mirrorOptions(0)), startMirror(t, mirrorOptions(1))
+	central := startCentral(t, centralOptions(10, m0.Addr, m1.Addr), m0, m1)
+	c := central.Central
+	const total = 1100
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		src, err := echo.DialSend(central.Addr, site.ChanIngress)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer src.Close()
+		for i := uint64(1); i <= total; i++ {
+			if err := src.Submit(event.NewPosition(event.FlightID(1+i%4), i, float64(i), -float64(i), 9000, 128)); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%10 == 0 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	waitUntil(t, "the stream to be under way", func() bool { return c.Main().Processed() >= 200 })
+	addr := m1.Addr
+	m1.Close()
+	m1b := startMirrorAt(t, 1, addr, central.Addr)
+	<-fed
+
+	member := c.Membership()
+	waitUntil(t, "byte-exact convergence and an empty backup", func() bool {
+		c.Checkpoint()
+		want := c.Main().Engine().State().Snapshot()
+		got := m1b.Site.Main().Engine().State().Snapshot()
+		return c.Main().Processed() == total && bytes.Equal(want, got) && c.Backup().Len() == 0
+	})
+	if live := member.Live(); live != 2 || c.RejoinStats().Snapshots < 3 {
+		t.Fatalf("Live = %d after %+v, want 2 after the restart's snapshot", live, c.RejoinStats())
 	}
 }
 
@@ -407,6 +500,9 @@ func TestDeployedMetricsEndpoints(t *testing.T) {
 			t.Errorf("central /metrics missing %q", want)
 		}
 	}
+	if !regexp.MustCompile(`(?m)^update_delay_seconds_count [1-9]`).MatchString(centralText) {
+		t.Error("central /metrics has no update_delay_seconds samples")
+	}
 	mirrorText := scrapeMetrics(t, m.HTTPAddr)
 	for _, want := range []string{
 		`mirror_received_total{site="mirror0"}`,
@@ -443,8 +539,8 @@ func TestDeployedMetricsEndpoints(t *testing.T) {
 // TestMirrorRestartConvergesRegime is the deployed-site version of the
 // chaos suite's regime-convergence invariant: engage adaptation, crash
 // the mirror, let the failure detector exclude it, restart it on the
-// same address, re-admit it over the central's same reconnecting links
-// through Membership.Rejoin, and assert the fresh incarnation — whose
+// same address, let it ask to be re-admitted over the central's same
+// reconnecting links, and assert the fresh incarnation — whose
 // applier watermark restarted from zero — reports the central's current
 // adapt_regime_id, both through the applier API and on /metrics.
 func TestMirrorRestartConvergesRegime(t *testing.T) {
@@ -468,26 +564,12 @@ func TestMirrorRestartConvergesRegime(t *testing.T) {
 		return len(member.Failed()) > 0
 	})
 
-	// Restart on the same listen address (the OS may hold the port
-	// briefly) — a brand-new process image: empty state, applier
-	// watermark back at zero.
-	opts := mirrorOptions(0)
-	opts.Listen, opts.Central = addr, central.Addr
-	var m2 *site.MirrorSite
-	waitUntil(t, "the restart on "+addr, func() bool {
-		var err error
-		m2, err = site.StartMirror(opts)
-		return err == nil
-	})
-	defer m2.Close()
-
-	// Re-admit through recovery. The central's data link still holds the
-	// connection the crash killed; the link replaces it on the next
-	// attempt, so retry until the transfer lands.
-	waitUntil(t, "the rejoin after restart", func() bool {
-		_, err := member.Rejoin(0)
-		return err == nil
-	})
+	// Restart on the same listen address — a brand-new process image:
+	// empty state, applier watermark back at zero. It asks to rejoin by
+	// itself, and again while the connection the crash killed fails the
+	// first transfer.
+	m2 := startMirrorAt(t, 0, addr, central.Addr)
+	waitUntil(t, "the rejoin after restart", func() bool { return member.Alive(0) })
 
 	// The recovery block carried the current directive; the standalone
 	// broadcast covers a regime decided after the snapshot was built.

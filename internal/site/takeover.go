@@ -5,7 +5,7 @@ package site
 // TAKEOVER announcements and ELECT claims, and carries its effects out
 // over TCP — the liveness probe, claims to peers' ctrl.down,
 // Mirror.Promote, announcements, and a survivor's uplink repoint plus
-// RECOVERY_REQ. The mutex is held only around Step, so a slow probe or
+// the rejoin request loop (MirrorSite.askRejoin). The mutex is held only around Step, so a slow probe or
 // dial never blocks /cluster/status or frame handling. DESIGN.md,
 // "Central failover", specifies the protocol.
 
@@ -175,7 +175,7 @@ func (t *takeoverRuntime) do(e core.TakeoverEffect) {
 			t.s.Uplink.Repoint(e.Ann.Addr)
 			fmt.Printf("mirrord: %s: takeover epoch %d — repointing uplink to %s\n", t.s.Name, e.Ann.Epoch, e.Ann.Addr)
 		}
-		_ = t.s.Uplink.Submit(&event.Event{Type: event.TypeRecoveryRequest, Seq: uint64(t.self), VT: RejoinCut(t.s.Site, e.Ann.Anchor)})
+		t.s.askRejoin(RejoinCut(t.s.Site, e.Ann.Anchor))
 	}
 }
 

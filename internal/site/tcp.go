@@ -1,9 +1,11 @@
 package site
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"adaptmirror/internal/oislog"
 	"adaptmirror/internal/simnet"
 	"adaptmirror/internal/status"
+	"adaptmirror/internal/vclock"
 )
 
 // Channel names of the deployed wire protocol. Sources send to the
@@ -98,6 +101,10 @@ type CentralSite struct {
 	rejoins admission
 }
 
+// FamUpdateDelay is the paper's update delay at the central site. Every
+// central exports it; cluster.New records into the same family.
+var FamUpdateDelay = obs.Declare("update_delay_seconds", obs.KindHistogram, "Central update delay, ingress to EDE emission.")
+
 // wireMissBudget is every wire central's failure-detector budget in
 // consecutive checkpoint rounds (rounds count events, not time). On
 // loopback, a detector that never fires recorded the longest streak a
@@ -107,9 +114,10 @@ type CentralSite struct {
 // mirrors there; 256 leaves at least a 13x margin.
 const wireMissBudget = 256
 
-// StartCentral assembles a central site: send links to every mirror, an
-// event-channel server for ingress and control-up traffic, and
-// optionally an HTTP front for client requests.
+// StartCentral assembles a central site: send links to every mirror
+// (each slot excluded until its mirror asks to rejoin), an event-channel
+// server for ingress and control-up traffic, and optionally an HTTP
+// front for client requests.
 func StartCentral(opts CentralOptions) (*CentralSite, error) {
 	s := &CentralSite{Bus: echo.NewBus(), name: "central", self: -1}
 	if err := s.start(opts); err != nil {
@@ -122,6 +130,9 @@ func StartCentral(opts CentralOptions) (*CentralSite, error) {
 func (s *CentralSite) start(opts CentralOptions) error {
 	cfg := opts.Config
 	RegisterSlabMetrics(cfg.Obs)
+	if cfg.Main.DelayHist == nil {
+		cfg.Main.DelayHist = cfg.Obs.Histogram(FamUpdateDelay)
+	}
 
 	// The central EDE's output stream is exported on the updates
 	// channel for remote thin clients, and optionally tee'd into the
@@ -171,19 +182,16 @@ func (s *CentralSite) start(opts CentralOptions) error {
 			s.Controller.ObserveSite(site, sample)
 		}
 	}
-	err = s.assemble(opts.Mirrors, opts.Shaping, func(mirrors []core.MirrorLink, detector core.MembershipConfig) (*core.Central, error) {
-		// Dial every mirror before constructing the central so its
-		// sending task has live links from the first event, and a bad
-		// mirror address fails site startup immediately.
-		for _, l := range s.links {
-			if err := l.Dial(); err != nil {
-				return nil, fmt.Errorf("dialing mirror %s %s channel: %w", l.Addr(), l.channel, err)
-			}
+	for _, addr := range opts.Mirrors {
+		if _, _, err := net.SplitHostPort(addr); err != nil {
+			return fmt.Errorf("mirror address: %w", err)
 		}
+	}
+	err = s.assemble(opts.Mirrors, opts.Shaping, func(mirrors []core.MirrorLink, detector core.MembershipConfig) (*core.Central, error) {
 		cfg.Mirrors = mirrors
 		cfg.NoMirror = cfg.NoMirror || len(mirrors) == 0
 		c := core.NewCentral(cfg)
-		core.NewMembership(c, detector)
+		admitNone(c, len(mirrors), detector)
 		if opts.Selective > 0 {
 			c.InstallSelective(opts.Selective)
 		}
@@ -214,9 +222,10 @@ func (s *CentralSite) start(opts CentralOptions) error {
 
 // assemble makes s a wire central on s.Bus: a data and a ctrl.down link
 // per manifest slot (closed at slot s.self, so they fail fast), the
-// central build makes over them with the wire detector (an epoch-0
-// central dials and starts fresh, a takeover adopts the mirror's state),
-// the ingress and ctrl.up subscriptions, and client updates on s.Front.
+// central build makes over them with the wire detector and every slot
+// excluded (an epoch-0 central starts fresh, a takeover adopts the
+// mirror's state), the ingress and ctrl.up subscriptions, and client
+// updates on s.Front. Nothing is dialed yet.
 func (s *CentralSite) assemble(manifest []string, shaping simnet.Profile, build func([]core.MirrorLink, core.MembershipConfig) (*core.Central, error)) error {
 	mirrors := make([]core.MirrorLink, len(manifest))
 	for i, addr := range manifest {
@@ -268,6 +277,8 @@ func (s *CentralSite) assemble(manifest []string, shaping simnet.Profile, build 
 // RECOVERY_REQ rejoins its slot from the cut it carries through the
 // current detector, on a goroutine of its own so a state transfer never
 // blocks the read loop; one for s.self's slot or after Close is dropped.
+// A request from a slot still counted live comes from a mirror that
+// restarted and lost its stream, so the slot is excluded first.
 func (s *CentralSite) dispatchCtrlUp(e *event.Event) {
 	if e.Type != event.TypeRecoveryRequest {
 		s.Central.HandleControl(e)
@@ -277,9 +288,13 @@ func (s *CentralSite) dispatchCtrlUp(e *event.Event) {
 	if slot == s.self || !s.rejoins.admit() {
 		return
 	}
+	member := s.Central.Membership()
+	if member.Alive(slot) {
+		_ = member.Exclude(slot)
+	}
 	go func() {
 		defer s.rejoins.wg.Done()
-		_, err := s.Central.Membership().RejoinSince(slot, cut)
+		_, err := member.RejoinSince(slot, cut)
 		if err != nil && !errors.Is(err, core.ErrNotExcluded) {
 			fmt.Printf("mirrord: %s: rejoining mirror %d: %v\n", s.name, slot, err)
 		}
@@ -380,8 +395,7 @@ type MirrorOptions struct {
 	Listen string
 	HTTP   string
 	// Central is the central site's event-channel address; it may be
-	// unknown at start (mirrors start first) and set later through
-	// Uplink.Repoint.
+	// unknown ("") at start and set later through Follow.
 	Central string
 	// Shaping applies to every connection the site dials.
 	Shaping simnet.Profile
@@ -421,17 +435,32 @@ type MirrorSite struct {
 	// promoted holds the central this site became after a takeover.
 	takeover *takeoverRuntime
 	promoted atomic.Pointer[promotion]
+	// rejoinCut is the cut the site's RECOVERY_REQ presents, nil while
+	// no request is wanted; a kick makes rejoinLoop ask at once.
+	rejoinCut  atomic.Pointer[vclock.VC]
+	rejoinKick chan struct{}
+	stopRejoin context.CancelFunc
+	rejoinDone sync.WaitGroup
 }
+
+// rejoinInterval is how often a mirror site repeats its RECOVERY_REQ
+// while no recovery transfer has reached it.
+const rejoinInterval = 250 * time.Millisecond
 
 // StartMirror assembles a mirror site: an event-channel server
 // exporting its data and control channels, a (lazily dialed) uplink to
 // the central site, and optionally an HTTP front.
 func StartMirror(opts MirrorOptions) (*MirrorSite, error) {
+	ctx, stop := context.WithCancel(context.Background())
 	s := &MirrorSite{
-		bus:     echo.NewBus(),
-		Uplink:  NewLink(opts.Central, ChanCtrlUp, LinkOptions{Shaping: opts.Shaping}),
-		shaping: opts.Shaping,
+		bus:        echo.NewBus(),
+		Uplink:     NewLink(opts.Central, ChanCtrlUp, LinkOptions{Shaping: opts.Shaping}),
+		shaping:    opts.Shaping,
+		rejoinKick: make(chan struct{}, 1),
+		stopRejoin: stop,
 	}
+	s.rejoinDone.Add(1)
+	go s.rejoinLoop(ctx)
 	if err := s.start(opts); err != nil {
 		s.Close()
 		return nil, err
@@ -450,6 +479,11 @@ func (s *MirrorSite) start(opts MirrorOptions) error {
 		return err
 	}
 	data.SubscribeBatch(s.Site.HandleData, func(es []*event.Event, ref event.Ref) {
+		if cut := s.rejoinCut.Load(); cut != nil && slices.ContainsFunc(es, func(e *event.Event) bool {
+			return e.Type == event.TypeRecoveryState || e.Type == event.TypeRecoveryDelta
+		}) {
+			s.rejoinCut.CompareAndSwap(cut, nil) // a recovery transfer has arrived
+		}
 		_ = s.Site.HandleOwnedBatch(es, ref)
 	})
 	ctrl, err := s.bus.Open(ChanCtrlDown)
@@ -479,7 +513,54 @@ func (s *MirrorSite) start(opts MirrorOptions) error {
 	if s.takeover != nil {
 		s.takeover.start()
 	}
+	if opts.Central != "" {
+		s.askRejoin(s.Site.Backup().Committed())
+	}
 	return nil
+}
+
+// Follow points the site's uplink at the central at addr and asks that
+// central to admit the site from its committed cut.
+func (s *MirrorSite) Follow(addr string) {
+	s.Uplink.Repoint(addr)
+	s.askRejoin(s.Site.Backup().Committed())
+}
+
+// askRejoin makes the site ask the central its uplink points at to
+// admit it from cut: at once, then every rejoinInterval until a
+// recovery transfer arrives.
+func (s *MirrorSite) askRejoin(cut vclock.VC) {
+	s.rejoinCut.Store(&cut)
+	select {
+	case s.rejoinKick <- struct{}{}:
+	default:
+	}
+}
+
+// rejoinLoop sends the site's RECOVERY_REQ {Seq: SiteID, VT: cut} while
+// one is wanted, skipping a kick that finds the uplink's central asked
+// less than rejoinInterval ago (a repeated takeover announcement), and
+// retrying failed submissions on the next tick.
+func (s *MirrorSite) rejoinLoop(ctx context.Context) {
+	defer s.rejoinDone.Done()
+	tick := time.NewTicker(rejoinInterval)
+	defer tick.Stop()
+	var sentTo string
+	var sentAt time.Time
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-s.rejoinKick:
+		case <-tick.C:
+		}
+		cut, addr := s.rejoinCut.Load(), s.Uplink.Addr()
+		if cut == nil || addr == sentTo && time.Since(sentAt) < rejoinInterval {
+			continue
+		}
+		_ = s.Uplink.Submit(&event.Event{Type: event.TypeRecoveryRequest, Seq: uint64(s.cfg.SiteID), VT: *cut})
+		sentTo, sentAt = addr, time.Now()
+	}
 }
 
 // handleCtrlDown dispatches control-downlink traffic: takeover frames
@@ -531,6 +612,8 @@ func (s *MirrorSite) Close() error {
 	if s.takeover != nil {
 		s.takeover.stopAndWait()
 	}
+	s.stopRejoin()
+	s.rejoinDone.Wait()
 	if p := s.promoted.Load(); p != nil {
 		p.central.Close()
 	}

@@ -65,9 +65,11 @@ type Checkpoint struct {
 }
 
 // Link is one mirror link's cumulative counters plus smoothed wire
-// telemetry.
+// telemetry. Live reports whether the central counts the mirror in its
+// quorum: admitted, and not excluded since.
 type Link struct {
 	Mirror    int     `json:"mirror"`
+	Live      bool    `json:"live"`
 	Enqueued  uint64  `json:"enqueued"`
 	Sent      uint64  `json:"sent"`
 	SentBytes uint64  `json:"sent_bytes"`
@@ -248,9 +250,11 @@ func Central(src CentralSources) Document {
 
 	links := c.LinkStats()
 	telem := c.Telemetry()
+	member := c.Membership()
 	for i, ls := range links {
 		l := Link{
 			Mirror:    i,
+			Live:      member == nil || member.Alive(i),
 			Enqueued:  ls.Enqueued,
 			Sent:      ls.Sent,
 			SentBytes: ls.SentBytes,
