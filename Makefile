@@ -40,7 +40,7 @@ status-smoke:
 # crashed or restarted mirror asking to rejoin, and the central's
 # handling of each RECOVERY_REQ.
 takeover-smoke:
-	$(GO) test -race -count=1 -run 'TestWireTakeover|TestTakeover|TestPromoted|TestWireRejoin|TestCentralFirstAdmitsMirrors|TestRecoveryRequest' ./internal/site
+	$(GO) test -race -count=1 -run 'TestWireTakeover|TestTakeover|TestPromoted|TestWireRejoin|TestCentralFirstAdmitsMirrors|TestRecoveryRequest|TestIdleCentral|TestDetectorExcluded' ./internal/site
 
 # Repeats the timing-sensitive suites under the race detector: the
 # site runtime, the figure smoke shapes, core, the registry's concurrent

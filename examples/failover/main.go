@@ -1,8 +1,10 @@
 // Failover: mirror-site failure detection and recovery — the paper's
 // future-work extension. A mirror goes silent mid-stream; the
-// membership detector excludes it so checkpoint commits keep trimming
-// backup queues; the site later rejoins through a state-snapshot +
-// backup-replay transfer and resumes serving clients.
+// membership detector, driven by the central's ticks, excludes it so
+// checkpoint commits keep trimming backup queues; the site later
+// rejoins through a state-snapshot + backup-replay transfer and
+// resumes serving clients. The central keeps no clock: this program
+// owns it and ticks it by hand, where a deployed site runs a ticker.
 //
 //	go run ./examples/failover
 package main
@@ -69,7 +71,7 @@ func main() {
 
 	member := core.NewMembership(central, core.MembershipConfig{
 		MissedRounds: 3,
-		OnFailure:    func(site int) { fmt.Printf("!! mirror %d excluded after missing 3 checkpoint rounds\n", site) },
+		OnFailure:    func(site int) { fmt.Printf("!! mirror %d excluded after 3 ticks without a checkpoint reply\n", site) },
 		OnRejoin:     func(site int) { fmt.Printf("** mirror %d re-admitted to the quorum\n", site) },
 	})
 
@@ -93,7 +95,7 @@ func main() {
 	links[3].dead.Store(true)
 	feed(1000, 500)
 	for i := 0; i < 4; i++ {
-		central.Checkpoint()
+		central.Tick()
 		time.Sleep(2 * time.Millisecond)
 	}
 	fmt.Printf("   live mirrors: %d (failed: %v), commits still trim: backup = %d\n",

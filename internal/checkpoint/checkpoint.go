@@ -12,16 +12,19 @@
 // the earlier one; and a commit naming an event no longer in a unit's
 // backup queue is simply ignored.
 //
-// Automatic rounds are paced by commits. The paper triggers a round
-// every N processed events; once a round trip outlasts N events of
-// traffic, starting every triggered round would abandon nearly all of
-// them before they commit. Coordinator.Due therefore keeps at most one
-// automatic round in flight: a trigger that finds a round open is
-// deferred, and the round's close starts the next one with the newest
-// proposal. Subsumption remains the rule for explicit rounds (Init
-// always starts one) and for deferral overflow: the trigger after
-// maxDeferred deferred ones abandons the open round, so a lost CHKPT or
-// reply still heals.
+// Automatic rounds are paced by commits and healed by time. The paper
+// triggers a round every N processed events; once a round trip
+// outlasts N events of traffic, starting every triggered round would
+// abandon nearly all of them before they commit. Coordinator.Due
+// therefore keeps at most one automatic round in flight: a trigger that
+// finds a round open is deferred, and the round's close starts the next
+// one with the newest proposal. Time enters the protocol only through
+// Coordinator.Tick, which its owner calls on a fixed interval: a tick
+// that finds no round started since the previous tick starts one,
+// abandoning whatever is open. That one rule is an idle central's
+// heartbeat and the healing of a lost CHKPT, reply or COMMIT. The
+// protocol stays abort-free: a tick starts a round and never rejects a
+// vote, and the later commit subsumes the abandoned one.
 //
 // The coordinator alone owns the quorum. Its voters are the central
 // main unit, whose replies carry Stream CentralParticipant, and mirror
@@ -29,8 +32,8 @@
 // Admit move a mirror slot out of and back into the live set, which
 // receives traffic (Alive) and votes; a round waits for exactly the
 // live voters it started with. Detect installs a failure detector: a
-// live mirror that lets more than the miss budget of rounds start
-// without replying is excluded as the next round starts. Without one,
+// live mirror that lets more than the miss budget of ticks pass without
+// replying is excluded by the tick that exceeds it. Without one,
 // nothing is excluded automatically.
 //
 // The package provides the three state machines of Figure 3 —
@@ -71,12 +74,6 @@ const EpochShift = 32
 // epoch e. Epoch 0 is the original central; its rounds start at 1.
 func EpochBase(epoch uint64) uint64 { return epoch << EpochShift }
 
-// maxDeferred is how many automatic triggers an open round defers
-// before the next trigger abandons it. It equals the default miss
-// budget: a failure detector counting started rounds still sees one at
-// least every maxDeferred+1 triggers.
-const maxDeferred = 8
-
 // siteSet is a set of participant identities (reply Stream values).
 type siteSet [4]uint64
 
@@ -89,8 +86,9 @@ func (s *siteSet) del(site uint8)      { s[site>>6] &^= 1 << (site & 63) }
 // issues COMMIT.
 type Coordinator struct {
 	// Propose returns the timestamp to suggest: usually the most
-	// recent value found in the central backup queue. A nil proposal
-	// skips the round (nothing to commit).
+	// recent value found in the central backup queue, and the committed
+	// cut when nothing newer is there, so a heartbeat over an unchanged
+	// cut commits that same cut. It must not return nil.
 	Propose func() vclock.VC
 	// Broadcast sends a control event to every live mirror aux unit
 	// (Alive) and to the central site's own main unit.
@@ -127,8 +125,10 @@ type Coordinator struct {
 	commits   uint64
 	rounds    uint64
 	startedAt time.Time
-	deferred  int  // automatic triggers the open round has deferred
 	owed      bool // a deferred trigger waits for the open round to close
+	// started records that Init started a round since the previous
+	// Tick; a tick that finds it clear starts one itself.
+	started bool
 
 	// excluded holds the mirror slots out of the live set, one bit per
 	// slot. It changes under mu; Alive reads it without the lock, since
@@ -136,13 +136,13 @@ type Coordinator struct {
 	excluded  [4]atomic.Uint64
 	budget    int // miss budget; 0 = no failure detector
 	onExclude func(site int)
-	missed    []int // per mirror slot: rounds started since its last reply
+	missed    []int // per mirror slot: ticks since its last reply
 }
 
 // Detect installs the failure detector: a live mirror that lets more
-// than budget rounds start without a reply from it is excluded as the
-// next round starts, and onExclude, when non-nil, is told every
-// exclusion, automatic or through Exclude. Installed over another
+// than budget ticks pass without a reply from it is excluded by the
+// tick that exceeds the budget, and onExclude, when non-nil, is told
+// every exclusion, automatic or through Exclude. Installed over another
 // detector, it replaces the budget and hook; the live set and the miss
 // counts carry over.
 func (c *Coordinator) Detect(budget int, onExclude func(site int)) {
@@ -231,21 +231,18 @@ func (c *Coordinator) Admit(site int) {
 // it started a round. With no round open it starts one (Init) with the
 // newest proposal. With one open it defers the trigger and owes it: the
 // round's close — a commit, an Exclude that completes it, or NextRound
-// — starts the next round. The trigger that finds maxDeferred triggers
-// already deferred abandons the open round and starts a new one, as
-// Init would.
+// — starts the next round. Due never abandons an open round; a round
+// that never closes is Tick's to replace.
 func (c *Coordinator) Due() bool {
 	c.mu.Lock()
-	if c.open() && c.deferred < maxDeferred {
-		c.deferred++
+	if c.open() {
 		c.owed = true
 		c.mu.Unlock()
 		return false
 	}
-	// This trigger starts the round, so none is owed any more.
-	c.owed = false
 	c.mu.Unlock()
-	return c.Init()
+	c.Init()
+	return true
 }
 
 // closeRound marks the open round closed and reports whether a trigger
@@ -268,29 +265,59 @@ func (c *Coordinator) release() {
 
 // Init starts a new checkpoint round, whatever is open. If a previous
 // round is still open it is abandoned: its eventual commit is subsumed
-// by this one. It reports whether a round was actually started.
-//
-// With a detector installed, the round first counts against every live
-// mirror and excludes those past the budget. Those exclusions apply to
-// the open round first, so a round that waited only for them commits
-// before the new one starts, and the exclusion hook runs before the
-// new round's CHKPT (and its piggyback) goes out.
-func (c *Coordinator) Init() bool {
-	proposal := c.Propose()
-	if proposal == nil {
-		return false
-	}
+// by this one. The round counts for the current tick interval, so the
+// next Tick starts none.
+func (c *Coordinator) Init() {
 	c.mu.Lock()
-	if failed := c.countMisses(); failed != nil {
-		// The round starting here satisfies whatever trigger the open
-		// round owes, so closing that round must not release it.
+	c.started = true
+	c.mu.Unlock()
+	c.begin()
+}
+
+// Tick is the coordinator's one time input; its owner calls it on a
+// fixed interval. With a detector installed it first counts one miss
+// against every live mirror and excludes those past the budget,
+// returning the slots it excluded. Those exclusions apply to the open
+// round first, so a round that waited only for them commits, and the
+// exclusion hook runs before this tick's CHKPT (and its piggyback) goes
+// out. Then, if no round was started since the previous tick, it
+// starts one, abandoning an open round: the heartbeat of an idle
+// central and the healing of a stuck one. A round a tick started does
+// not count for the next interval, so an idle coordinator starts one on
+// every tick. Tick reads no clock.
+func (c *Coordinator) Tick() (excluded []int) {
+	c.mu.Lock()
+	heartbeat := !c.started
+	c.started = false
+	if heartbeat {
+		// The heartbeat satisfies whatever trigger the open round owes,
+		// so closing that round below must not release it.
 		c.owed = false
-		c.mu.Unlock()
-		for _, site := range failed {
-			c.Exclude(site)
-		}
-		c.mu.Lock()
 	}
+	if c.budget > 0 {
+		for site := range c.missed {
+			if !c.Alive(site) {
+				continue
+			}
+			if c.missed[site]++; c.missed[site] > c.budget {
+				excluded = append(excluded, site)
+			}
+		}
+	}
+	c.mu.Unlock()
+	for _, site := range excluded {
+		c.Exclude(site)
+	}
+	if heartbeat {
+		c.begin()
+	}
+	return excluded
+}
+
+// begin starts a round with the current proposal.
+func (c *Coordinator) begin() {
+	proposal := c.Propose()
+	c.mu.Lock()
 	c.round++
 	round := c.round
 	c.waiting = c.voters()
@@ -298,7 +325,7 @@ func (c *Coordinator) Init() bool {
 	c.min = nil
 	c.rounds++
 	c.startedAt = time.Now()
-	c.deferred, c.owed = 0, false
+	c.owed = false
 	c.mu.Unlock()
 
 	ev := event.NewControl(event.TypeChkpt, proposal)
@@ -311,24 +338,6 @@ func (c *Coordinator) Init() bool {
 		// Degenerate single-site deployment: commit immediately.
 		c.finish(round, proposal)
 	}
-	return true
-}
-
-// countMisses counts a starting round against every live mirror and
-// returns those past the miss budget. Caller holds c.mu.
-func (c *Coordinator) countMisses() (failed []int) {
-	if c.budget <= 0 {
-		return nil
-	}
-	for site := range c.missed {
-		if !c.Alive(site) {
-			continue
-		}
-		if c.missed[site]++; c.missed[site] > c.budget {
-			failed = append(failed, site)
-		}
-	}
-	return failed
 }
 
 // voters returns the set a round starting now waits for: the central

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"adaptmirror/internal/ede"
 	"adaptmirror/internal/event"
 	"adaptmirror/internal/queue"
 	"adaptmirror/internal/vclock"
@@ -28,7 +29,7 @@ type harness struct {
 func newHarness(nMirrors int) *harness {
 	h := &harness{central: queue.NewBackup()}
 	h.coord = &Coordinator{
-		Propose:      func() vclock.VC { return h.central.Last() },
+		Propose:      func() vclock.VC { return proposal(h.central) },
 		Participants: nMirrors + 1, // mirrors + central main unit
 	}
 	h.coord.OnCommit = func(ts vclock.VC) {
@@ -86,6 +87,18 @@ func newHarness(nMirrors int) *harness {
 	return h
 }
 
+// proposal is the central's proposal rule over backup b: the newest
+// backed-up event, else the committed cut, else the zero clock.
+func proposal(b *queue.Backup) vclock.VC {
+	if last := b.Last(); last != nil {
+		return last
+	}
+	if cut := b.Committed(); cut != nil {
+		return cut
+	}
+	return vclock.New(1)
+}
+
 func (h *harness) setProgress(central uint64, mirrors ...uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -110,9 +123,7 @@ func TestRoundCommitsMinimum(t *testing.T) {
 	h.feed(10)
 	// Central main processed through 9; mirror mains through 7 and 5.
 	h.setProgress(9, 7, 5)
-	if !h.coord.Init() {
-		t.Fatal("Init returned false with a non-empty backup queue")
-	}
+	h.coord.Init()
 	if len(h.commitsAt) != 1 {
 		t.Fatalf("commits = %d, want 1", len(h.commitsAt))
 	}
@@ -130,14 +141,24 @@ func TestRoundCommitsMinimum(t *testing.T) {
 	}
 }
 
-func TestEmptyBackupSkipsRound(t *testing.T) {
+// TestEmptyBackupProposesCommittedCut: a round over an empty backup
+// still runs. It proposes the zero clock before the first commit and
+// the committed cut after it, so it commits what is already committed.
+func TestEmptyBackupProposesCommittedCut(t *testing.T) {
 	h := newHarness(1)
-	if h.coord.Init() {
-		t.Fatal("Init must skip when backup queue is empty")
+	h.coord.Init()
+	if rounds, commits := h.coord.Stats(); rounds != 1 || commits != 1 || h.commitsAt[0].Sum() != 0 {
+		t.Fatalf("stats = %d rounds %d commits, commits %v; want one zero commit", rounds, commits, h.commitsAt)
 	}
-	rounds, commits := h.coord.Stats()
-	if rounds != 0 || commits != 0 {
-		t.Fatalf("stats = %d rounds %d commits", rounds, commits)
+	h.feed(4)
+	h.setProgress(4, 4)
+	h.coord.Init()
+	h.coord.Init()
+	if got := fmt.Sprint(h.commitsAt); got != "[<0> <4> <4>]" {
+		t.Fatalf("commits = %s, want [<0> <4> <4>]", got)
+	}
+	if h.central.Len() != 0 || h.mirrorBk[0].Len() != 0 {
+		t.Fatalf("backups = %d, %d; want both trimmed", h.central.Len(), h.mirrorBk[0].Len())
 	}
 }
 
@@ -658,7 +679,7 @@ func BenchmarkCheckpointRound(b *testing.B) {
 
 // TestDuePacing drives automatic triggers through the coordinator's
 // commit pacing: at most one automatic round in flight, owed triggers
-// released by whatever closes the round, deferral overflow and explicit
+// released by whatever closes the round, and only ticks and explicit
 // rounds abandoning the open one.
 func TestDuePacing(t *testing.T) {
 	type step func(c *Coordinator, propose *uint64)
@@ -674,6 +695,7 @@ func TestDuePacing(t *testing.T) {
 		return func(c *Coordinator, _ *uint64) { reply(c, round, site, 1) }
 	}
 	initRound := func(c *Coordinator, _ *uint64) { c.Init() }
+	tick := func(c *Coordinator, _ *uint64) { c.Tick() }
 	nextRound := func(c *Coordinator, _ *uint64) { c.NextRound() }
 	exclude := func(site int) step { return func(c *Coordinator, _ *uint64) { c.Exclude(site) } }
 
@@ -693,7 +715,12 @@ func TestDuePacing(t *testing.T) {
 		},
 		{
 			name: "trigger while a round is open defers it", participants: 2,
-			steps:  []step{propose(5), due(1), propose(9), due(maxDeferred)},
+			steps:  []step{propose(5), due(1), propose(9), due(100)},
+			chkpts: [][2]uint64{{1, 5}}, open: true,
+		},
+		{
+			name: "the tick after a triggered round starts none", participants: 2,
+			steps:  []step{propose(5), due(1), propose(9), due(3), tick},
 			chkpts: [][2]uint64{{1, 5}}, open: true,
 		},
 		{
@@ -707,13 +734,13 @@ func TestDuePacing(t *testing.T) {
 			chkpts: [][2]uint64{{1, 5}}, commits: 1,
 		},
 		{
-			name: "trigger after maxDeferred deferred ones abandons the open round", participants: 2,
-			steps:  []step{propose(5), due(1), propose(9), due(maxDeferred + 1), vote(1, 0), vote(1, central)},
+			name: "the second tick without a new round abandons it", participants: 2,
+			steps:  []step{propose(5), due(1), propose(9), due(3), tick, tick, vote(1, 0), vote(1, central)},
 			chkpts: [][2]uint64{{1, 5}, {2, 9}}, open: true,
 		},
 		{
-			name: "the abandoning round commits and clears the owed trigger", participants: 1,
-			steps:  []step{propose(5), due(maxDeferred + 2), vote(2, central)},
+			name: "the healing round commits and clears the owed trigger", participants: 1,
+			steps:  []step{propose(5), due(10), tick, tick, vote(2, central)},
 			chkpts: [][2]uint64{{1, 5}, {2, 5}}, commits: 1,
 		},
 		{
@@ -799,26 +826,28 @@ func TestOwedHookReceivesReleasedTrigger(t *testing.T) {
 }
 
 // TestDetectExcludesSilentMirror: with a detector, a live mirror that
-// lets more than the budget of rounds start without replying is
-// excluded as the next round starts. The round that waited only for it
-// commits first, the hook runs next, and only then does the new round's
-// CHKPT go out. Without a detector nothing is excluded.
+// lets more than the budget of ticks pass without replying is excluded
+// by the tick that exceeds it. The round that waited only for it
+// commits first, the hook runs next, and only then does the tick's
+// heartbeat CHKPT go out. Without a detector nothing is excluded.
 func TestDetectExcludesSilentMirror(t *testing.T) {
 	c, _, committed := directCoord(3)
 	var log []string
 	c.Broadcast = func(e *event.Event) { log = append(log, fmt.Sprintf("%v %d", e.Type, e.Seq)) }
 	c.Detect(2, func(site int) { log = append(log, fmt.Sprintf("exclude %d", site)) })
-	c.Init()
+	c.Tick()
 	reply(c, 1, central, 5)
 	reply(c, 1, 0, 5) // mirror 0 answers every round; mirror 1 never does
-	c.Init()
+	c.Tick()
 	reply(c, 2, central, 6)
 	reply(c, 2, 0, 6)
 	if !c.Alive(1) {
 		t.Fatal("mirror 1 excluded within its budget")
 	}
 	log = nil
-	c.Init() // mirror 1's third missed round
+	if got := c.Tick(); fmt.Sprint(got) != "[1]" { // mirror 1's third missed tick
+		t.Fatalf("Tick excluded %v, want [1]", got)
+	}
 	want := fmt.Sprint([]string{
 		fmt.Sprintf("%v 2", event.TypeCommit), "exclude 1", fmt.Sprintf("%v 3", event.TypeChkpt),
 	})
@@ -839,16 +868,173 @@ func TestDetectExcludesSilentMirror(t *testing.T) {
 
 	silent, _, _ := directCoord(2)
 	for i := 0; i < 20; i++ {
-		silent.Init()
+		silent.Tick()
 	}
 	if !silent.Alive(0) {
 		t.Fatal("a coordinator without a detector excluded a mirror")
 	}
 }
 
+// tickRig is a coordinator over a real central backup queue and
+// mutation journal, the way the core central wires one, whose
+// broadcasts, commits and exclusions are logged in order. The central
+// main unit votes each CHKPT's proposal at once; mirror votes are cast
+// by hand.
+type tickRig struct {
+	c      *Coordinator
+	backup *queue.Backup
+	state  *ede.State
+	log    []string
+	seq    uint64
+}
+
+func newTickRig(participants, budget int) *tickRig {
+	r := &tickRig{backup: queue.NewBackup(), state: ede.NewStateSharded(0, 1)}
+	r.state.EnableJournal(0, nil)
+	r.c = &Coordinator{
+		Propose: func() vclock.VC { return proposal(r.backup) },
+		Broadcast: func(e *event.Event) {
+			r.log = append(r.log, fmt.Sprintf("%v %d %v", e.Type, e.Seq, e.VT))
+			if e.Type == event.TypeChkpt {
+				reply(r.c, e.Seq, central, e.VT.Sum())
+			}
+		},
+		OnCommit: func(cut vclock.VC) {
+			r.backup.Commit(cut)
+			r.state.SealCut(cut)
+		},
+		Participants: participants,
+	}
+	if budget > 0 {
+		r.c.Detect(budget, func(site int) { r.log = append(r.log, fmt.Sprintf("exclude %d", site)) })
+	}
+	return r
+}
+
+// TestTick pins the coordinator's one time input: the heartbeat rule
+// (a tick starts a round when none started since the previous tick,
+// abandoning an open one) and the failure detector (one miss per tick
+// against every live mirror, reset by a reply and by Admit, the
+// exclusion hook before the tick's CHKPT, exactly the slots past the
+// budget returned).
+func TestTick(t *testing.T) {
+	type step func(t *testing.T, r *tickRig)
+	tick := func(excluded ...int) step {
+		return func(t *testing.T, r *tickRig) {
+			if got := r.c.Tick(); fmt.Sprint(got) != fmt.Sprint(excluded) {
+				t.Fatalf("Tick excluded %v, want %v", got, excluded)
+			}
+		}
+	}
+	initRound := func(t *testing.T, r *tickRig) { r.c.Init() }
+	due := func(t *testing.T, r *tickRig) { r.c.Due() }
+	vote := func(round uint64, site uint8, ts uint64) step {
+		return func(t *testing.T, r *tickRig) { reply(r.c, round, site, ts) }
+	}
+	admit := func(site int) step { return func(t *testing.T, r *tickRig) { r.c.Admit(site) } }
+	feed := func(n uint64) step {
+		return func(t *testing.T, r *tickRig) {
+			for ; n > 0; n-- {
+				r.seq++
+				r.backup.Append(&event.Event{Type: event.TypeFAAPosition, Seq: r.seq, Coalesced: 1, VT: vclock.VC{r.seq}})
+			}
+		}
+	}
+	mark := func(t *testing.T, r *tickRig) { r.log = append(r.log, "|") }
+	chkpt := func(round, cut uint64) string { return fmt.Sprintf("%v %d <%d>", event.TypeChkpt, round, cut) }
+	commit := func(round, cut uint64) string { return fmt.Sprintf("%v %d <%d>", event.TypeCommit, round, cut) }
+
+	cases := []struct {
+		name         string
+		participants int
+		budget       int
+		steps        []step
+		log          []string
+		// seals and cut, when cut is set, are the journal's sealed cuts
+		// and the backup's committed cut at the end.
+		seals int
+		cut   vclock.VC
+	}{
+		{
+			name: "an idle coordinator heartbeats on every tick", participants: 1,
+			steps: []step{tick(), tick(), tick()},
+			log:   []string{chkpt(1, 0), commit(1, 0), chkpt(2, 0), commit(2, 0), chkpt(3, 0), commit(3, 0)},
+		},
+		{
+			name: "a triggered round suppresses the next heartbeat only", participants: 1,
+			steps: []step{feed(2), due, mark, tick(), mark, tick()},
+			log:   []string{chkpt(1, 2), commit(1, 2), "|", "|", chkpt(2, 2), commit(2, 2)},
+		},
+		{
+			name: "an explicit round counts for the interval too", participants: 1,
+			steps: []step{tick(), initRound, mark, tick(), mark, tick()},
+			log:   []string{chkpt(1, 0), commit(1, 0), chkpt(2, 0), commit(2, 0), "|", "|", chkpt(3, 0), commit(3, 0)},
+		},
+		{
+			name: "a stuck round is abandoned by the second tick", participants: 2,
+			steps: []step{feed(3), due, tick(), mark, tick(), vote(1, 0, 3), mark, vote(2, 0, 3)},
+			log:   []string{chkpt(1, 3), "|", chkpt(2, 3), "|", commit(2, 3)},
+		},
+		{
+			name: "one miss per tick, reset by a reply and by Admit", participants: 3, budget: 2,
+			steps: []step{
+				tick(), vote(1, 0, 0), tick(), vote(2, 0, 0), mark,
+				tick(1), // mirror 1: three ticks without a reply; mirror 0: one
+				mark, admit(1), vote(3, 0, 0), tick(), vote(4, 1, 0), tick(), mark,
+				tick(0), // mirror 0's third silent tick; mirror 1 replied after its Admit
+			},
+			log: []string{
+				chkpt(1, 0), chkpt(2, 0), "|",
+				commit(2, 0), "exclude 1", chkpt(3, 0), "|",
+				commit(3, 0), chkpt(4, 0), chkpt(5, 0), "|",
+				"exclude 0", chkpt(6, 0),
+			},
+		},
+		{
+			name: "the exclusion hook runs before the tick's CHKPT", participants: 2, budget: 1,
+			steps: []step{feed(4), tick(), mark, tick(0)},
+			log:   []string{chkpt(1, 4), "|", commit(1, 4), "exclude 0", chkpt(2, 4), commit(2, 4)},
+		},
+		{
+			name: "exactly the slots past the budget are returned", participants: 4, budget: 1,
+			steps: []step{tick(), vote(1, 1, 0), mark, tick(0, 2)},
+			log:   []string{chkpt(1, 0), "|", "exclude 0", commit(1, 0), "exclude 2", chkpt(2, 0)},
+		},
+		{
+			name: "a heartbeat over an unchanged cut moves no cut and adds no seal", participants: 1,
+			steps: []step{feed(5), initRound, mark, tick(), tick(), tick()},
+			log:   []string{chkpt(1, 5), commit(1, 5), "|", chkpt(2, 5), commit(2, 5), chkpt(3, 5), commit(3, 5)},
+			seals: 1, cut: vclock.VC{5},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newTickRig(tc.participants, tc.budget)
+			for _, s := range tc.steps {
+				s(t, r)
+			}
+			if got, want := fmt.Sprint(r.log), fmt.Sprint(tc.log); got != want {
+				t.Errorf("log = %s\nwant  %s", got, want)
+			}
+			if tc.cut == nil {
+				return
+			}
+			trimmed, _ := r.backup.Trimmed()
+			if seals, _ := r.state.JournalSeals(); seals != tc.seals || trimmed != r.seq || r.backup.Len() != 0 {
+				t.Errorf("seals %d, trimmed %d, retained %d; want %d, %d, 0", seals, trimmed, r.backup.Len(), tc.seals, r.seq)
+			}
+			if got := r.backup.Committed(); got.Compare(tc.cut) != vclock.Equal {
+				t.Errorf("committed cut = %v, want %v", got, tc.cut)
+			}
+		})
+	}
+}
+
 // TestInitRoundAllocs pins the allocation budget of one checkpoint
 // round — Coordinator.Init with two mirrors and the central main unit
-// answering over direct calls, through to the commit — at 29.
+// answering over direct calls, through to the commit — at 29, and holds
+// a heartbeat round (Tick with a detector counting misses) to the same
+// budget.
 func TestInitRoundAllocs(t *testing.T) {
 	progress := vclock.VC{7, 3}
 	last := func() vclock.VC { return progress }
@@ -886,5 +1072,13 @@ func TestInitRoundAllocs(t *testing.T) {
 	}
 	if commits != 101 {
 		t.Fatalf("%d rounds committed, want every one of 101", commits)
+	}
+	coord.Detect(8, nil)
+	coord.Tick() // the tick after Init's interval starts no round
+	if n := testing.AllocsPerRun(100, func() { coord.Tick() }); n > 29 {
+		t.Fatalf("one heartbeat round allocates %v times, budget 29", n)
+	}
+	if commits != 202 {
+		t.Fatalf("%d rounds committed, want 101 more heartbeats", commits)
 	}
 }

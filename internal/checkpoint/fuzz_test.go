@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"fmt"
 	"testing"
 
 	"adaptmirror/internal/event"
@@ -22,12 +23,15 @@ import (
 // held to are the sites its round started with that stayed live
 // throughout: an excluded mirror receives no CHKPT or COMMIT and may
 // legitimately fall behind. Automatic triggers (op 8) must keep to
-// commit pacing: a trigger starts a round over an open one only as
-// deferral overflow, an owed trigger never waits behind a closed
-// round, and a round closing with a trigger owed starts the next one
-// at once.
+// commit pacing: a trigger never abandons an open round, one with no
+// round open always starts one, an owed trigger never waits behind a
+// closed round, and a round closing with a trigger owed starts the next
+// one at once. Ticks (op 13) are the only time input: a tick with no
+// round started since the previous tick starts one, and with a
+// detector of budget fuzzBudget, a tick excludes exactly the live sites
+// whose replies have been withheld for more than fuzzBudget ticks.
 //
-// Op bytes, interpreted modulo 13:
+// Op bytes, interpreted modulo 14:
 //
 //	0 feed one event to all backup queues
 //	1 site 0 processes one pending event
@@ -43,6 +47,7 @@ import (
 //	11 rejoin site 0: catch it up to the feed, re-admit it (it votes
 //	   from the next round)
 //	12 rejoin site 1
+//	13 a tick (Tick)
 func FuzzCheckpointControl(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 4, 4})                // clean round, everyone replies
 	f.Add([]byte{0, 1, 3, 6, 6, 6, 0, 2, 3, 4, 4})       // duplicated replies must not commit early
@@ -50,12 +55,15 @@ func FuzzCheckpointControl(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 2, 3, 5, 3, 4, 4, 4, 4}) // dropped reply, subsuming round
 	f.Add([]byte{0, 1, 2, 3, 7, 7, 7, 0, 3, 4, 4, 4})    // corrupted payloads
 	f.Add([]byte{3, 3, 3, 0, 3, 4, 1, 4, 2, 4, 4, 0, 0, 3, 4, 4, 4, 6, 5})
-	f.Add([]byte{0, 1, 2, 8, 0, 8, 8, 4, 4, 4, 4, 4, 4})             // owed trigger starts the next round on commit
-	f.Add([]byte{0, 8, 5, 8, 8, 8, 8, 8, 8, 8, 8, 8, 4, 4, 4, 1, 2}) // dropped reply heals by deferral overflow
-	f.Add([]byte{0, 1, 3, 10, 11, 4, 12, 0, 1, 2, 3, 4, 4, 4})       // exclusions and re-admissions across rounds
+	f.Add([]byte{0, 1, 2, 8, 0, 8, 8, 4, 4, 4, 4, 4, 4})         // owed trigger starts the next round on commit
+	f.Add([]byte{0, 8, 5, 8, 8, 8, 13, 13, 4, 4, 4, 4, 4, 1, 2}) // dropped reply heals by tick
+	f.Add([]byte{0, 1, 3, 10, 11, 4, 12, 0, 1, 2, 3, 4, 4, 4})   // exclusions and re-admissions across rounds
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		const sites = 2
+		const (
+			sites      = 2
+			fuzzBudget = 2
+		)
 		var (
 			history []vclock.VC // VTs fed so far, in order
 			applied [sites]int  // events each mirror has processed
@@ -66,6 +74,10 @@ func FuzzCheckpointControl(f *testing.F) {
 			chkpts  int            // CHKPT broadcasts so far
 			commits int            // commits so far
 			voters  [sites]bool    // the open round's mirror voters still live since it started
+			silent  [sites]int     // ticks since each site's last reply reached the coordinator
+			// startedSinceTick: a round started since the last tick
+			// other than that tick's own heartbeat.
+			startedSinceTick bool
 		)
 		for i := range backups {
 			backups[i] = queue.NewBackup()
@@ -78,7 +90,8 @@ func FuzzCheckpointControl(f *testing.F) {
 		}
 
 		coord := &Coordinator{Participants: sites + 1}
-		coord.Propose = central.Last
+		coord.Propose = func() vclock.VC { return proposal(central) }
+		coord.Detect(fuzzBudget, nil)
 		checkCommit := func(cut vclock.VC) {
 			if prev != nil && !prev.LessEq(cut) {
 				t.Fatalf("committed cut regressed: %v after %v", cut, prev)
@@ -124,7 +137,14 @@ func FuzzCheckpointControl(f *testing.F) {
 			}
 		}
 		centralMain := &Main{
-			LastProcessed: central.Last,
+			// The central applies every event as it is fed, so its
+			// progress outlives the backup's trimmed prefix.
+			LastProcessed: func() vclock.VC {
+				if len(history) == 0 {
+					return nil
+				}
+				return history[len(history)-1].Clone()
+			},
 			Reply: func(e *event.Event) {
 				e.Stream = CentralParticipant
 				pending = append(pending, e)
@@ -157,17 +177,25 @@ func FuzzCheckpointControl(f *testing.F) {
 		}
 
 		// pacing reads the coordinator's round state (same package).
-		pacing := func() (open bool, deferred int, owed bool) {
+		pacing := func() (open, owed bool) {
 			coord.mu.Lock()
 			defer coord.mu.Unlock()
-			return coord.open(), coord.deferred, coord.owed
+			return coord.open(), coord.owed
+		}
+		// deliver hands a reply to the coordinator, which resets the
+		// sender's miss count if it is live.
+		deliver := func(e *event.Event) {
+			if s := int(e.Stream); s < sites && coord.Alive(s) {
+				silent[s] = 0
+			}
+			coord.OnReply(e)
 		}
 
 		seq := uint64(0)
 		for _, op := range ops {
-			wasOpen, deferred, owed := pacing()
+			wasOpen, owed := pacing()
 			chkptsBefore, commitsBefore := chkpts, commits
-			switch op % 13 {
+			switch op % 14 {
 			case 0: // feed
 				seq++
 				vt := vclock.VC{seq}
@@ -179,30 +207,33 @@ func FuzzCheckpointControl(f *testing.F) {
 					backups[i].Append(e.Clone())
 				}
 			case 1, 2: // a mirror processes one event
-				s := int(op%13) - 1
+				s := int(op%14) - 1
 				if applied[s] < len(history) {
 					applied[s]++
 				}
 			case 3:
 				coord.Init()
+				if chkpts == chkptsBefore {
+					t.Fatal("Init started no round")
+				}
 			case 4, 5, 6, 7:
 				if len(pending) == 0 {
 					continue
 				}
 				e := pending[0]
 				pending = pending[1:]
-				switch op % 13 {
+				switch op % 14 {
 				case 5: // drop
 				case 6: // duplicate
-					coord.OnReply(e.Clone())
-					coord.OnReply(e)
+					deliver(e.Clone())
+					deliver(e)
 				case 7: // corrupt payload only (framing survives)
 					if len(e.Payload) > 0 {
 						e.Payload[0] ^= 0xFF
 					}
-					coord.OnReply(e)
+					deliver(e)
 				default:
-					coord.OnReply(e)
+					deliver(e)
 				}
 			case 8:
 				started := coord.Due()
@@ -210,31 +241,56 @@ func FuzzCheckpointControl(f *testing.F) {
 					t.Fatalf("Due reported started=%v with %d CHKPTs broadcast", started, chkpts-chkptsBefore)
 				}
 				switch {
-				case wasOpen && started && deferred < maxDeferred:
-					t.Fatalf("trigger abandoned an open round after %d deferrals, want %d", deferred, maxDeferred)
-				case wasOpen && !started && deferred >= maxDeferred && central.Last() != nil:
-					t.Fatalf("trigger deferred past %d deferrals", deferred)
-				case !wasOpen && !started && central.Last() != nil:
+				case wasOpen && started:
+					t.Fatal("trigger abandoned an open round")
+				case !wasOpen && !started:
 					t.Fatal("trigger with no round open started none")
 				}
 			case 9, 10:
-				s := int(op%13) - 9
+				s := int(op%14) - 9
 				voters[s] = false
 				coord.Exclude(s)
 			case 11, 12:
 				// A rejoin: the state transfer brings the site up to
 				// everything fed so far before it is admitted.
-				s := int(op%13) - 11
+				s := int(op%14) - 11
 				if !coord.Alive(s) {
 					applied[s] = len(history)
 				}
 				coord.Admit(s)
+				silent[s] = 0
+			case 13:
+				heartbeat := !startedSinceTick
+				var want []int
+				for s := range silent {
+					if !coord.Alive(s) {
+						continue
+					}
+					if silent[s]++; silent[s] > fuzzBudget {
+						want = append(want, s)
+						voters[s] = false
+					}
+				}
+				if got := coord.Tick(); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("Tick excluded %v, want %v (live sites silent for more than %d ticks)", got, want, fuzzBudget)
+				}
+				started := chkpts - chkptsBefore
+				if heartbeat && started != 1 {
+					t.Fatalf("a tick with no round since the previous one started %d rounds, want 1", started)
+				}
+				// A tick that owed no heartbeat starts a round only by
+				// releasing a trigger its exclusions owed, and that round
+				// counts for the next interval.
+				startedSinceTick = !heartbeat && started > 0
 			}
-			open, _, nowOwed := pacing()
+			if op%14 != 13 && chkpts > chkptsBefore {
+				startedSinceTick = true
+			}
+			open, nowOwed := pacing()
 			if nowOwed && !open {
 				t.Fatal("owed trigger waits behind a closed round")
 			}
-			if owed && commits > commitsBefore && chkpts == chkptsBefore && central.Last() != nil {
+			if owed && commits > commitsBefore && chkpts == chkptsBefore {
 				t.Fatal("round closed with a trigger owed, but no next round started")
 			}
 			checkQueues()
@@ -253,7 +309,7 @@ func FuzzCheckpointControl(f *testing.F) {
 			for len(pending) > 0 {
 				e := pending[0]
 				pending = pending[1:]
-				coord.OnReply(e)
+				deliver(e)
 			}
 			if _, after := coord.Stats(); after != before+1 {
 				t.Fatalf("clean final round did not commit (%d -> %d)", before, after)

@@ -502,10 +502,15 @@ func (r *chaosRig) check(stage string) {
 	}
 }
 
-// round runs one checkpoint round and samples the invariants. The
-// control loop — broadcast, replies, commit — is synchronous through
-// the direct links, so the sample right after sees its effect.
+// round is one tick of the rig's clock followed by one checkpoint
+// round, then an invariant sample. The tick counts exactly one miss
+// against every live mirror (and heartbeats only when the previous
+// rig round started none, i.e. on the first); the control loop —
+// broadcast, replies, commit — is synchronous through the direct
+// links, so the sample right after sees its effect. The rig ticks only
+// here, so a run stays a pure function of its seed.
 func (r *chaosRig) round(stage string) {
+	r.cen().Tick()
 	r.cen().Checkpoint()
 	r.check(stage)
 }
@@ -667,11 +672,9 @@ func (r *chaosRig) deltaLagScenario(fed *int) int {
 		}
 		return true
 	}
-	// A round against an empty central backup is a no-op the failure
-	// detector never sees, and the delta-cut commit above may have
-	// trimmed everything: put the first fresh mutation in flight before
-	// counting missed rounds, so the verdict does not hang on whether
-	// the mirrors happened to be fully caught up.
+	// Put the first fresh mutation in flight before counting missed
+	// rounds, so the exclusion rounds propose past the delta cut the
+	// lagging mirror will rejoin from.
 	if !feedExtra(1) {
 		return 0
 	}
@@ -762,9 +765,9 @@ func (r *chaosRig) waitMirrored(n uint64) {
 // removes the silent mirror from the quorum, unblocking commits for
 // the healthy sites.
 func (r *chaosRig) excludeVictim() {
-	// The victim misses one round per attempt; the detector fires after
-	// MissedRounds consecutive misses. A couple of extra attempts cover
-	// rounds skipped on an empty backup. Checking for the victim
+	// The victim misses one tick per attempt; the detector fires on the
+	// tick after MissedRounds consecutive misses, and the extra attempts
+	// are slack. Checking for the victim
 	// specifically matters: control-link faults may have spuriously
 	// excluded a healthy mirror already, so a bare "anyone failed?"
 	// check could pass without the victim ever leaving the quorum.

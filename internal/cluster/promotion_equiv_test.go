@@ -38,8 +38,10 @@ func adoptedFrom(p *site.Promoted) adopted {
 // compares what the one adoption step produced: the rig calls it from
 // its driver, the TCP standby from its takeover runtime after detecting
 // the death over the wire. Control faults are off on the rig side (the
-// wire side injects none, and which CHKPT frames a standby saw decides
-// its round watermark).
+// wire side injects none). The round floor is each side's own: the TCP
+// central heartbeats between the driver's rounds, so its standby can
+// observe more rounds than the rig's, and each side's floor must equal
+// the round its standby last observed.
 func TestPromotionEquivalence(t *testing.T) {
 	cfg := ChaosConfig{Seed: 7, CentralCrash: true}
 	cfg.defaults()
@@ -80,6 +82,9 @@ func TestPromotionEquivalence(t *testing.T) {
 		t.Fatalf("rig promotion failed: %v", r.violations)
 	}
 	want := adoptedFrom(p)
+	if observed := r.mirror(0).LastRound(); want.RoundFloor != observed {
+		t.Fatalf("rig round floor %d, want the standby's last observed round %d", want.RoundFloor, observed)
+	}
 
 	// Over TCP: site 0 is the armed standby; the others only replicate.
 	mirrorCfg := func(i int) core.MirrorSiteConfig {
@@ -130,14 +135,13 @@ func TestPromotionEquivalence(t *testing.T) {
 		})
 	}
 	caughtUp(0)
-	rounds := uint64(0)
 	feed(central.Central.Ingest, func(fed uint64) {
 		caughtUp(fed)
-		if !central.Central.Checkpoint() {
-			t.Fatalf("round at %d events did not run", fed)
-		}
-		rounds++
-		waitUntil(t, "the standby to observe the round", func() bool { return sites[0].Site.LastRound() >= rounds })
+		central.Central.Checkpoint()
+		// Rounds are numbered from 1 with no directive rounds between,
+		// so the count is the number of the round just started.
+		round := central.Central.Stats().ChkptRounds
+		waitUntil(t, "the standby to observe the round", func() bool { return sites[0].Site.LastRound() >= round })
 	})
 	caughtUp(uint64(len(pre)))
 	if central.Central.CommittedCut() == nil {
@@ -146,10 +150,15 @@ func TestPromotionEquivalence(t *testing.T) {
 	central.Close()
 	waitUntil(t, "the standby to take over", func() bool { return sites[0].Promoted() != nil })
 
-	if got := adoptedFrom(sites[0].Promoted()); got != want {
+	got := adoptedFrom(sites[0].Promoted())
+	if observed := sites[0].Site.LastRound(); got.RoundFloor != observed {
+		t.Fatalf("TCP round floor %d, want the standby's last observed round %d", got.RoundFloor, observed)
+	}
+	got.RoundFloor = want.RoundFloor
+	if got != want {
 		t.Fatalf("adoption differs by driver:\n  chaos rig   %+v\n  TCP standby %+v", want, got)
 	}
-	if want.Epoch != 1 || want.RoundFloor != rounds || want.LastProcessed != (vclock.VC{uint64(len(pre))}).String() {
-		t.Fatalf("adopted %+v, want epoch 1, round floor %d, progress <%d>", want, rounds, len(pre))
+	if want.Epoch != 1 || want.LastProcessed != (vclock.VC{uint64(len(pre))}).String() {
+		t.Fatalf("adopted %+v, want epoch 1, progress <%d>", want, len(pre))
 	}
 }

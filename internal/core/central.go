@@ -258,8 +258,8 @@ func NewCentral(cfg CentralConfig) *Central {
 		in:     make(chan *event.Event, ingestBuffer),
 		// Deep buffer: the sending task can mirror hundreds of events
 		// between scheduler yields, and every earned trigger must reach
-		// the coordinator (frequency is defined in events, not wall
-		// time, and so is the open round's deferral budget).
+		// the control task (frequency is defined in events, not wall
+		// time), which books the per-trigger cost.
 		chkptTrigger: make(chan struct{}, 4096),
 		ctrlStop:     make(chan struct{}),
 	}
@@ -324,7 +324,7 @@ func NewCentral(cfg CentralConfig) *Central {
 		},
 	}
 	c.coord = &checkpoint.Coordinator{
-		Propose: func() vclock.VC { return c.backup.Last() },
+		Propose: c.propose,
 		Broadcast: func(e *event.Event) {
 			for i, m := range cfg.Mirrors {
 				if !c.coord.Alive(i) {
@@ -563,11 +563,11 @@ func (c *Central) sendingTask() {
 		// 50 processed events"), independent of how many survive the
 		// mirroring filter.
 		fwdRun = c.forwardRun(batch, fwdRun, fns.fwd)
+		// The batch's triggers are posted once its mirrored part is in
+		// the backup queue, so the round they earn proposes a cut that
+		// covers it.
 		var due uint64
 		due, sinceCk = checkpointsDue(sinceCk, uint64(len(batch)), uint64(p.CheckpointFreq))
-		for ; due > 0; due-- {
-			c.trigger()
-		}
 
 		// Mirror path: shallow-copy the batch into a pooled slab of
 		// views aliasing the originals' payloads and timestamps (both
@@ -604,6 +604,7 @@ func (c *Central) sendingTask() {
 		}
 		if len(filtered) == 0 {
 			vb.Release()
+			c.triggers(due)
 			continue
 		}
 		bytes := 0
@@ -623,6 +624,7 @@ func (c *Central) sendingTask() {
 			s.enqueue(filtered, vb)
 		}
 		c.sendMu.Unlock()
+		c.triggers(due)
 		if tracer != nil {
 			// One fan-out sample per batch: ready-queue removal until
 			// every link's outbox holds the filtered batch. The
@@ -806,12 +808,19 @@ func (c *Central) LinkStats() []LinkStats {
 }
 
 // trigger posts one automatic checkpoint trigger to the control task.
-// A full channel already holds more triggers than the open round can
-// defer, so dropping this one changes nothing.
+// A full channel already holds thousands of triggers for the open
+// round to defer, so dropping this one changes nothing.
 func (c *Central) trigger() {
 	select {
 	case c.chkptTrigger <- struct{}{}:
 	default:
+	}
+}
+
+// triggers posts n automatic checkpoint triggers.
+func (c *Central) triggers(n uint64) {
+	for ; n > 0; n-- {
+		c.trigger()
 	}
 }
 
@@ -838,10 +847,34 @@ func (c *Central) controlTask() {
 // Checkpoint synchronously initiates one checkpoint round, abandoning
 // any open one (the control task starts commit-paced rounds
 // automatically at the configured frequency; this entry point serves
-// final flushes, drivers that pace rounds by hand, and tests). It
-// reports whether a round ran.
-func (c *Central) Checkpoint() bool {
-	return c.coord.Init()
+// final flushes, drivers that pace rounds by hand, and tests).
+func (c *Central) Checkpoint() {
+	c.coord.Init()
+}
+
+// Tick is the central's one time input, forwarded to the coordinator:
+// it counts a miss against every live mirror, excludes those past the
+// Membership miss budget, and starts a heartbeat round when no round
+// started since the previous tick. It returns the slots it excluded.
+// The central keeps no clock: whoever owns it calls Tick on a fixed
+// interval (the TCP runtime does; in-process drivers tick by hand or
+// not at all).
+func (c *Central) Tick() []int {
+	return c.coord.Tick()
+}
+
+// propose is the coordinator's proposal: the newest backed-up event,
+// else the committed cut, else the zero clock before the first commit.
+// A round over an unchanged cut therefore commits that same cut, which
+// trims nothing and seals nothing new.
+func (c *Central) propose() vclock.VC {
+	if last := c.backup.Last(); last != nil {
+		return last
+	}
+	if cut := c.backup.Committed(); cut != nil {
+		return cut
+	}
+	return vclock.New(c.cfg.Streams)
 }
 
 // tickTelemetry feeds one cumulative sample per link into the wire
@@ -945,9 +978,9 @@ func (c *Central) lastDirectiveSnapshot() (uint64, []byte) {
 }
 
 // PublishDirective broadcasts the current adaptation directive as a
-// standalone TypeAdapt control event. Checkpoint rounds stop once the
-// backup queue drains, so this is how a site that missed the last
-// piggybacked delivery still converges. When a piggyback provider is
+// standalone TypeAdapt control event. Without traffic no triggered
+// round carries the directive, so this is how a site that missed the
+// last piggybacked delivery converges at once. When a piggyback provider is
 // installed it is consulted for fresh bytes first: a directive that
 // changed since a checkpoint last stamped one (a transition decided
 // on a reply that arrived after the round's CHKPT went out) gets a

@@ -208,14 +208,13 @@ func TestCheckpointTrimsBackupQueues(t *testing.T) {
 	r.feedPositions(t, 4, 25, 64) // 100 events
 	r.drainAll()
 
-	// With everything drained, a final round commits through the last
-	// event and trims every backup queue completely. (Checkpoint
-	// reports false when the automatic rounds already emptied the
-	// backup — equally acceptable.) Rounds the stream earned may still
-	// be running on the control task, and a later round supersedes an
-	// open one, so the round that commits need not be this call's.
-	waitFor(t, "a final round to trim every backup queue", func() bool {
-		r.central.Checkpoint()
+	// With everything drained, a round commits through the last event
+	// and trims every backup queue completely: the last trigger's round
+	// proposes the whole stream, and if a mirror voted before applying
+	// its tail, the next tick's heartbeat commits the rest. The test
+	// ticks as a deployed central's owner does.
+	waitFor(t, "the rounds to trim every backup queue", func() bool {
+		r.central.Tick()
 		empty := r.central.Backup().Len() == 0
 		for _, m := range r.mirrors {
 			empty = empty && m.Backup().Len() == 0
@@ -369,18 +368,15 @@ func TestMirrorSampleReachesCentral(t *testing.T) {
 	})
 	r.feedPositions(t, 1, 50, 64)
 	r.drainAll()
-	// The rounds the stream earned are triggered before the batch that
-	// earned them is backed up, and a round against an empty backup is
-	// a no-op: when the control task wins that race every time, none
-	// ran. One more round now finds either the retained stream (and its
-	// replies arrive over these synchronous links before it returns) or
-	// a backup that an earlier, sampled round already trimmed.
-	r.central.Checkpoint()
+	// Every round the stream earned carries the mirror's sample back on
+	// its reply; the control task runs them asynchronously.
+	waitFor(t, "a mirror sample at central", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) > 0
+	})
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) == 0 {
-		t.Fatal("no mirror samples observed at central")
-	}
 	for _, site := range sites {
 		if site != 0 {
 			t.Fatalf("sample attributed to site %d, want 0", site)

@@ -228,7 +228,10 @@ func TestAdaptationPiggybackRoundTrip(t *testing.T) {
 		Data: senderFunc(func(e *event.Event) error { r.mirrors[0].HandleData(e); return nil }),
 		Ctrl: senderFunc(func(e *event.Event) error { r.mirrors[0].HandleControl(e); return nil }),
 	}}
-	r.central = NewCentral(CentralConfig{Streams: 1, Mirrors: links})
+	// The frequency is set at construction: the sending task reads its
+	// parameters before it waits for a batch, so a SetParams issued now
+	// could miss the whole stream.
+	r.central = NewCentral(CentralConfig{Streams: 1, Mirrors: links, Params: Params{MaxCoalesce: 1, CheckpointFreq: 5}})
 	r.mirrors = append(r.mirrors, NewMirrorSite(MirrorSiteConfig{
 		CtrlUp: senderFunc(func(e *event.Event) error { r.central.HandleControl(e); return nil }),
 		OnPiggyback: func(round uint64, b []byte) {
@@ -241,27 +244,26 @@ func TestAdaptationPiggybackRoundTrip(t *testing.T) {
 	defer r.close()
 
 	r.central.SetPiggyback(func() []byte { return []byte("regime:2") })
-	r.central.SetParams(false, 1, 5)
 	for i := uint64(1); i <= 20; i++ {
 		r.central.Ingest(event.NewPosition(1, i, 0, 0, 0, 8))
 	}
 	r.drainAll()
-	r.central.Checkpoint()
+	waitFor(t, "a piggybacked directive at the mirror", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) > 0
+	})
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) == 0 {
-		t.Fatal("no piggybacked directives reached the mirror")
-	}
 	for _, b := range got {
 		if string(b) != "regime:2" {
 			t.Fatalf("directive corrupted: %q", b)
 		}
 	}
 	// Each round stamps its directive once. (Arrival order is not
-	// asserted: the final Checkpoint above runs beside whatever earned
-	// rounds the control task still has queued; ordering deliveries is
-	// the applier's round watermark's job.)
+	// asserted: ordering deliveries is the applier's round watermark's
+	// job.)
 	seen := make(map[uint64]bool)
 	for _, round := range rounds {
 		if round == 0 || seen[round] {

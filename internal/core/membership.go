@@ -13,11 +13,12 @@ import (
 // work. The paper's checkpoint protocol has no timeouts — a silent
 // mirror simply stalls commits forever ("if a mirror site fails, these
 // events have already been processed by all main units"). Membership
-// adds the operational complement: a mirror that misses too many
-// consecutive checkpoint rounds is excluded from mirroring and from
-// the commit quorum so the healthy sites keep trimming their backup
-// queues; a recovered site is re-admitted through a state-snapshot +
-// backup-replay transfer (RecoverMirror) and rejoins the quorum.
+// adds the operational complement: a mirror that lets too many
+// Central.Tick intervals pass without a checkpoint reply is excluded
+// from mirroring and from the commit quorum so the healthy sites keep
+// trimming their backup queues; a recovered site is re-admitted
+// through a state-snapshot + backup-replay transfer (RecoverMirror)
+// and rejoins the quorum.
 //
 // Who votes and who is live is the checkpoint coordinator's to decide
 // (checkpoint.Coordinator.Exclude/Admit/Alive, with the detector
@@ -26,19 +27,24 @@ import (
 // checkpoint replies (unused for control events): mirrors stamp their
 // assigned SiteID, which is their slot in CentralConfig.Mirrors.
 
+// DefaultMissedRounds is the miss budget of every central whose
+// MembershipConfig leaves MissedRounds zero.
+const DefaultMissedRounds = 8
+
 // MembershipConfig tunes the failure detector.
 type MembershipConfig struct {
-	// MissedRounds is the number of consecutive checkpoint rounds a
-	// live mirror may let start without replying before the next round
-	// excludes it (default 8, for in-process use: over loopback TCP
-	// healthy mirrors missed up to 19 in a row under a saturating feed,
-	// 7 at a steady 50k events/s and 6 beside an init-request storm, so
-	// wire centrals run a larger budget). It is the coordinator's miss
-	// budget and the only way to set it.
+	// MissedRounds is the number of consecutive Central.Tick calls a
+	// live mirror may let pass without a checkpoint reply; the tick
+	// after that excludes it. Default DefaultMissedRounds, the one
+	// value for every central: a heartbeat round goes out on every
+	// tick that finds no round started in the interval before it, so a
+	// healthy mirror that is not stalled misses at most 2 ticks in a
+	// row, idle or busy. It is the coordinator's miss budget and the
+	// only way to set it. Nothing is excluded on a central nobody ticks.
 	MissedRounds int
 	// OnFailure, when non-nil, is told the excluded mirror's index, for
 	// automatic exclusions and Exclude alike. It runs before the CHKPT
-	// of the round that excluded the mirror goes out.
+	// of the tick that excluded the mirror goes out.
 	OnFailure func(site int)
 	// OnRejoin, when non-nil, is told the re-admitted mirror's index.
 	OnRejoin func(site int)
@@ -61,10 +67,10 @@ var ErrNotExcluded = errors.New("core: mirror is not excluded")
 
 // NewMembership installs a failure detector on c's coordinator and
 // makes it c's Membership. A detector installed over another takes
-// over at the next round; the live set carries over.
+// over at the next tick; the live set carries over.
 func NewMembership(c *Central, cfg MembershipConfig) *Membership {
 	if cfg.MissedRounds <= 0 {
-		cfg.MissedRounds = 8
+		cfg.MissedRounds = DefaultMissedRounds
 	}
 	m := &Membership{
 		central:   c,

@@ -59,7 +59,7 @@ func (l *failableLink) release() {
 }
 
 // manualRounds is a checkpoint frequency no test reaches: rounds run
-// only when the test calls Checkpoint. Rigs set it in CentralConfig:
+// only when the test calls Checkpoint or Tick. Rigs set it in CentralConfig:
 // the sending task reads its parameters before it waits for a batch,
 // so a SetParams issued after construction misses the first one, whose
 // default frequency can start a round of its own.
@@ -157,7 +157,7 @@ func TestHealthyClusterStaysAdmitted(t *testing.T) {
 	r.feed(t, 1, 200)
 	r.settle()
 	for i := 0; i < 10; i++ {
-		r.central.Checkpoint()
+		r.central.Tick()
 	}
 	if got := r.member.Live(); got != 2 {
 		t.Fatalf("Live = %d, want 2", got)
@@ -173,10 +173,11 @@ func TestDeadMirrorExcludedAndCommitsResume(t *testing.T) {
 	r.settle()
 
 	r.kill(1)
-	// Rounds run; mirror 1 never replies. After MissedRounds, it is
-	// excluded and rounds complete with the remaining quorum.
+	// Ticks run heartbeat rounds; mirror 1 never replies. The tick after
+	// MissedRounds excludes it and rounds complete with the remaining
+	// quorum.
 	for i := 0; i < 5; i++ {
-		r.central.Checkpoint()
+		r.central.Tick()
 		time.Sleep(2 * time.Millisecond)
 	}
 	if failed := r.member.Failed(); len(failed) != 1 || failed[0] != 1 {
@@ -202,7 +203,7 @@ func TestExcludedMirrorReceivesNoTraffic(t *testing.T) {
 	r.settle()
 	r.kill(1)
 	for i := 0; i < 4; i++ {
-		r.central.Checkpoint()
+		r.central.Tick()
 		time.Sleep(time.Millisecond)
 	}
 	if len(r.member.Failed()) != 1 {
@@ -227,7 +228,7 @@ func TestRejoinRestoresReplicationAndQuorum(t *testing.T) {
 	r.settle()
 	r.kill(1)
 	for i := 0; i < 4; i++ {
-		r.central.Checkpoint()
+		r.central.Tick()
 		time.Sleep(time.Millisecond)
 	}
 	if len(r.member.Failed()) != 1 {
@@ -361,7 +362,7 @@ func TestMembershipCallbacks(t *testing.T) {
 	r.settle()
 	r.kill(0)
 	for i := 0; i < 3; i++ {
-		r.central.Checkpoint()
+		r.central.Tick()
 		time.Sleep(time.Millisecond)
 	}
 	if failures.Load() != 1 {
@@ -376,19 +377,15 @@ func TestMembershipCallbacks(t *testing.T) {
 	}
 }
 
-// deferLimit is checkpoint's deferral limit: an open round defers this
-// many automatic triggers and the next one abandons it.
-const deferLimit = 8
-
 // TestSilencedMirrorExcludedByAutomaticTriggers: automatic rounds are
-// paced by commits, yet a mirror whose control link is silenced is
-// still counted out by started rounds — each open round defers
-// deferLimit triggers and the next abandons it — so the default budget
-// of 8 missed rounds excludes it within (8+1)×(deferLimit+1) triggers.
+// paced by commits, so a mirror whose control link is silenced holds
+// the open round and defers every later trigger; triggers alone count
+// no misses. Time does: the default budget of 8 excludes the mirror on
+// the ninth tick, and the heartbeat rounds that follow commit without
+// it.
 func TestSilencedMirrorExcludedByAutomaticTriggers(t *testing.T) {
 	r := newMembershipRig(t, 0)
-	// A backlog no round can commit once mirror 1 is silenced, so every
-	// trigger below finds events to propose.
+	// A backlog no round can commit once mirror 1 is silenced.
 	r.feed(t, 1, 10)
 	r.settle()
 	r.links[3].dead.Store(true) // mirror 1's control link
@@ -397,14 +394,27 @@ func TestSilencedMirrorExcludedByAutomaticTriggers(t *testing.T) {
 	r.central.SetParams(false, 1, 1)
 	r.feed(t, 50, 1)
 	r.settle()
+	r.feed(t, 100, 200)
+	r.settle()
+	if failed := r.member.Failed(); len(failed) != 0 {
+		t.Fatalf("triggers excluded %v", failed)
+	}
 
-	const budget = 8 // MembershipConfig default
-	r.feed(t, 100, (budget+1)*(deferLimit+1))
-	r.central.Drain()
-	waitFor(t, "the silenced mirror's exclusion", func() bool { return len(r.member.Failed()) > 0 })
+	for tick := 1; tick <= DefaultMissedRounds; tick++ {
+		if excluded := r.central.Tick(); len(excluded) != 0 {
+			t.Fatalf("tick %d excluded %v within the budget", tick, excluded)
+		}
+	}
+	if excluded := r.central.Tick(); fmt.Sprint(excluded) != "[1]" {
+		t.Fatalf("tick %d excluded %v, want [1]", DefaultMissedRounds+1, excluded)
+	}
 	if failed := r.member.Failed(); len(failed) != 1 || failed[0] != 1 {
 		t.Fatalf("Failed = %v, want [1]", failed)
 	}
+	waitFor(t, "heartbeats to commit the backlog without mirror 1", func() bool {
+		r.central.Tick()
+		return r.central.Backup().Len() == 0
+	})
 }
 
 // TestExcludedVoterRoundWaitsForLiveMirror: excluding a mirror that has
@@ -422,9 +432,7 @@ func TestExcludedVoterRoundWaitsForLiveMirror(t *testing.T) {
 
 	// The central votes inside Checkpoint; mirror 1's CHKPT_REP comes
 	// back from its main unit's goroutine.
-	if !r.central.Checkpoint() {
-		t.Fatal("no round started over a backed-up stream")
-	}
+	r.central.Checkpoint()
 	waitFor(t, "mirror 1's vote at the central", func() bool { return r.replies[1].Load() > 0 })
 	if err := r.member.Exclude(1); err != nil {
 		t.Fatal(err)

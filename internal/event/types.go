@@ -113,7 +113,10 @@ const (
 	TypeHello
 
 	// TypeRecoveryRequest asks the central site to replay backup-queue
-	// events to a rejoining mirror (future-work extension).
+	// events to a rejoining mirror (future-work extension). Sent down a
+	// mirror's control link, it is the central's notice that its
+	// failure detector excluded the site: a running mirror answers with
+	// its own request.
 	TypeRecoveryRequest
 
 	// TypeTakeover announces a promoted central over the wire: after a

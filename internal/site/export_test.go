@@ -1,5 +1,5 @@
 package site
 
-// WireMissBudget exposes the wire failure-detector budget to the
+// HeartbeatInterval exposes every wire central's tick period to the
 // external test package.
-const WireMissBudget = wireMissBudget
+const HeartbeatInterval = heartbeatInterval

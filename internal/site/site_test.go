@@ -223,15 +223,12 @@ func TestFullDeployment(t *testing.T) {
 }
 
 // TestHealthyMirrorsSurviveSaturatingFeed: the default failure detector
-// (8 missed rounds) never excludes a healthy mirror while a closed-loop
-// feed saturates the central over the runtime's TCP links. The loop is
-// closed on checkpoint progress — at most window events past the last
-// commit — so however long a healthy mirror's reply is held up (a host
-// stall, a descheduled connection goroutine), the central forwards at
-// most window events, window/freq triggers, past that mirror's last
-// reply. Commit pacing turns those into at most window/(freq·9) started
-// rounds, under the budget; were every trigger to start a round, the
-// same stall would exclude the mirror.
+// (8 ticks without a reply) never excludes a healthy mirror while a
+// closed-loop feed saturates the central over the runtime's TCP links.
+// The loop is closed on checkpoint progress — at most window events
+// past the last commit — and a feed waiting on commits is released by
+// the heartbeat round that the next ticks start, so the test also shows
+// that rounds never stall for good.
 func TestHealthyMirrorsSurviveSaturatingFeed(t *testing.T) {
 	// The zero cost model: the host CPU, not the ledger, is the limit.
 	zero := costmodel.Model{}
@@ -253,22 +250,12 @@ func TestHealthyMirrorsSurviveSaturatingFeed(t *testing.T) {
 	defer src.Close()
 	const total, window = 40000, 2048
 	committed := func() uint64 { n, _ := central.Central.Backup().Trimmed(); return n }
-	// A central that forwards nothing starts no round by itself, and a
-	// commit covers only what every site had applied, so a feed waiting
-	// on commits nudges with an explicit round — a new one only after the
-	// last has committed, which took a reply from every mirror. Nudges
-	// therefore add at most one missed round per stall.
-	nudged := uint64(0)
 	deadline := time.Now().Add(30 * time.Second)
 	for seq := uint64(1); seq <= total; seq++ {
-		for waited := 1; committed()+window < seq; waited++ {
+		for committed()+window < seq {
 			if time.Now().After(deadline) {
 				t.Fatalf("commits stalled at %d of %d events (central %+v, failed %v)",
 					committed(), seq, central.Central.Stats(), member.Failed())
-			}
-			if commits := central.Central.Stats().ChkptCommits; waited%40 == 0 && commits >= nudged {
-				central.Central.Checkpoint()
-				nudged = commits + 1
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
@@ -284,11 +271,11 @@ func TestHealthyMirrorsSurviveSaturatingFeed(t *testing.T) {
 	}
 }
 
-// TestWireRejoinAfterMirrorCrash: the central StartCentral ships runs
-// the wire failure detector and serves RECOVERY_REQ. A crashed mirror
-// is excluded within the budget, so commits resume and the backup
-// trims; restarted on its address with its state lost, it asks to
-// rejoin by itself and converges byte-exact.
+// TestWireRejoinAfterMirrorCrash: the central StartCentral ships ticks
+// the failure detector and serves RECOVERY_REQ. A crashed mirror is
+// excluded within the budget, so commits resume and the backup trims;
+// restarted on its address with its state lost, it asks to rejoin by
+// itself and converges byte-exact.
 func TestWireRejoinAfterMirrorCrash(t *testing.T) {
 	m0, m1 := startMirror(t, mirrorOptions(0)), startMirror(t, mirrorOptions(1))
 	central := startCentral(t, centralOptions(1<<30, m0.Addr, m1.Addr), m0, m1)
@@ -303,21 +290,18 @@ func TestWireRejoinAfterMirrorCrash(t *testing.T) {
 		return m0.Site.Received()-admission[0] == 100 && m1.Site.Received()-admission[1] == 100
 	})
 
-	// Crash mirror 1 under traffic, then run rounds it cannot answer
-	// while the backup holds the new events.
+	// Crash mirror 1 under traffic; the heartbeats it cannot answer
+	// exclude it while the backup holds the new events.
 	addr := m1.Addr
 	m1.Close()
 	feed(t, central.Addr, 101, 100)
 	waitUntil(t, "the central to back up the new events", func() bool {
 		return c.Main().Processed() == 200 && c.Backup().Len() > 0
 	})
-	commits, rounds := c.Stats().ChkptCommits, 0
-	for ; member.Alive(1) && rounds <= site.WireMissBudget; rounds++ {
-		c.Checkpoint()
-		time.Sleep(time.Millisecond)
-	}
-	if member.Alive(1) || !member.Alive(0) {
-		t.Fatalf("after %d rounds: failed %v, want exactly mirror 1 excluded", rounds, member.Failed())
+	commits := c.Stats().ChkptCommits
+	waitUntil(t, "the detector to exclude mirror 1", func() bool { return !member.Alive(1) })
+	if !member.Alive(0) {
+		t.Fatalf("failed %v, want exactly mirror 1 excluded", member.Failed())
 	}
 	waitUntil(t, "commits to resume and trim the backup", func() bool {
 		c.Checkpoint()
@@ -551,16 +535,13 @@ func TestMirrorRestartConvergesRegime(t *testing.T) {
 	engage(t, central, m, 200)
 	want := central.Controller.Current()
 
-	// Crash the mirror and let the failure detector exclude it: keep the
-	// backup queue non-empty and initiate rounds the dead site cannot
-	// answer.
-	member := core.NewMembership(central.Central, core.MembershipConfig{MissedRounds: 2})
+	// Crash the mirror and let the failure detector exclude it: the
+	// heartbeats the dead site cannot answer count against it.
+	member := central.Central.Membership()
 	addr := m.Addr
 	m.Close()
 	feed(t, central.Addr, 201, 100)
 	waitUntil(t, "the failure detector to exclude the crashed mirror", func() bool {
-		central.Central.Checkpoint()
-		time.Sleep(3 * time.Millisecond)
 		return len(member.Failed()) > 0
 	})
 

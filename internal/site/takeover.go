@@ -22,8 +22,9 @@ import (
 )
 
 const (
-	// DefaultTakeoverInterval is the detection ticker period; align it
-	// with the expected checkpoint-round cadence.
+	// DefaultTakeoverInterval is the detection ticker period. Every
+	// wire central heartbeats at least every heartbeatInterval, so a
+	// live central advances LastRound within each of its ticks.
 	DefaultTakeoverInterval = 500 * time.Millisecond
 	// defaultPromotedChkptFreq is the checkpoint frequency a promoted
 	// central starts with when no directive ever told the mirror the

@@ -66,15 +66,12 @@ func takeoverCluster(t *testing.T, standby bool, budget0, budget1 int) (m0, m1 *
 	admission := []uint64{m0.Site.Received(), m1.Site.Received()}
 
 	// Normal operation: events replicate, checkpoint rounds commit a
-	// non-zero cut (the very first round can still commit <0>).
-	// CHKPT frames ride a different TCP connection than data, so a
-	// burst's final round can poll the mirrors before their data lands
-	// and commit a stale (even zero) cut — and with checkpointing
-	// traffic-driven, no later round fixes it up. Re-trigger rounds
-	// while waiting, exactly like a continuous stream would.
+	// non-zero cut. CHKPT frames ride a different TCP connection than
+	// data, so a burst's final round can poll the mirrors before their
+	// data lands and commit a stale (even zero) cut; the central's next
+	// heartbeat round commits the rest.
 	feed(t, central.Addr, 1, 100)
 	waitUntil(t, "pre-kill replication and commits", func() bool {
-		central.Central.Checkpoint()
 		oldCut = central.Central.CommittedCut()
 		return oldCut.Sum() > 0 && oldCut.LessEq(m0.Site.Backup().Committed()) &&
 			m0.Site.LastRound() > 0 && m1.Site.LastRound() > 0 &&
@@ -117,7 +114,6 @@ func runWireTakeover(t *testing.T, standby bool, budget0, budget1 int) *site.Mir
 	// excluding (and silently unmirroring) the healthy survivor.
 	feed(t, m0.Addr, 101, 5000)
 	waitUntil(t, "post-takeover round on the survivor", func() bool {
-		pc.Checkpoint()
 		return m1.Site.LastRound()>>checkpoint.EpochShift == 1
 	})
 
@@ -210,19 +206,18 @@ func TestPromotedStatusDocument(t *testing.T) {
 	}
 }
 
-// TestTakeoverIgnoresIdleCluster: a live but idle central advances no
-// rounds; the liveness probe must keep the standby from firing.
+// TestTakeoverIgnoresIdleCluster: a live but idle central must not be
+// usurped. Its heartbeat rounds advance the standby's LastRound, and
+// the liveness probe backs them up.
 func TestTakeoverIgnoresIdleCluster(t *testing.T) {
 	peers := reserveAddrs(t, 2)
 	m0 := takeoverMirror(t, peers, 0, true, 2)
 	m1 := takeoverMirror(t, peers, 1, false, 8)
 	central := startCentral(t, centralOptions(10, peers...), m0, m1)
 
-	// One commit, then silence: the budget (2 x 50ms) expires many
-	// times over while the central idles.
+	// One commit, then no traffic for many times the budget (2 x 50ms).
 	feed(t, central.Addr, 1, 30)
 	waitUntil(t, "a committed round", func() bool {
-		central.Central.Checkpoint() // re-trigger: a burst's last round can wedge on in-flight data
 		return central.Central.Stats().ChkptCommits > 0 && m0.Site.LastRound() > 0
 	})
 	time.Sleep(500 * time.Millisecond)

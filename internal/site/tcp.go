@@ -97,22 +97,36 @@ type CentralSite struct {
 	srv  *echo.Server
 	// links holds each manifest slot's data and ctrl.down link, in turn.
 	links []*Link
-	// rejoins counts the recovery transfers ctrl.up started.
+	// rejoins counts the recovery transfers ctrl.up started and the
+	// ask-back notices the ticker sent.
 	rejoins admission
+	// stopTick stops the heartbeat ticker; ticking waits for it.
+	stopTick context.CancelFunc
+	ticking  sync.WaitGroup
 }
 
 // FamUpdateDelay is the paper's update delay at the central site. Every
 // central exports it; cluster.New records into the same family.
 var FamUpdateDelay = obs.Declare("update_delay_seconds", obs.KindHistogram, "Central update delay, ingress to EDE emission.")
 
-// wireMissBudget is every wire central's failure-detector budget in
-// consecutive checkpoint rounds (rounds count events, not time). On
-// loopback, a detector that never fires recorded the longest streak a
-// healthy mirror missed: 19, 16 and 19 under the benchmark's
-// stream_saturate (seeds 1-3, 10 s each), 7 under stream_steady, 6
-// under init_storm. The in-process default of 8 would exclude healthy
-// mirrors there; 256 leaves at least a 13x margin.
-const wireMissBudget = 256
+// heartbeatInterval is how often every wire central ticks its
+// coordinator (core.Central.Tick): a heartbeat round when no round
+// started in the interval before, and one miss against each live
+// mirror, so the default budget of 8 ticks excludes a silent mirror
+// about 0.9 s after its last reply, idle or busy. It is at most half of
+// DefaultTakeoverInterval, so a live idle central advances every
+// mirror's LastRound within each takeover tick. Measured on loopback
+// with a detector that never fires (the benchmark's four workloads,
+// seeds 1-3, 10 s each, 2 vCPUs): under traffic a healthy mirror's
+// longest gap between replies was 3-26 ms and its miss count reached
+// at most 1, a tick between two replies. The longest run was 2 ticks,
+// in every workload, and it is structural: the tick after a burst's
+// last triggered round starts none, since that round counts for its
+// interval, and the next one counts a second miss before its
+// heartbeat goes out (reply gaps there 110-194 ms). The budget is 8×
+// the run under traffic and 4× the structural run; both are counted
+// in ticks, so no interval changes the ratios.
+const heartbeatInterval = 100 * time.Millisecond
 
 // StartCentral assembles a central site: send links to every mirror
 // (each slot excluded until its mirror asks to rejoin), an event-channel
@@ -222,10 +236,10 @@ func (s *CentralSite) start(opts CentralOptions) error {
 
 // assemble makes s a wire central on s.Bus: a data and a ctrl.down link
 // per manifest slot (closed at slot s.self, so they fail fast), the
-// central build makes over them with the wire detector and every slot
-// excluded (an epoch-0 central starts fresh, a takeover adopts the
-// mirror's state), the ingress and ctrl.up subscriptions, and client
-// updates on s.Front. Nothing is dialed yet.
+// central build makes over them with the default detector and every
+// slot excluded (an epoch-0 central starts fresh, a takeover adopts the
+// mirror's state), the ingress and ctrl.up subscriptions, client
+// updates on s.Front, and the heartbeat ticker. Nothing is dialed yet.
 func (s *CentralSite) assemble(manifest []string, shaping simnet.Profile, build func([]core.MirrorLink, core.MembershipConfig) (*core.Central, error)) error {
 	mirrors := make([]core.MirrorLink, len(manifest))
 	for i, addr := range manifest {
@@ -240,7 +254,6 @@ func (s *CentralSite) assemble(manifest []string, shaping simnet.Profile, build 
 	}
 	var err error
 	s.Central, err = build(mirrors, core.MembershipConfig{
-		MissedRounds: wireMissBudget,
 		OnFailure: func(i int) {
 			if s.Controller != nil {
 				// An excluded site's last sample row must not pin the regime.
@@ -270,7 +283,45 @@ func (s *CentralSite) assemble(manifest []string, shaping simnet.Profile, build 
 		// they enter through the central site's receiving task.
 		s.Front.EnableUpdates(s.Central.Ingest)
 	}
+	ctx, stop := context.WithCancel(context.Background())
+	s.stopTick = stop
+	s.ticking.Add(1)
+	go s.tick(ctx)
 	return nil
+}
+
+// tick drives the central's one time input every heartbeatInterval
+// and tells each mirror the detector excluded to ask back.
+func (s *CentralSite) tick(ctx context.Context) {
+	defer s.ticking.Done()
+	t := time.NewTicker(heartbeatInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			for _, i := range s.Central.Tick() {
+				s.notifyExcluded(i)
+			}
+		}
+	}
+}
+
+// notifyExcluded sends slot i one ask-back notice on its ctrl.down
+// link: a RECOVERY_REQ travelling down, which a running mirror answers
+// with its own RECOVERY_REQ from its committed cut. Only detector
+// exclusions notify, so an explicit Exclude is never raced by the
+// mirror asking back. The send runs on its own goroutine, so a dead
+// peer never stalls the ticker, and a lost notice is not repeated.
+func (s *CentralSite) notifyExcluded(i int) {
+	if !s.rejoins.admit() {
+		return
+	}
+	go func() {
+		defer s.rejoins.wg.Done()
+		_ = s.links[2*i+1].Submit(&event.Event{Type: event.TypeRecoveryRequest, Seq: uint64(i)})
+	}()
 }
 
 // dispatchCtrlUp sends checkpoint replies to the coordinator. A
@@ -334,6 +385,10 @@ func (s *CentralSite) Close() error {
 	}
 	if s.srv != nil {
 		s.srv.Close()
+	}
+	if s.stopTick != nil {
+		s.stopTick()
+		s.ticking.Wait()
 	}
 	s.rejoins.stop()
 	if s.Central != nil {
@@ -409,8 +464,9 @@ type MirrorOptions struct {
 	// whether the central is dead (0 disarms wire takeover).
 	TakeoverBudget int
 	// TakeoverInterval is the detection ticker period (0 =
-	// DefaultTakeoverInterval). Align it with the expected checkpoint
-	// round cadence.
+	// DefaultTakeoverInterval). A live central starts a round at least
+	// every heartbeatInterval (100 ms), idle or busy, so any interval
+	// of twice that or more sees a new round on every tick.
 	TakeoverInterval time.Duration
 	// Advertise overrides the address announced to survivors after a
 	// promotion (default Peers[SiteID]).
@@ -564,10 +620,17 @@ func (s *MirrorSite) rejoinLoop(ctx context.Context) {
 }
 
 // handleCtrlDown dispatches control-downlink traffic: takeover frames
-// (TAKEOVER announcements, ELECT claims) go to the takeover runtime,
-// everything else to the mirror's checkpoint state machine.
+// (TAKEOVER announcements, ELECT claims) go to the takeover runtime, a
+// RECOVERY_REQ travelling down — the central's notice that its failure
+// detector excluded this running site — makes the site ask back from
+// its committed cut, as a follow of the same central would, and
+// everything else goes to the mirror's checkpoint state machine.
 func (s *MirrorSite) handleCtrlDown(e *event.Event) {
 	if t := s.takeover; t != nil && t.handleControl(e) {
+		return
+	}
+	if e.Type == event.TypeRecoveryRequest {
+		s.askRejoin(s.Site.Backup().Committed())
 		return
 	}
 	s.Site.HandleControl(e)
